@@ -4,7 +4,7 @@ stability certificates for phase-difference (PD) trajectories.
 Modules:
     signals      -- time-varying scalar/vector/matrix signals with exact window integrals
     graph        -- signed networks, Laplacians, threshold graphs, spanning trees
-    linalg       -- Jacobi eigensolver, state-transition matrices, contraction factors
+    linalg       -- LAPACK eigensolves, state-transition matrices, contraction factors
     dynamics     -- fixed-step simulation of the oscillator network, PD utilities
     certificates -- invariance and asymptotic-stability criteria with witness reports
     scenarios    -- periodic-switching, small-perturbation and fast-switching experiments

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tvkuramoto import graph
+from tvkuramoto.graph import _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
-from tvkuramoto.signals import ConstantSignal, TimeSignal, sample_grid
+from tvkuramoto.signals import ConstantSignal, TableSignal, TimeSignal, sample_grid
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -81,16 +82,12 @@ def _coupling_at(coupling: TimeSignal, t: float) -> np.ndarray:
     return a
 
 
-def _pair_tensors(a: np.ndarray):
-    """Per-pair quantities shared by the pointwise condition and the xi index."""
+def _require_pairs(a: np.ndarray) -> int:
+    """Node count of a coupling matrix; the pairwise conditions need m >= 2."""
     m = a.shape[0]
-    ai = a[:, None, :]  # ai[i, j, k] = a_ik
-    aj = a[None, :, :]  # aj[i, j, k] = a_jk
-    idx = np.arange(m)
-    k_is_pair = (idx[None, None, :] == idx[:, None, None]) | (
-        idx[None, None, :] == idx[None, :, None]
-    )
-    return ai, aj, k_is_pair
+    if m < 2:
+        raise ValueError(f"coupling must couple at least two oscillators, got m={m}")
+    return m
 
 
 def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
@@ -115,16 +112,16 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
     sin_r = math.sin(r)
     worst = -math.inf
     worst_loc = None
+    prev = None
     for t in grid:
         a = _coupling_at(coupling, float(t))
-        m = a.shape[0]
+        if a is not prev:  # piecewise-constant signals return one array per piece
+            prev = a
+            m = _require_pairs(a)
+            common_min, neg_sum = _pair_sums(a)
+            mixing = ((a + a.T) + neg_sum + common_min) * sin_r
         w = _frequencies_at(omega, float(t), m)
-        ai, aj, k_is_pair = _pair_tensors(a)
-        pos = (ai > 0) & (aj > 0)
-        common_min = np.where(pos, np.minimum(ai, aj), 0.0).sum(axis=2)
-        neg_parts = np.minimum(ai, 0.0) + np.minimum(aj, 0.0)
-        neg_sum = np.where(~pos & ~k_is_pair, neg_parts, 0.0).sum(axis=2)
-        lhs = (w[:, None] - w[None, :]) - ((a + a.T) + neg_sum + common_min) * sin_r
+        lhs = (w[:, None] - w[None, :]) - mixing
         np.fill_diagonal(lhs, -math.inf)
         k = int(np.argmax(lhs))
         i, j = divmod(k, m)
@@ -158,7 +155,9 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
     if grid is None:
         grid = sample_grid([omega, coupling])
     grid = np.asarray(grid, dtype=float)
-    m = _coupling_at(coupling, float(grid[0])).shape[0]
+    if grid.size == 0:
+        raise ValueError("empty evaluation grid")
+    m = _require_pairs(_coupling_at(coupling, float(grid[0])))
     delta_omega = 0.0
     for t in grid:
         w = _frequencies_at(omega, float(t), m)
@@ -314,21 +313,26 @@ def xi_index(net, r: float) -> float:
     return float(-vals.min())
 
 
+def _xi_steps(coupling: TimeSignal, r: float) -> TableSignal:
+    """xi(L(t), r) of a piecewise-constant coupling as a step signal.
+
+    xi is computed once per piece (of one period, when the coupling repeats),
+    and the step signal's exact window integral folds whole periods, so a
+    window costs the same for any number of periods.
+    """
+    starts = coupling.breakpoints()
+    if starts.size == 0:
+        starts = np.array([0.0])
+    xis = [xi_index(_coupling_at(coupling, float(t)), r) for t in starts]
+    return TableSignal(starts, xis, period=coupling.period)
+
+
 def _xi_window_integral(coupling: TimeSignal, r: float, a: float, b: float,
                         quad_points: int) -> float:
-    """Integral of xi(L(t), r) over [a, b]; exact for piecewise-constant coupling."""
-    inner = coupling.breakpoints_in(a, b)
-    edges = np.unique(np.concatenate([[a], inner[(inner > a) & (inner < b)], [b]]))
-    total = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        if coupling.is_piecewise_constant:
-            total += xi_index(_coupling_at(coupling, float(x0)), r) * (x1 - x0)
-        else:
-            n = max(8, int(math.ceil(quad_points * (x1 - x0) / (b - a))))
-            mids = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-            vals = [xi_index(_coupling_at(coupling, float(t)), r) for t in mids]
-            total += float(np.mean(vals)) * (x1 - x0)
-    return total
+    """Integral of xi(L(t), r) over [a, b] for a smooth coupling, by the midpoint rule."""
+    n = max(8, quad_points)
+    mids = a + (np.arange(n) + 0.5) * (b - a) / n
+    return float(np.mean([xi_index(_coupling_at(coupling, float(t)), r) for t in mids])) * (b - a)
 
 
 def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
@@ -336,7 +340,8 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     """Window-averaged xi test for signed couplings.
 
     Passes iff the average of xi(L(s), r) over [t, t+T] is <= -eta at every
-    sampled window start t.
+    sampled window start t. Piecewise-constant couplings integrate the
+    per-piece xi step signal exactly; smooth couplings use midpoint quadrature.
     """
     if not 0.0 <= r < math.pi / 2:
         raise ValueError(f"r must lie in [0, pi/2), got {r}")
@@ -345,10 +350,13 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     if starts is None:
         starts = sample_grid(coupling, num=128)
     starts = np.asarray(starts, dtype=float)
-    averages = np.array([
-        _xi_window_integral(coupling, r, float(t), float(t) + window, quad_points) / window
-        for t in starts
-    ])
+    if coupling.is_piecewise_constant:
+        steps = _xi_steps(coupling, r)
+        integrals = [steps.integrate_window(float(t), float(t) + window) for t in starts]
+    else:
+        integrals = [_xi_window_integral(coupling, r, float(t), float(t) + window, quad_points)
+                     for t in starts]
+    averages = np.array(integrals) / window
     worst_idx = int(np.argmax(averages))
     ok = bool(averages[worst_idx] <= -eta)
     return CertificateReport(
@@ -418,11 +426,11 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
             return CertificateReport(
                 "thm3-lambda2-series", INCONCLUSIVE,
                 witnesses={"asymmetric_at": float(t)}, parameters=params)
-        if restricted_spectrum(lap)[0] < -1e-9:
+        low = float(restricted_spectrum(lap)[0])
+        if low < -1e-9:
             return CertificateReport(
                 "thm3-lambda2-series", INCONCLUSIVE,
-                witnesses={"not_psd_at": float(t),
-                           "min_eigenvalue": float(restricted_spectrum(lap)[0])},
+                witnesses={"not_psd_at": float(t), "min_eigenvalue": low},
                 parameters=params)
 
     alphas = _lambda2_series(coupling, r, h, num_windows)

@@ -103,15 +103,19 @@ def _get_r(cfg: dict, field: str = "parameters.r") -> float:
 
 def _signals(cfg: dict):
     sigs = _get(cfg, "signals", dict)
+    loaded = []
     for key in ("omega", "coupling"):
         if key not in sigs:
             raise ConfigError(f"signals.{key}", "missing")
-    try:
-        omega = signal_from_json(sigs["omega"])
-        coupling = signal_from_json(sigs["coupling"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("signals", str(exc)) from exc
-    return omega, coupling
+        try:
+            loaded.append(signal_from_json(sigs[key]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"signals.{key}", str(exc)) from exc
+    shape = loaded[1].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ConfigError("signals.coupling",
+                          f"must be an m x m matrix with m >= 2, got shape {shape}")
+    return tuple(loaded)
 
 
 def _write_csv(path: Path, header_cols, rows, config_hash: str, units: str):

@@ -100,25 +100,18 @@ def threshold_graph(lap: np.ndarray, eta: float) -> ThresholdGraph:
 def has_spanning_tree(g) -> bool:
     """True iff some root reaches every node along the influence direction.
 
-    Edge (i, j) means j influences i, so reachability follows j -> i: from a
-    candidate root r, nodes i with edges[i, r] are reached, and so on. BFS from
-    each candidate root, O(m * (m + |E|)).
+    Edge (i, j) means j influences i, so reachability follows j -> i. The
+    boolean transitive closure comes from ceil(log2 m) squarings of the
+    reflexive reachability matrix; a root exists iff some row is all True.
     """
     edges = g.edges if isinstance(g, ThresholdGraph) else np.asarray(g, dtype=bool)
     m = edges.shape[0]
-    for root in range(m):
-        seen = np.zeros(m, dtype=bool)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            j = stack.pop()
-            for i in np.nonzero(edges[:, j])[0]:
-                if not seen[i]:
-                    seen[i] = True
-                    stack.append(int(i))
-        if seen.all():
-            return True
-    return False
+    reach = edges.T | np.eye(m, dtype=bool)  # reach[j, i]: j reaches i
+    length = 1  # reach covers every path of at most this many links
+    while length < m - 1:
+        reach = reach @ reach
+        length *= 2
+    return bool(reach.all(axis=1).any())
 
 
 def common_positive_neighbors(net, i: int, j: int) -> set:
@@ -133,6 +126,33 @@ def common_positive_neighbors(net, i: int, j: int) -> set:
     return set(np.nonzero((a[i] > 0) & (a[j] > 0))[0].tolist())
 
 
+def _pair_tensors(a: np.ndarray):
+    """Per-pair views ai[i, j, k] = a_ik, aj[i, j, k] = a_jk, and the mask k in {i, j}."""
+    m = a.shape[0]
+    ai = a[:, None, :]
+    aj = a[None, :, :]
+    idx = np.arange(m)
+    k_is_pair = (idx[None, None, :] == idx[:, None, None]) | (
+        idx[None, None, :] == idx[None, :, None]
+    )
+    return ai, aj, k_is_pair
+
+
+def _pair_sums(a: np.ndarray) -> tuple:
+    """Per-pair sums shared by the pointwise invariance test and the mixing quantities.
+
+    common_min[i, j] sums min(a_ik, a_jk) over the common positive neighborhood
+    {k: a_ik > 0 and a_jk > 0}; neg_sum[i, j] sums the negative parts
+    min(a_ik, 0) + min(a_jk, 0) over the other k != i, j, so it is <= 0.
+    """
+    ai, aj, k_is_pair = _pair_tensors(a)
+    pos = (ai > 0) & (aj > 0)
+    common_min = np.where(pos, np.minimum(ai, aj), 0.0).sum(axis=2)
+    neg_parts = np.minimum(ai, 0.0) + np.minimum(aj, 0.0)
+    neg_sum = np.where(~pos & ~k_is_pair, neg_parts, 0.0).sum(axis=2)
+    return common_min, neg_sum
+
+
 def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
     """Mixing quantities (mu0, mu1, mu2) of a coupling-matrix signal over a grid.
 
@@ -144,32 +164,27 @@ def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
     mu2: grid max of the pairwise minimum of a_ij + a_ji.
 
     Grid extrema stand in for suprema over continuous time; exact for
-    piecewise-constant signals when the grid includes all breakpoints.
+    piecewise-constant signals when the grid includes all breakpoints. A grid
+    point whose matrix is the same array as the one before it adds nothing and
+    is skipped, so piecewise-constant signals cost one pass per piece.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty sampling grid")
-    mu0s, mu1s, mu2s = [], [], []
+    mu0 = mu1 = mu2 = -np.inf
+    prev = None
     for t in grid:
         a = np.asarray(coupling.evaluate(float(t)), dtype=float)
+        if a is prev:
+            continue
+        prev = a
         m = a.shape[0]
-        best0, best1, best2 = None, None, None
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                pos = (a[i] > 0) & (a[j] > 0)
-                s0 = float(np.minimum(a[i], a[j])[pos].sum())
-                neg = ~pos
-                neg[i] = neg[j] = False
-                s1 = float((-np.minimum(a[i][neg], 0.0) - np.minimum(a[j][neg], 0.0)).sum())
-                s2 = float(a[i, j] + a[j, i])
-                best0 = s0 if best0 is None else min(best0, s0)
-                best1 = s1 if best1 is None else max(best1, s1)
-                best2 = s2 if best2 is None else min(best2, s2)
-        if best0 is None:  # m < 2
-            best0 = best1 = best2 = 0.0
-        mu0s.append(best0)
-        mu1s.append(best1)
-        mu2s.append(best2)
-    return max(mu0s), max(mu1s), max(mu2s)
+        if m < 2:
+            mu0, mu1, mu2 = max(mu0, 0.0), max(mu1, 0.0), max(mu2, 0.0)
+            continue
+        common_min, neg_sum = _pair_sums(a)
+        off = ~np.eye(m, dtype=bool)
+        mu0 = max(mu0, float(common_min[off].min()))
+        mu1 = max(mu1, float(-neg_sum[off].min()))
+        mu2 = max(mu2, float((a + a.T)[off].min()))
+    return mu0, mu1, mu2

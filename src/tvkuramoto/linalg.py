@@ -1,10 +1,9 @@
 """Dense symmetric eigensolver, restricted spectra, and state-transition matrices.
 
-The eigensolver is a self-contained cyclic Jacobi iteration, adequate for the
-m <= 50 networks this package targets. Quantities "over the eigenspace
-orthogonal to 1" are computed by restricting to an explicit orthonormal basis
-of that subspace rather than eigensolving a projected matrix, which stays
-correct when the input is indefinite.
+Eigenvalues come from LAPACK through numpy.linalg.eigh. Quantities "over the
+eigenspace orthogonal to 1" are computed by restricting to an explicit
+orthonormal basis of that subspace rather than eigensolving a projected
+matrix, which stays correct when the input is indefinite.
 """
 
 from __future__ import annotations
@@ -44,52 +43,13 @@ def _check_symmetric(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _jacobi_rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p, q] with a two-sided Givens rotation, accumulating vectors."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    for m_ in (a, a.T):  # columns then rows; a stays symmetric
-        col_p = m_[:, p].copy()
-        col_q = m_[:, q].copy()
-        m_[:, p] = c * col_p - s * col_q
-        m_[:, q] = s * col_p + c * col_q
-    col_p = vecs[:, p].copy()
-    col_q = vecs[:, q].copy()
-    vecs[:, p] = c * col_p - s * col_q
-    vecs[:, q] = s * col_p + c * col_q
-    a[p, q] = a[q, p] = 0.0
+def symmetric_eigen(mat: np.ndarray) -> SymmetricSpectrum:
+    """Full spectrum of a symmetric matrix (LAPACK through numpy.linalg.eigh).
 
-
-def symmetric_eigen(mat: np.ndarray, max_sweeps: int = 100) -> SymmetricSpectrum:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps run until every off-diagonal magnitude drops below 1e-12 times the
-    Frobenius norm of the input. Rejects matrices that are not symmetric to
-    1e-10 relative tolerance.
+    Rejects matrices that are not symmetric to 1e-10 relative tolerance.
     """
-    a = _check_symmetric(mat).copy()
-    m = a.shape[0]
-    vecs = np.eye(m)
-    norm = np.linalg.norm(a)
-    if norm > 0.0:
-        thresh = 1e-12 * norm
-        for _ in range(max_sweeps):
-            off = a - np.diag(np.diag(a))
-            if np.max(np.abs(off)) < thresh:
-                break
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    if abs(a[p, q]) >= thresh * 1e-2:
-                        _jacobi_rotate(a, vecs, p, q)
-        else:
-            raise RuntimeError("Jacobi iteration did not converge")
-    order = np.argsort(np.diag(a), kind="stable")
-    return SymmetricSpectrum(np.diag(a)[order].copy(), vecs[:, order].copy())
+    vals, vecs = np.linalg.eigh(_check_symmetric(mat))
+    return SymmetricSpectrum(vals, vecs)
 
 
 def _ones_complement_basis(m: int) -> np.ndarray:

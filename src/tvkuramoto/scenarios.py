@@ -384,23 +384,9 @@ def er_random_network(m: int, p: float, seed: int,
         rng = np.random.default_rng([int(seed), attempt])
         upper = np.triu(rng.random((m, m)) < p, k=1)
         adj = (upper | upper.T).astype(float)
-        if _connected(adj):
+        if graph.has_spanning_tree(adj != 0):  # symmetric, so rooted == connected
             return graph.SignedNetwork(adj)
     raise RuntimeError(f"no connected draw in {max_attempts} attempts (p too small?)")
-
-
-def _connected(adj: np.ndarray) -> bool:
-    m = adj.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
 
 
 # ----------------------------------------------------------------------------

@@ -18,13 +18,11 @@ import numpy as np
 
 
 def _as_value(v):
-    """Normalize a scalar / nested list to float or ndarray."""
-    if isinstance(v, (int, float)):
-        return float(v)
+    """Normalize a scalar / nested list to float or ndarray; reject NaN and inf."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
+    if not np.isfinite(arr).all():
+        raise ValueError("signal values must be finite (no NaN or inf)")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _value_shape(v) -> tuple:
@@ -76,7 +74,11 @@ class TimeSignal:
         raise NotImplementedError
 
     def evaluate(self, t: float):
-        """Signal value at time t >= 0 (right-continuous at breakpoints)."""
+        """Signal value at time t >= 0 (right-continuous at breakpoints).
+
+        Piecewise-constant kinds return the same stored object for every t in
+        one piece, so callers may skip a repeat by identity (``a is prev``).
+        """
         raise NotImplementedError
 
     def integrate_window(self, s: float, t: float):

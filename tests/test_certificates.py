@@ -20,7 +20,9 @@ from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.dynamics import invariance_monitor, pd_divergence, simulate
 from tvkuramoto.graph import laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
-from tvkuramoto.signals import ConstantSignal, SwitchingSignal, signal_from_json
+from tvkuramoto.signals import (
+    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, signal_from_json,
+)
 from xi_oracle import xi_vertex_oracle
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -253,6 +255,83 @@ def test_thm2_bundled_switching_schedule_passes():
     xi2 = xi_index(np.asarray(cfg["signals"]["coupling"]["pieces"][1]["value"]), math.pi / 3)
     assert rep.witnesses["worst_window_average"] == pytest.approx((xi1 + xi2) / 2, abs=1e-9)
     assert rep.witnesses["worst_window_average"] <= -0.01
+
+
+def xi_integral_by_pieces(starts, period, xis, a, b):
+    """Sum xi * overlap over every piece instance meeting [a, b], one at a time."""
+    bounds = list(starts) + [period]
+    total = 0.0
+    k = math.floor(a / period)
+    while k * period < b:
+        for lo, hi, xi in zip(bounds[:-1], bounds[1:], xis):
+            overlap = min(b, k * period + hi) - max(a, k * period + lo)
+            if overlap > 0:
+                total += xi * overlap
+        k += 1
+    return total
+
+
+@pytest.mark.parametrize("kind", ["switching", "table"])
+def test_thm2_folded_window_matches_piece_sum(kind):
+    rng = np.random.default_rng(33)
+    r = math.pi / 4
+    pieces = []
+    for _ in range(3):
+        a = rng.uniform(-0.3, 1.0, (5, 5))
+        np.fill_diagonal(a, 0.0)
+        pieces.append(a)
+    if kind == "switching":
+        sig = SwitchingSignal([0.3, 0.05, 0.45], pieces)
+        starts = [0.0, 0.3, 0.35]
+    else:
+        starts = [0.0, 0.2, 0.65]
+        sig = TableSignal(starts, pieces, period=0.9)
+    xis = [xi_index(a, r) for a in pieces]
+    offsets = np.array([0.0, 0.1, 0.3, 0.77]) * sig.period
+    for n in (1, 2, 7, 50, 200):
+        for extra in (0.0, 0.37):
+            window = (n + extra) * sig.period
+            rep = thm2_window_check(sig, r, window=window, eta=0.01, starts=offsets)
+            for t, avg in zip(offsets, rep.witnesses["window_averages"]):
+                want = xi_integral_by_pieces(starts, sig.period, xis, t, t + window)
+                assert avg * window == pytest.approx(want, rel=1e-12, abs=0.0), (n, extra, t)
+
+
+def test_thm2_aperiodic_table_holds_last_piece():
+    rng = np.random.default_rng(34)
+    r = math.pi / 5
+    pieces = [rng.uniform(-0.3, 1.0, (4, 4)) for _ in range(3)]
+    starts = [0.0, 0.2, 0.65]
+    xis = [xi_index(a, r) for a in pieces]
+    offsets = np.array([0.0, 0.1, 0.5, 0.9, 3.0])
+    rep = thm2_window_check(TableSignal(starts, pieces), r, window=1.5, eta=0.01,
+                            starts=offsets)
+    bounds = starts + [math.inf]
+    for t, avg in zip(offsets, rep.witnesses["window_averages"]):
+        want = sum(xi * max(0.0, min(t + 1.5, hi) - max(t, lo))
+                   for lo, hi, xi in zip(bounds[:-1], bounds[1:], xis))
+        assert avg * 1.5 == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
+def test_thm2_smooth_coupling_quadrature():
+    # a positive scaling s(t) = 1 + cos(t)/2 of a signed matrix scales xi by s(t)
+    rng = np.random.default_rng(35)
+    a = rng.uniform(-0.3, 1.0, (4, 4))
+    np.fill_diagonal(a, 0.0)
+    r = math.pi / 4
+    sig = SinusoidSignal(a, 0.5 * a, 0.0, trig="cos")
+    offsets = np.array([0.0, 1.0, 4.0])
+    window = 2.5
+    rep = thm2_window_check(sig, r, window=window, eta=0.01, starts=offsets)
+    for t, avg in zip(offsets, rep.witnesses["window_averages"]):
+        want = xi_index(a, r) * (window + 0.5 * (math.sin(t + window) - math.sin(t)))
+        assert avg * window == pytest.approx(want, rel=1e-4), t
+
+
+def test_pairwise_criteria_reject_single_node():
+    for check in (invariance_pointwise, invariance_robust):
+        with pytest.raises(ValueError, match="two oscillators"):
+            check(ConstantSignal(1.0), ConstantSignal([[0.0]]), 0.5)
 
 
 # --- tilde transform and the symmetric PSD criteria ---------------------------

@@ -139,6 +139,80 @@ def test_certify_unknown_criterion(tmp_path, capsys):
     assert "criterion" in capsys.readouterr().err
 
 
+def _ring_pieces(m, count):
+    """Nonnegative switching pieces, each holding a directed ring."""
+    rng = np.random.default_rng(3)
+    pieces = []
+    for _ in range(count):
+        a = np.zeros((m, m))
+        a[(np.arange(m) + 1) % m, np.arange(m)] = rng.uniform(0.5, 1.5, m)
+        pieces.append(a)
+    return pieces
+
+
+def _non_finite_certify_configs():
+    """NaN entry in thm1, inf links in thm2, an all-NaN coupling in pointwise."""
+    one_nan = _ring_pieces(5, 4)
+    one_nan[1][3, 2] = math.nan
+    inf_links = np.ones((5, 5)) - np.eye(5)
+    inf_links[0, 1] = inf_links[1, 0] = math.inf
+    zero = {"kind": "constant", "value": 0.0}
+    return {
+        "thm1-nan-entry": {
+            "criterion": "thm1-spanning-tree",
+            "signals": {"omega": zero, "coupling": {"kind": "switching", "pieces": [
+                {"duration": 0.5, "value": a.tolist()} for a in one_nan]}},
+            "parameters": {"partition": [0.0, 2.0], "eta": 0.02},
+        },
+        "thm2-inf-links": {
+            "criterion": "thm2-xi-window",
+            "signals": {"omega": zero,
+                        "coupling": {"kind": "constant", "value": inf_links.tolist()}},
+            "parameters": {"r": math.pi / 3, "T": 1.0, "eta": 0.1},
+        },
+        "pointwise-all-nan": {
+            "criterion": "invariance-pointwise",
+            "signals": {"omega": {"kind": "constant", "value": 1.0},
+                        "coupling": {"kind": "constant",
+                                     "value": np.full((5, 5), math.nan).tolist()}},
+            "parameters": {"r": math.pi / 3},
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_finite_certify_configs()))
+def test_certify_rejects_non_finite_coupling(tmp_path, capsys, name):
+    cfg = _non_finite_certify_configs()[name]
+    # json.dumps writes the NaN / Infinity literals that json.loads accepts
+    code = main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "signals.coupling" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "certificate.json").exists()
+
+
+def test_certify_rejects_non_finite_omega(tmp_path, capsys):
+    cfg = _non_finite_certify_configs()["pointwise-all-nan"]
+    cfg["signals"] = {"omega": {"kind": "constant", "value": [1.0, math.inf]},
+                      "coupling": {"kind": "constant", "value": [[0.0, 1.0], [1.0, 0.0]]}}
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "signals.omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[[0.0]], 1.0, [0.0, 1.0]])
+def test_certify_rejects_coupling_without_pairs(tmp_path, capsys, value):
+    cfg = {
+        "criterion": "invariance-pointwise",
+        "signals": {"omega": {"kind": "constant", "value": 1.0},
+                    "coupling": {"kind": "constant", "value": value}},
+        "parameters": {"r": 0.5},
+    }
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "signals.coupling" in capsys.readouterr().err
+
+
 def test_certify_bundled_ap_thm2(tmp_path):
     ap = json.loads(bundled_config_path("ap").read_text())
     cfg = {

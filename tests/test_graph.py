@@ -15,7 +15,53 @@ from tvkuramoto.graph import (
     load_adjacency_json,
     threshold_graph,
 )
-from tvkuramoto.signals import ConstantSignal
+from tvkuramoto.signals import ConstantSignal, SwitchingSignal, sample_grid
+
+
+def bfs_spanning_tree(edges: np.ndarray) -> bool:
+    """Per-root BFS oracle: some root reaches all nodes along j -> i."""
+    m = edges.shape[0]
+    for root in range(m):
+        seen = np.zeros(m, dtype=bool)
+        seen[root] = True
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            for i in np.nonzero(edges[:, j])[0]:
+                if not seen[i]:
+                    seen[i] = True
+                    stack.append(int(i))
+        if seen.all():
+            return True
+    return False
+
+
+def loop_ergodic_quantities(coupling, grid):
+    """Pair-by-pair loop oracle for (mu0, mu1, mu2), one grid point at a time."""
+    mu0s, mu1s, mu2s = [], [], []
+    for t in grid:
+        a = np.asarray(coupling.evaluate(float(t)), dtype=float)
+        m = a.shape[0]
+        best0, best1, best2 = None, None, None
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                pos = (a[i] > 0) & (a[j] > 0)
+                s0 = float(np.minimum(a[i], a[j])[pos].sum())
+                neg = ~pos
+                neg[i] = neg[j] = False
+                s1 = float((-np.minimum(a[i][neg], 0.0) - np.minimum(a[j][neg], 0.0)).sum())
+                s2 = float(a[i, j] + a[j, i])
+                best0 = s0 if best0 is None else min(best0, s0)
+                best1 = s1 if best1 is None else max(best1, s1)
+                best2 = s2 if best2 is None else min(best2, s2)
+        if best0 is None:  # m < 2
+            best0 = best1 = best2 = 0.0
+        mu0s.append(best0)
+        mu1s.append(best1)
+        mu2s.append(best2)
+    return max(mu0s), max(mu1s), max(mu2s)
 
 
 def brute_force_spanning_tree(edges: np.ndarray) -> bool:
@@ -208,6 +254,46 @@ def test_ergodic_quantities_matches_formula_oracle():
     assert mu0 == pytest.approx(exp0)
     assert mu1 == pytest.approx(exp1)
     assert mu2 == pytest.approx(exp2)
+
+
+def test_ergodic_quantities_match_loop_oracle():
+    rng = np.random.default_rng(21)
+    for m in range(1, 9):
+        for trial in range(6):
+            pieces = []
+            for _ in range(int(rng.integers(1, 4))):
+                a = rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.8)
+                if trial % 2:  # the signals accept a nonzero diagonal; so must the formula
+                    np.fill_diagonal(a, rng.normal(size=m))
+                else:
+                    np.fill_diagonal(a, 0.0)
+                pieces.append(a)
+            sig = SwitchingSignal(rng.uniform(0.2, 1.0, len(pieces)), pieces)
+            grid = np.sort(np.concatenate([sample_grid(sig, num=7),
+                                           rng.uniform(0.0, 2 * sig.period, 5)]))
+            got = ergodic_quantities(sig, grid)
+            want = loop_ergodic_quantities(sig, grid)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, trial, got, want)
+
+
+def test_spanning_tree_matches_oracles_at_m20():
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for _ in range(300):
+        edges = rng.random((20, 20)) < rng.uniform(0.02, 0.3)
+        np.fill_diagonal(edges, False)
+        got = has_spanning_tree(edges)
+        assert got == bfs_spanning_tree(edges) == brute_force_spanning_tree(edges)
+        verdicts.append(got)
+    assert 30 < sum(verdicts) < 270  # both verdicts well represented
+
+    for m in (2, 3, 5, 9, 17, 20, 33):  # a directed path needs m - 1 hops
+        path = np.zeros((m, m), dtype=bool)
+        path[np.arange(1, m), np.arange(m - 1)] = True  # node k influences k + 1
+        assert has_spanning_tree(path)
+        cut = path.copy()
+        cut[m - 1, m - 2] = False
+        assert not has_spanning_tree(cut)
 
 
 def test_signed_network_edge_set_is_derived():

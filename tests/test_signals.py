@@ -185,3 +185,18 @@ def test_sample_grid_includes_breakpoints():
     grid = sample_grid(sig, num=50)
     assert 0.3 in grid
     assert grid.min() >= 0.0 and grid.max() < sig.period
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: ConstantSignal([[0.0, bad], [1.0, 0.0]]),
+    lambda bad: SwitchingSignal([1.0, 1.0], [[1.0, 2.0], [bad, 2.0]]),
+    lambda bad: SinusoidSignal([1.0, bad], 0.1, 0.0),
+    lambda bad: SinusoidSignal(1.0, bad, 0.0),
+    lambda bad: SinusoidSignal(1.0, 0.1, [0.0, bad]),
+    lambda bad: TableSignal([0.0, 1.0], [bad, 1.0], period=2.0),
+], ids=["constant", "switching", "sinusoid-base", "sinusoid-amplitude", "sinusoid-phase",
+        "table"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
