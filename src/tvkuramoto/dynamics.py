@@ -3,8 +3,12 @@
 The model is theta_i' = omega_i(t) + sum_j a_ij(t) sin(theta_j - theta_i) with
 phases unwrapped on the real line (the analysis lives in phase differences
 confined to |theta_ij| <= r < pi/2, so no modular wrapping is wanted).
-Integration is classical 4th-order fixed step with the grid aligned to every
-signal breakpoint, which makes runs bit-for-bit reproducible.
+Every fixed-step integration in the package runs through one classical
+4th-order routine, `_rk4`, on a grid aligned to every signal breakpoint, which
+makes runs bit-for-bit reproducible. Its state may carry a batch axis (R starts
+as one (R, m) array); it evaluates a piecewise-constant signal once per piece
+and a smooth one twice per step. The coupling term takes the product form
+cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i: O(m) trig calls.
 """
 
 from __future__ import annotations
@@ -76,11 +80,11 @@ class PhaseTrajectory:
     """Phases on a uniform time grid; row k is theta(times[k]), unwrapped."""
 
     times: np.ndarray   # shape (N+1,)
-    phases: np.ndarray  # shape (N+1, m)
+    phases: np.ndarray  # shape (N+1, m), or (R, N+1, m) for a batch of R runs
 
     @property
     def m(self) -> int:
-        return self.phases.shape[1]
+        return self.phases.shape[-1]
 
     @property
     def dt(self) -> float:
@@ -91,71 +95,95 @@ class PhaseTrajectory:
         return phase_differences(self.phases)
 
     def final(self) -> np.ndarray:
-        return self.phases[-1].copy()
+        return self.phases[..., -1, :].copy()
 
 
 def kuramoto_rhs(theta: np.ndarray, t: float, omega: TimeSignal,
                  coupling: TimeSignal) -> np.ndarray:
     """Right-hand side omega_i(t) + sum_j a_ij(t) sin(theta_j - theta_i)."""
     theta = np.asarray(theta, dtype=float)
-    w = omega.evaluate(t)
-    a = np.asarray(coupling.evaluate(t), dtype=float)
-    return _rhs(theta, w, a)
+    _check_shapes(theta.shape[-1], omega, coupling)
+    return _rhs(theta, omega.evaluate(t), coupling.evaluate(t))
+
+
+def _check_shapes(m, omega, coupling):
+    if coupling.shape != (m, m):
+        raise ValueError(f"coupling matrix shape {coupling.shape} does not match m={m}")
+    if omega.shape not in ((), (m,)):
+        raise ValueError(f"frequency vector shape {omega.shape} does not match m={m}")
 
 
 def _rhs(theta, w, a):
-    m = theta.shape[0]
-    if a.shape != (m, m):
-        raise ValueError(f"coupling matrix shape {a.shape} does not match m={m}")
-    if not isinstance(w, float):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (m,):
-            raise ValueError(f"frequency vector shape {w.shape} does not match m={m}")
-    diff = theta[None, :] - theta[:, None]  # diff[i, j] = theta_j - theta_i
-    return w + (a * np.sin(diff)).sum(axis=1)
+    # sum_j a_ij sin(theta_j - theta_i) = cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i
+    s, c = np.sin(theta), np.cos(theta)
+    return w + c * np.dot(s, a.T) - s * np.dot(c, a.T)
+
+
+def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
+    """Classical 4th-order integration of y' = rhs(y, *signal values) for nsteps steps from t0.
+
+    The caller has checked the grid with check_alignment, so a piecewise-constant
+    signal is evaluated at the first step of each piece; a smooth one at t + dt/2
+    and t + dt, the latter reused at the next step. out[k], if given, receives
+    y(t0 + k dt). The run ends early where stop(t, y, y') is true. Returns the
+    last state and its step. Raises on non-finite state, naming the time.
+    """
+    t_end = t0 + nsteps * dt
+    pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
+    smooth = [i for i, sig in enumerate(signals) if not sig.is_piecewise_constant]
+    cuts = {0, nsteps}
+    for i in pieces:
+        steps = np.rint((signals[i].breakpoints_in(t0, t_end) - t0) / dt)
+        cuts.update(int(k) for k in steps if 0 < k < nsteps)
+    cuts = sorted(cuts)
+    vc = [None if sig.is_piecewise_constant else sig.evaluate(t0) for sig in signals]
+    va, vb = list(vc), list(vc)
+    half, sixth = 0.5 * dt, dt / 6.0
+    y = y0
+    if out is not None:
+        out[0] = y0
+    for lo, hi in zip(cuts, cuts[1:]):
+        for i in pieces:
+            va[i] = vb[i] = vc[i] = signals[i].evaluate(t0 + lo * dt)
+        for k in range(lo, hi):
+            t = t0 + k * dt
+            for i in smooth:
+                va[i] = vc[i]
+                vb[i] = signals[i].evaluate(t + half)
+                vc[i] = signals[i].evaluate(t0 + (k + 1) * dt)
+            k1 = rhs(y, *va)
+            if stop is not None and stop(t, y, k1):
+                return y, k
+            k2 = rhs(y + half * k1, *vb)
+            k3 = rhs(y + half * k2, *vb)
+            k4 = rhs(y + dt * k3, *vc)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
+            if out is not None:
+                out[k + 1] = y
+    return y, nsteps
 
 
 def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
              t_end: float, dt: float) -> PhaseTrajectory:
     """Integrate the network from theta0 over [0, t_end], sampling every step.
 
-    dt must tile [0, t_end] and hit every breakpoint of both signals.
-    Piecewise-constant signals are evaluated once per step (their stage values
-    coincide); smooth signals are evaluated at each stage. Raises on
-    non-finite state, reporting the blow-up time.
+    theta0 is one start (m,) or a batch (R, m); the phases come back as
+    (N+1, m) or (R, N+1, m), run i being the contiguous block phases[i].
+    dt must tile [0, t_end] and hit every breakpoint of both signals. Raises
+    on non-finite state, reporting the blow-up time.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    if theta0.ndim not in (1, 2):
+        raise ValueError(f"theta0 must have shape (m,) or (R, m), got {theta0.shape}")
+    _check_shapes(theta0.shape[-1], omega, coupling)
     nsteps = check_alignment([omega, coupling], 0.0, t_end, dt)
-    m = theta0.shape[0]
-    out = np.empty((nsteps + 1, m))
-    out[0] = theta0
-    th = theta0.copy()
-    w_pc = omega.is_piecewise_constant
-    a_pc = coupling.is_piecewise_constant
-    for k in range(nsteps):
-        t = k * dt
-        th = _rk4_step(th, t, dt, omega, coupling, w_pc, a_pc)
-        if not np.all(np.isfinite(th)):
-            raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
-        out[k + 1] = th
-    times = np.arange(nsteps + 1) * dt
-    return PhaseTrajectory(times, out)
-
-
-def _rk4_step(th, t, dt, omega, coupling, w_pc, a_pc):
-    wa = omega.evaluate(t)
-    aa = np.asarray(coupling.evaluate(t), dtype=float)
-    wb = wa if w_pc else omega.evaluate(t + 0.5 * dt)
-    ab = aa if a_pc else np.asarray(coupling.evaluate(t + 0.5 * dt), dtype=float)
-    wc = wa if w_pc else omega.evaluate(t + dt)
-    ac = aa if a_pc else np.asarray(coupling.evaluate(t + dt), dtype=float)
-    k1 = _rhs(th, wa, aa)
-    k2 = _rhs(th + 0.5 * dt * k1, wb, ab)
-    k3 = _rhs(th + 0.5 * dt * k2, wb, ab)
-    k4 = _rhs(th + dt * k3, wc, ac)
-    return th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    phases = np.empty(theta0.shape[:-1] + (nsteps + 1, theta0.shape[-1]))
+    _rk4(_rhs, theta0, 0.0, dt, nsteps, (omega, coupling), out=np.moveaxis(phases, -2, 0))
+    return PhaseTrajectory(np.arange(nsteps + 1) * dt, phases)
 
 
 def invariance_monitor(traj: PhaseTrajectory, r: float):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tvkuramoto import dynamics
 from tvkuramoto.signals import TimeSignal, check_alignment
 
 
@@ -90,27 +91,13 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> Transiti
     """Integrate U' = -G(tau) U, U(s) = I with the classical 4th-order one-step method.
 
     dt must divide the span and hit every breakpoint of the generator signal,
-    so a discontinuity never falls inside a step. For piecewise-constant
-    generators the stage values within one step coincide and G is evaluated
-    once per step.
+    so a discontinuity never falls inside a step; a piecewise-constant
+    generator is evaluated once per piece.
     """
     if t < s:
         raise ValueError(f"need t >= s, got s={s}, t={t}")
     nsteps = check_alignment(gen, s, t, dt)
-    g0 = np.asarray(gen.evaluate(s), dtype=float)
-    m = g0.shape[0]
-    u = np.eye(m)
-    pc = gen.is_piecewise_constant
-    for k in range(nsteps):
-        tau = s + k * dt
-        ga = np.asarray(gen.evaluate(tau), dtype=float)
-        gb = ga if pc else np.asarray(gen.evaluate(tau + 0.5 * dt), dtype=float)
-        gc = ga if pc else np.asarray(gen.evaluate(min(tau + dt, t)), dtype=float)
-        k1 = -ga @ u
-        k2 = -gb @ (u + 0.5 * dt * k1)
-        k3 = -gb @ (u + 0.5 * dt * k2)
-        k4 = -gc @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u, _ = dynamics._rk4(lambda u, g: -g @ u, np.eye(gen.shape[0]), s, dt, nsteps, (gen,))
     return TransitionMatrix(s, t, u)
 
 

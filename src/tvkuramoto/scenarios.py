@@ -61,34 +61,25 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     """
     w = np.asarray(omega_bar, dtype=float)
     a = np.asarray(a_bar, dtype=float)
-    th = np.asarray(theta0, dtype=float).copy()
+    th = np.asarray(theta0, dtype=float)
     m = th.size
     if w.shape != (m,) or a.shape != (m, m):
         raise ValueError("omega_bar / a_bar dimensions do not match theta0")
 
-    def rhs(x):
-        diff = x[None, :] - x[:, None]
-        return w + (a * np.sin(diff)).sum(axis=1)
-
     need = max(int(round(window / dt)), 1)
-    consec = 0
+    quiet = 0
+
+    def locked(t, x, dx):
+        nonlocal quiet
+        if x.max() - x.min() > r:
+            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
+        quiet = quiet + 1 if float(dx.max() - dx.min()) < deriv_tol else 0
+        return quiet >= need
+
     nsteps = int(round(t_max / dt))
-    k1 = rhs(th)
-    for k in range(nsteps):
-        k1 = rhs(th)
-        if th.max() - th.min() > r:
-            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {k * dt:.3f} s")
-        if float(k1.max() - k1.min()) < deriv_tol:
-            consec += 1
-            if consec >= need:
-                break
-        else:
-            consec = 0
-        k2 = rhs(th + 0.5 * dt * k1)
-        k3 = rhs(th + 0.5 * dt * k2)
-        k4 = rhs(th + dt * k3)
-        th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
+    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), th, 0.0, dt, nsteps, stop=locked)
+    k1 = dynamics._rhs(th, w, a)
+    if k == nsteps:
         raise NoLockError(
             f"no phase lock within {t_max} s (derivative spread "
             f"{float(k1.max() - k1.min()):.3g} at the horizon)")
@@ -210,28 +201,11 @@ def linear_correction(base: PhaseLockedState, omega_pert: TimeSignal,
     np.fill_diagonal(y, 0.0)
     np.fill_diagonal(y, -y.sum(axis=1))
 
-    def z_at(t):
-        omega_v = omega_pert.evaluate(t)
-        if isinstance(omega_v, float):
-            omega_v = np.full(m, omega_v)
-        a_v = np.asarray(coupling_pert.evaluate(t), dtype=float)
-        return omega_v + (a_v * sin_lock).sum(axis=1)
-
     nsteps = check_alignment([omega_pert, coupling_pert], 0.0, t_end, dt)
-    phi = np.zeros(m)
     out = np.empty((nsteps + 1, m))
-    out[0] = phi
-    for k in range(nsteps):
-        t = k * dt
-        za, zb, zc = z_at(t), z_at(t + 0.5 * dt), z_at(t + dt)
-        k1 = za + y @ phi
-        k2 = zb + y @ (phi + 0.5 * dt * k1)
-        k3 = zb + y @ (phi + 0.5 * dt * k2)
-        k4 = zc + y @ (phi + dt * k3)
-        phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = phi
-    times = np.arange(nsteps + 1) * dt
-    return times, out
+    dynamics._rk4(lambda phi, w, a: w + (a * sin_lock).sum(axis=1) + y @ phi,
+                  np.zeros(m), 0.0, dt, nsteps, (omega_pert, coupling_pert), out=out)
+    return np.arange(nsteps + 1) * dt, out
 
 
 def first_order_approx(base: PhaseLockedState, omega_pert: TimeSignal,
@@ -420,13 +394,11 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
 
     cert = certificates.thm2_window_check(coupling, r, period, eta)
 
-    runs, exits = [], []
-    for k in range(num_runs):
-        rng = np.random.default_rng([int(seed), k])
-        theta0 = rng.uniform(ic_low, ic_high, m)
-        traj = dynamics.simulate(theta0, omega, coupling, t_end, dt)
-        runs.append(traj)
-        exits.append(dynamics.invariance_monitor(traj, r))
+    theta0 = np.array([np.random.default_rng([int(seed), k]).uniform(ic_low, ic_high, m)
+                       for k in range(num_runs)])
+    batch = dynamics.simulate(theta0, omega, coupling, t_end, dt)
+    runs = [dynamics.PhaseTrajectory(batch.times, phases) for phases in batch.phases]
+    exits = [dynamics.invariance_monitor(traj, r) for traj in runs]
 
     worst_div = 0.0
     start_idx = int(round(divergence_from / dt))

@@ -103,17 +103,11 @@ class TimeSignal:
         base = self.breakpoints()
         if base.size == 0:
             return np.array([])
-        if self.period is None:
-            return base[(base >= s) & (base <= t)]
-        out = []
-        k = math.floor(s / self.period)
-        while k * self.period <= t:
-            for b in base:
-                x = k * self.period + b
-                if s <= x <= t:
-                    out.append(x)
-            k += 1
-        return np.array(out)
+        if self.period is not None:
+            # one period past floor(t / period) covers a quotient rounded down
+            cycles = np.arange(math.floor(s / self.period), math.floor(t / self.period) + 2)
+            base = (cycles[:, None] * self.period + base).ravel()
+        return base[(base >= s) & (base <= t)]
 
     def _check_window(self, s, t):
         if s < 0 or t < s:
@@ -161,8 +155,10 @@ class SwitchingSignal(TimeSignal):
         durations = [float(d) for d in durations]
         if len(durations) == 0 or len(durations) != len(values):
             raise ValueError("need one duration per piece and at least one piece")
-        if any(d <= 0 for d in durations):
-            raise ValueError("piece durations must be positive")
+        if not all(0 < d < math.inf for d in durations):
+            raise ValueError("piece durations must be positive and finite")
+        if period is not None and not math.isfinite(period):
+            raise ValueError(f"declared period must be finite, got {period}")
         self.durations = np.array(durations)
         self.values = [_as_value(v) for v in values]
         shapes = {_value_shape(v) for v in self.values}
@@ -238,8 +234,8 @@ class SinusoidSignal(TimeSignal):
     def __init__(self, base, amplitude, phase, trig: str = "cos", time_scale: float = 1.0):
         if trig not in ("sin", "cos"):
             raise ValueError(f"trig must be 'sin' or 'cos', got {trig!r}")
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale}")
+        if not 0 < time_scale < math.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
         self.base = _as_value(base)
         self.amplitude = _as_value(amplitude)
         self.phase = _as_value(phase)
@@ -250,6 +246,9 @@ class SinusoidSignal(TimeSignal):
             _value_shape(self.base), _value_shape(self.amplitude), _value_shape(self.phase)
         )
         self._shape = shape
+        # amplitude * trig(x + phase) = c cos(x) + s sin(x): two scalar trig calls per evaluate
+        ac, as_ = self.amplitude * np.cos(self.phase), self.amplitude * np.sin(self.phase)
+        self._cos_coef, self._sin_coef = (as_, ac) if trig == "sin" else (ac, -as_)
 
     @property
     def shape(self):
@@ -262,8 +261,8 @@ class SinusoidSignal(TimeSignal):
     def evaluate(self, t):
         if t < 0:
             raise ValueError(f"signal domain is t >= 0, got {t}")
-        f = np.sin if self.trig == "sin" else np.cos
-        out = self.base + self.amplitude * f(t / self.time_scale + self.phase)
+        x = t / self.time_scale
+        out = self.base + self._cos_coef * math.cos(x) + self._sin_coef * math.sin(x)
         return out if self._shape else float(out)
 
     def integrate_window(self, s, t):
@@ -297,11 +296,15 @@ class TableSignal(TimeSignal):
         self.values = [_as_value(v) for v in values]
         if self.times.size == 0 or self.times.size != len(self.values):
             raise ValueError("need one value per time and at least one sample")
+        if not np.isfinite(self.times).all():
+            raise ValueError("table times must be finite")
         if self.times[0] != 0.0:
             raise ValueError("table must start at time 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("table times must be strictly increasing")
         if period is not None:
+            if not math.isfinite(period):
+                raise ValueError(f"period must be finite, got {period}")
             if period <= self.times[-1]:
                 raise ValueError("period must exceed the last sample time")
             self.period = float(period)
@@ -452,10 +455,10 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
     if abs(nsteps * dt - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"dt={dt} does not divide the span {span}")
     for sig in signals:
-        for bp in np.atleast_1d(sig.breakpoints_in(s, t)):
-            k = round((bp - s) / dt)
-            if abs(s + k * dt - bp) > 1e-9:
-                raise ValueError(f"dt={dt} is not aligned to the signal breakpoint at t={bp}")
+        bps = sig.breakpoints_in(s, t)
+        off = bps[np.abs(s + np.rint((bps - s) / dt) * dt - bps) > 1e-9]
+        if off.size:
+            raise ValueError(f"dt={dt} is not aligned to the signal breakpoint at t={off[0]}")
     return int(nsteps)
 
 

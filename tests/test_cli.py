@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tvkuramoto.cli import bundled_config_path, main, verify_reference_values
+from tvkuramoto.cli import _write_csv, bundled_config_path, main, verify_reference_values
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -272,3 +272,34 @@ def test_bundled_configs_parse():
     for name in ("ap", "perturb", "fast"):
         cfg = json.loads(bundled_config_path(name).read_text())
         assert cfg["scenario"] == name
+
+
+@pytest.mark.parametrize("field, signal", [
+    ("signals.coupling", {"kind": "switching", "pieces": [
+        {"duration": math.inf, "value": [[0.0, 1.0], [1.0, 0.0]]},
+        {"duration": 1.0, "value": [[0.0, 2.0], [2.0, 0.0]]}]}),
+    ("signals.coupling", {"kind": "table", "times": [0.0, math.nan],
+                          "values": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]],
+                          "period": 3.0}),
+    ("signals.omega", {"kind": "sinusoid", "base": [1.0, 1.0], "amplitude": 0.1,
+                       "phase": 0.0, "time_scale": math.nan}),
+], ids=["switching", "table", "sinusoid"])
+def test_non_finite_signal_timing_exits_2(tmp_path, capsys, field, signal):
+    cfg = small_simulate_config()
+    cfg["signals"][field.split(".")[1]] = signal
+    # json.dumps writes the NaN / Infinity literals that json.loads accepts
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_csv_rows_match_savetxt_bytes(tmp_path):
+    rows = np.array([[-0.0, 1e-300, 1e300, 3.0],
+                     [math.nan, -2.0, 0.1, 1.0 / 3.0],
+                     [math.inf, 12345678901234.0, -1e-5, 7.0]])
+    rows = np.vstack([rows, np.random.default_rng(0).standard_normal((2000, 4)) * 1e3])
+    _write_csv(tmp_path / "a.csv", ["a", "b", "c", "d"], rows, "h", "u")
+    with (tmp_path / "b.csv").open("w", newline="\n") as fh:
+        fh.write("# config_hash=h units: u\na,b,c,d\n")
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",", newline="\n")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -200,3 +200,77 @@ def test_sample_grid_includes_breakpoints():
 def test_non_finite_values_rejected(make, bad):
     with pytest.raises(ValueError, match="finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: SwitchingSignal([1.0, bad], [1.0, 2.0]),
+    lambda bad: SwitchingSignal([1.0, 1.0], [1.0, 2.0], period=bad),
+    lambda bad: TableSignal([0.0, bad], [1.0, 2.0]),
+    lambda bad: TableSignal([0.0, 1.0], [1.0, 2.0], period=bad),
+    lambda bad: SinusoidSignal(1.0, 0.1, 0.0, time_scale=bad),
+], ids=["switching-duration", "switching-period", "table-times", "table-period",
+        "sinusoid-time-scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_timing_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
+def _breakpoints_in_loop(sig, s, t):
+    """The per-period loop breakpoints_in used before it was vectorised."""
+    base = sig.breakpoints()
+    if base.size == 0:
+        return np.array([])
+    if sig.period is None:
+        return base[(base >= s) & (base <= t)]
+    out = []
+    k = math.floor(s / sig.period)
+    while k * sig.period <= t:
+        for b in base:
+            x = k * sig.period + b
+            if s <= x <= t:
+                out.append(x)
+        k += 1
+    return np.array(out)
+
+
+def _check_alignment_loop(sig, s, t, dt):
+    for bp in np.atleast_1d(_breakpoints_in_loop(sig, s, t)):
+        k = round((bp - s) / dt)
+        if abs(s + k * dt - bp) > 1e-9:
+            return False
+    return True
+
+
+def test_breakpoints_in_and_check_alignment_match_the_period_loop():
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(200):
+        unit = rng.uniform(0.01, 0.5)
+        durations = unit * rng.integers(1, 5, int(rng.integers(1, 5)))
+        values = list(range(durations.size))
+        switching = SwitchingSignal(durations, values)
+        table = TableSignal(np.concatenate([[0.0], np.cumsum(durations[:-1])]), values,
+                            period=durations.sum() + unit * int(rng.integers(1, 3)))
+        for sig in (switching, table):
+            ends = _breakpoints_in_loop(sig, 0.0, 8.0 * sig.period)
+            if rng.random() < 0.3:
+                s, t = sorted([rng.uniform(0.0, 10.0 * unit), rng.choice(ends)])
+            else:
+                s, t = sorted(rng.choice(ends, 2))  # both ends on breakpoints
+            for lo, hi in ((s, t), (s, s), (t, t), (0.0, t)):
+                assert np.array_equal(sig.breakpoints_in(lo, hi), _breakpoints_in_loop(sig, lo, hi))
+            dt = unit / int(rng.integers(1, 4)) * (1.0 if rng.random() < 0.7 else 1.1)
+            hi = s + round((t - s) / dt) * dt
+            aligned = _check_alignment_loop(sig, s, hi, dt)
+            assert _aligned(sig, s, hi, dt) == aligned
+            outcomes.add(aligned)
+    assert outcomes == {True, False}
+
+
+def _aligned(sig, s, t, dt):
+    try:
+        check_alignment(sig, s, t, dt)
+    except ValueError:
+        return False
+    return True
