@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tvkuramoto import graph
+from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
 from tvkuramoto.signals import ConstantSignal, TableSignal, TimeSignal, sample_grid
@@ -76,18 +77,13 @@ def _frequencies_at(omega: TimeSignal, t: float, m: int) -> np.ndarray:
 
 
 def _coupling_at(coupling: TimeSignal, t: float) -> np.ndarray:
+    """Coupling matrix at t; every criterion needs an m x m matrix with m >= 2."""
     a = np.asarray(coupling.evaluate(t), dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coupling signal must be matrix-valued, got shape {a.shape}")
+    if a.shape[0] < 2:
+        raise ValueError(f"coupling must couple at least two oscillators, got m={a.shape[0]}")
     return a
-
-
-def _require_pairs(a: np.ndarray) -> int:
-    """Node count of a coupling matrix; the pairwise conditions need m >= 2."""
-    m = a.shape[0]
-    if m < 2:
-        raise ValueError(f"coupling must couple at least two oscillators, got m={m}")
-    return m
 
 
 def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
@@ -102,8 +98,7 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
     [a_ik]^- + [a_jk]^- outside the common positive neighborhood and
     sum_common_min the pairwise minima inside it.
     """
-    if not 0.0 <= r < math.pi / 2:
-        raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    check_r(r)
     if grid is None:
         grid = sample_grid([omega, coupling])
     grid = np.asarray(grid, dtype=float)
@@ -117,7 +112,7 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
         a = _coupling_at(coupling, float(t))
         if a is not prev:  # piecewise-constant signals return one array per piece
             prev = a
-            m = _require_pairs(a)
+            m = a.shape[0]
             common_min, neg_sum = _pair_sums(a)
             mixing = ((a + a.T) + neg_sum + common_min) * sin_r
         w = _frequencies_at(omega, float(t), m)
@@ -150,14 +145,13 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
     quantities from graph.ergodic_quantities. At r = 0 the condition is read
     as requiring a zero frequency spread.
     """
-    if not 0.0 <= r < math.pi / 2:
-        raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    check_r(r)
     if grid is None:
         grid = sample_grid([omega, coupling])
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
-    m = _require_pairs(_coupling_at(coupling, float(grid[0])))
+    m = _coupling_at(coupling, float(grid[0])).shape[0]
     delta_omega = 0.0
     for t in grid:
         w = _frequencies_at(omega, float(t), m)
@@ -178,16 +172,28 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
     )
 
 
-def _validate_nonnegative(coupling: TimeSignal, grid) -> "tuple | None":
-    """Location (t, i, j) of the most negative coupling entry, if any."""
+def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: float,
+                              t: float, params: dict) -> "CertificateReport | None":
+    """INCONCLUSIVE report at the most negative coupling entry, or None if there is none.
+
+    The spanning-tree criteria need nonnegative couplings. The entries are
+    probed at the given times, at every breakpoint in [s, t] and at 101 even
+    points of [s, t].
+    """
     worst = None
-    for t in np.asarray(grid, dtype=float):
-        a = _coupling_at(coupling, float(t))
-        if a.min() < -1e-12:
-            i, j = divmod(int(np.argmin(a)), a.shape[0])
-            if worst is None or a[i, j] < worst[3]:
-                worst = (float(t), i + 1, j + 1, float(a[i, j]))
-    return worst
+    for u in np.unique(np.concatenate([
+        times, coupling.breakpoints_in(s, t), np.linspace(s, t, 101),
+    ])):
+        a = _coupling_at(coupling, float(u))
+        k = int(np.argmin(a))
+        value = float(a.flat[k])
+        if value < -1e-12 and (worst is None or value < worst["value"]):
+            i, j = divmod(k, a.shape[0])
+            worst = {"t": float(u), "pair": [i + 1, j + 1], "value": value}
+    if worst is None:
+        return None
+    return CertificateReport(criterion, INCONCLUSIVE,
+                             witnesses={"negative_coupling_at": worst}, parameters=params)
 
 
 def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
@@ -211,29 +217,19 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     m = _coupling_at(coupling, 0.0).shape[0]
     nbins = int(bins) if bins is not None else max(m - 1, 1)
 
-    probe = np.unique(np.concatenate([
-        partition, coupling.breakpoints_in(partition[0], partition[-1]),
-        np.linspace(partition[0], partition[-1], 101),
-    ]))
-    bad = _validate_nonnegative(coupling, probe)
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
+    bad = _negative_coupling_report("thm1-spanning-tree", coupling, partition,
+                                    partition[0], partition[-1], params)
     if bad is not None:
-        return CertificateReport(
-            "thm1-spanning-tree", INCONCLUSIVE,
-            witnesses={"negative_coupling_at": {"t": bad[0], "pair": [bad[1], bad[2]],
-                                                "value": bad[3]}},
-            parameters=params,
-        )
+        return bad
 
     windows = []
     first_fail = None
     for n in range(n_intervals):
         edges = np.linspace(partition[n], partition[n + 1], nbins + 1)
         for k in range(nbins):
-            integ = coupling.integrate_window(float(edges[k]), float(edges[k + 1]))
-            z = -np.asarray(integ, dtype=float)
-            np.fill_diagonal(z, 0.0)
-            np.fill_diagonal(z, -z.sum(axis=1))
+            z = graph.laplacian_from_adjacency(
+                coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
             ok = graph.has_spanning_tree(graph.threshold_graph(z, float(etas[n])))
             windows.append({"interval": n + 1, "bin": k + 1, "spanning_tree": ok})
             if not ok and first_fail is None:
@@ -260,24 +256,13 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     if starts is None:
         starts = sample_grid(coupling, num=128)
     starts = np.asarray(starts, dtype=float)
-    horizon = float(starts.max() + window)
-    probe = np.unique(np.concatenate([
-        starts, coupling.breakpoints_in(0.0, horizon), np.linspace(0.0, horizon, 101),
-    ]))
     params = {"window": window, "eta": eta, "num_starts": int(starts.size)}
-    bad = _validate_nonnegative(coupling, probe)
+    bad = _negative_coupling_report("cor1-sliding-window", coupling, starts,
+                                    0.0, float(starts.max() + window), params)
     if bad is not None:
-        return CertificateReport(
-            "cor1-sliding-window", INCONCLUSIVE,
-            witnesses={"negative_coupling_at": {"t": bad[0], "pair": [bad[1], bad[2]],
-                                                "value": bad[3]}},
-            parameters=params,
-        )
+        return bad
     for t in starts:
-        integ = coupling.integrate_window(float(t), float(t) + window)
-        z = -np.asarray(integ, dtype=float)
-        np.fill_diagonal(z, 0.0)
-        np.fill_diagonal(z, -z.sum(axis=1))
+        z = graph.laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
         if not graph.has_spanning_tree(graph.threshold_graph(z, eta)):
             return CertificateReport(
                 "cor1-sliding-window", FAIL,
@@ -343,8 +328,7 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     sampled window start t. Piecewise-constant couplings integrate the
     per-piece xi step signal exactly; smooth couplings use midpoint quadrature.
     """
-    if not 0.0 <= r < math.pi / 2:
-        raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    check_r(r)
     if window <= 0:
         raise ValueError("window length must be positive")
     if starts is None:
@@ -389,6 +373,20 @@ def tilde_laplacian(lap: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
+def psd_fault(lap: np.ndarray) -> tuple:
+    """Symmetric-PSD test of a Laplacian: (fault, lowest eigenvalue orthogonal to 1).
+
+    The fault is "asymmetric", with no eigenvalue, when max |L - L^T| exceeds
+    1e-10 * max(1, max |L|); "not_psd" when the eigenvalue is below -1e-9;
+    None when L passes both tests.
+    """
+    scale = max(1.0, float(np.abs(lap).max()))
+    if np.abs(lap - lap.T).max() > 1e-10 * scale:
+        return "asymmetric", None
+    low = float(restricted_spectrum(lap)[0])
+    return ("not_psd" if low < -1e-9 else None), low
+
+
 def _lambda2_series(coupling: TimeSignal, r: float, h: float, num_windows: int):
     """alpha_k = lambda2 of the tilde of the window-averaged Laplacian, k < num_windows."""
     alphas = []
@@ -399,7 +397,7 @@ def _lambda2_series(coupling: TimeSignal, r: float, h: float, num_windows: int):
     return np.array(alphas)
 
 
-def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int,
+def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int = 1,
                       alpha_hat: float = 1e-6) -> CertificateReport:
     """Symmetric-PSD criterion: window-averaged tilde-Laplacian connectivity.
 
@@ -409,8 +407,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     per-period sum; the uniform-lower-bound verdict (min alpha > alpha_hat) is
     reported alongside for the exponential-rate corollary.
     """
-    if not 0.0 <= r < math.pi / 2:
-        raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    check_r(r)
     if h <= 0 or num_windows < 1:
         raise ValueError("need h > 0 and at least one window")
     horizon = h * num_windows
@@ -419,19 +416,12 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     ]))
     params = {"r": r, "h": h, "num_windows": num_windows, "alpha_hat": alpha_hat}
     for t in probe:
-        a = _coupling_at(coupling, float(t))
-        lap = graph.laplacian_from_adjacency(a)
-        scale = max(1.0, float(np.abs(lap).max()))
-        if np.abs(lap - lap.T).max() > 1e-10 * scale:
-            return CertificateReport(
-                "thm3-lambda2-series", INCONCLUSIVE,
-                witnesses={"asymmetric_at": float(t)}, parameters=params)
-        low = float(restricted_spectrum(lap)[0])
-        if low < -1e-9:
-            return CertificateReport(
-                "thm3-lambda2-series", INCONCLUSIVE,
-                witnesses={"not_psd_at": float(t), "min_eigenvalue": low},
-                parameters=params)
+        fault, low = psd_fault(graph.laplacian_from_adjacency(_coupling_at(coupling, float(t))))
+        if fault is not None:
+            wit = ({"asymmetric_at": float(t)} if low is None
+                   else {"not_psd_at": float(t), "min_eigenvalue": low})
+            return CertificateReport("thm3-lambda2-series", INCONCLUSIVE,
+                                     witnesses=wit, parameters=params)
 
     alphas = _lambda2_series(coupling, r, h, num_windows)
     min_alpha = float(alphas.min())
@@ -462,7 +452,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     )
 
 
-def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: int,
+def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: int = 1,
                        alpha_hat: float = 1e-6) -> CertificateReport:
     """Exponential-rate variant: every alpha_k must exceed alpha_hat."""
     base = thm3_series_check(coupling, r, h, num_windows, alpha_hat)
@@ -474,19 +464,23 @@ def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: in
                              witnesses=base.witnesses, parameters=base.parameters)
 
 
+def _optional(params: dict, *names: str) -> dict:
+    return {k: params[k] for k in names if k in params}
+
+
 _CHECKS = {
     "invariance-pointwise": lambda om, co, p: invariance_pointwise(om, co, p["r"]),
     "invariance-robust": lambda om, co, p: invariance_robust(om, co, p["r"]),
     "thm1-spanning-tree": lambda om, co, p: thm1_spanning_tree_check(
-        co, p["partition"], p["eta"], p.get("bins")),
+        co, p["partition"], p["eta"], **_optional(p, "bins")),
     "cor1-sliding-window": lambda om, co, p: cor1_sliding_window_check(
-        co, p["T"], p["eta"], p.get("starts")),
+        co, p["T"], p["eta"], **_optional(p, "starts")),
     "thm2-xi-window": lambda om, co, p: thm2_window_check(
-        co, p["r"], p["T"], p["eta"], p.get("starts")),
+        co, p["r"], p["T"], p["eta"], **_optional(p, "starts")),
     "thm3-lambda2-series": lambda om, co, p: thm3_series_check(
-        co, p["r"], p["h"], p.get("num_windows", 1), p.get("alpha_hat", 1e-6)),
+        co, p["r"], p["h"], **_optional(p, "num_windows", "alpha_hat")),
     "cor2-lambda2-uniform": lambda om, co, p: cor2_uniform_check(
-        co, p["r"], p["h"], p.get("num_windows", 1), p.get("alpha_hat", 1e-6)),
+        co, p["r"], p["h"], **_optional(p, "num_windows", "alpha_hat")),
 }
 
 CRITERIA = tuple(_CHECKS)

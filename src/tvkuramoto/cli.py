@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 
 from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
-from tvkuramoto.signals import signal_from_json
+from tvkuramoto.signals import ConstantSignal, SinusoidSignal, signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -94,11 +95,33 @@ def _get(cfg: dict, field: str, kind, required: bool = True, default=None):
     return value
 
 
-def _get_r(cfg: dict, field: str = "parameters.r") -> float:
-    r = _get(cfg, field, float)
-    if not 0.0 <= r < math.pi / 2:
-        raise ConfigError(field, f"must lie in [0, pi/2), got {r}")
-    return r
+def _get_r(cfg: dict, required: bool = True) -> "float | None":
+    r = _get(cfg, "parameters.r", float, required)
+    try:
+        return r if r is None else dynamics.check_r(r)
+    except ValueError as exc:
+        raise ConfigError("parameters.r", str(exc)) from exc
+
+
+def _keywords(cfg: dict, fn, *fields: str, **renamed: str) -> dict:
+    """Keyword arguments of fn read from parameters.<field>, defaulting to fn's own defaults.
+
+    Each field feeds the keyword of the same name; renamed maps a keyword to
+    the field that feeds it.
+    """
+    params = inspect.signature(fn).parameters
+    return {kw: _get(cfg, f"parameters.{field}", type(params[kw].default), False,
+                     params[kw].default)
+            for kw, field in dict(zip(fields, fields), **renamed).items()}
+
+
+def _coupling_values(sig) -> list:
+    """The matrices a coupling signal is built from; a sinusoid's base and amplitude."""
+    if isinstance(sig, ConstantSignal):
+        return [sig.value]
+    if isinstance(sig, SinusoidSignal):
+        return [sig.base, sig.amplitude]
+    return sig.values
 
 
 def _signals(cfg: dict):
@@ -115,6 +138,8 @@ def _signals(cfg: dict):
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ConfigError("signals.coupling",
                           f"must be an m x m matrix with m >= 2, got shape {shape}")
+    if any(np.diagonal(np.broadcast_to(v, shape)).any() for v in _coupling_values(loaded[1])):
+        raise ConfigError("signals.coupling", "diagonal must be zero (no self-links)")
     return tuple(loaded)
 
 
@@ -186,7 +211,7 @@ def _cmd_simulate(args) -> int:
     theta0 = np.asarray(_get(cfg, "parameters.theta0", list), dtype=float)
     t_end = _get(cfg, "parameters.t_end", float)
     dt = _get(cfg, "parameters.dt", float)
-    r = _get(cfg, "parameters.r", float, required=False)
+    r = _get_r(cfg, required=False)
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -232,19 +257,9 @@ def _cmd_experiment_ap(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     omega, coupling = _signals(cfg)
     r = _get_r(cfg)
-    result = scenarios.ap_experiment(
-        omega, coupling, r,
-        num_runs=_get(cfg, "parameters.num_runs", int, False, 10),
-        ic_low=_get(cfg, "parameters.ic_low", float, False, -math.pi / 6),
-        ic_high=_get(cfg, "parameters.ic_high", float, False, math.pi / 6),
-        seed=_get(cfg, "parameters.seed", int, False, 0),
-        t_end=_get(cfg, "parameters.t_end", float, False, 60.0),
-        dt=_get(cfg, "parameters.dt", float, False, 1e-3),
-        divergence_from=_get(cfg, "parameters.divergence_from", float, False, 40.0),
-        eta=_get(cfg, "parameters.eta", float, False, 0.01),
-        orbit_tol=_get(cfg, "parameters.orbit_tol", float, False, 1e-10),
-        orbit_max_iter=_get(cfg, "parameters.orbit_max_iter", int, False, 200),
-    )
+    result = scenarios.ap_experiment(omega, coupling, r, **_keywords(
+        cfg, scenarios.ap_experiment, "num_runs", "ic_low", "ic_high", "seed", "t_end", "dt",
+        "divergence_from", "eta", "orbit_tol", "orbit_max_iter"))
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
@@ -276,17 +291,9 @@ def _cmd_experiment_perturb(args) -> int:
     started = time.monotonic()
     cfg = _apply_overrides(_load_config(args.config), args)
     r = _get_r(cfg)
-    result = scenarios.perturbation_experiment(
-        m=_get(cfg, "parameters.m", int, False, 20),
-        p=_get(cfg, "parameters.p", float, False, 0.2),
-        seed=_get(cfg, "parameters.seed", int, False, 1),
-        epsilon=_get(cfg, "parameters.epsilon", float, False, 0.1),
-        r=r,
-        omega_low=_get(cfg, "parameters.omega_low", float, False, 0.9),
-        omega_high=_get(cfg, "parameters.omega_high", float, False, 1.1),
-        t_end=_get(cfg, "parameters.t_end", float, False, 50.0),
-        dt=_get(cfg, "parameters.dt", float, False, 1e-3),
-    )
+    result = scenarios.perturbation_experiment(r=r, **_keywords(
+        cfg, scenarios.perturbation_experiment, "m", "p", "seed", "epsilon", "omega_low",
+        "omega_high", "t_end", "dt"))
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
@@ -329,11 +336,8 @@ def _cmd_experiment_fast(args) -> int:
     r = _get_r(cfg)
     freqs = _get(cfg, "parameters.frequencies", list)
     report = scenarios.fast_switching_sweep(
-        omega, coupling, [float(f) for f in freqs], r,
-        t_end=_get(cfg, "parameters.t_end", float, False, 40.0),
-        dt_target=_get(cfg, "parameters.dt", float, False, 1e-3),
-        tail_fraction=_get(cfg, "parameters.tail_fraction", float, False, 0.2),
-    )
+        omega, coupling, [float(f) for f in freqs], r, **_keywords(
+            cfg, scenarios.fast_switching_sweep, "t_end", "tail_fraction", dt_target="dt"))
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)

@@ -54,25 +54,24 @@ def phases_from_pd(pd: np.ndarray, m: int) -> np.ndarray:
     return theta
 
 
-def region_membership(pd: np.ndarray, r: float) -> bool:
-    """True iff every |theta_ij| <= r (the PD hypercube of half-width r)."""
+def check_r(r: float) -> float:
+    """The PD half-width r itself; ValueError unless 0 <= r < pi/2."""
     if not 0.0 <= r < math.pi / 2:
         raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    return r
+
+
+def region_membership(pd: np.ndarray, r: float) -> bool:
+    """True iff every |theta_ij| <= r (the PD hypercube of half-width r)."""
+    check_r(r)
     pd = np.asarray(pd, dtype=float)
     return bool(pd.size == 0 or np.max(np.abs(pd)) <= r)
 
 
 def hajnal_diameter(delta) -> float:
     """max_i delta_i - min_j delta_j, the contraction functional of the delta-system."""
-    values = delta.delta if isinstance(delta, DeltaState) else np.asarray(delta, dtype=float)
+    values = np.asarray(delta, dtype=float)
     return float(values.max() - values.min())
-
-
-@dataclass(frozen=True)
-class DeltaState:
-    """Difference between two phase solutions at one instant."""
-
-    delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,6 @@ class PhaseTrajectory:
     @property
     def m(self) -> int:
         return self.phases.shape[-1]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     def phase_differences(self) -> np.ndarray:
         """(N+1, m(m-1)/2) array of PD vectors along the run."""
@@ -192,8 +187,7 @@ def invariance_monitor(traj: PhaseTrajectory, r: float):
     Returns None when the sampled trajectory never leaves (invariant on the
     grid); exit times are resolved to the sampling step only.
     """
-    if not 0.0 <= r < math.pi / 2:
-        raise ValueError(f"r must lie in [0, pi/2), got {r}")
+    check_r(r)
     spread_hi = traj.phases.max(axis=1) - traj.phases.min(axis=1)
     # max_{i>j} |theta_ij| equals the phase spread max theta - min theta
     bad = np.nonzero(spread_hi > r)[0]
@@ -204,7 +198,7 @@ def invariance_monitor(traj: PhaseTrajectory, r: float):
 
 @dataclass(frozen=True)
 class DivergenceSeries:
-    """Pointwise maximum PD discrepancy between two runs, with tail statistics."""
+    """Pointwise maximum PD discrepancy between two runs."""
 
     times: np.ndarray
     values: np.ndarray
@@ -212,18 +206,6 @@ class DivergenceSeries:
     @property
     def final(self) -> float:
         return float(self.values[-1])
-
-    def last_time_above(self, threshold: float):
-        """Latest grid time with discrepancy above the threshold (None if never)."""
-        idx = np.nonzero(self.values > threshold)[0]
-        return float(self.times[idx[-1]]) if idx.size else None
-
-    def tail_stats(self) -> dict:
-        return {
-            "final": self.final,
-            "last_above_1e-2": self.last_time_above(1e-2),
-            "last_above_1e-3": self.last_time_above(1e-3),
-        }
 
 
 def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> DivergenceSeries:

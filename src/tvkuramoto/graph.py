@@ -8,9 +8,7 @@ Laplacian has l_ij = -a_ij off the diagonal and zero row sums. Node indices are
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,18 +25,13 @@ class SignedNetwork:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if np.any(np.abs(np.diag(a)) > 0):
+        if (np.abs(a.diagonal()) > 0).any():
             raise ValueError("self-links are not allowed (nonzero diagonal)")
         object.__setattr__(self, "adjacency", a)
 
     @property
     def m(self) -> int:
         return self.adjacency.shape[0]
-
-    def edges(self) -> list:
-        """Derived link set {(i, j): a_ij != 0}, never stored."""
-        i, j = np.nonzero(self.adjacency)
-        return list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
@@ -58,18 +51,6 @@ def _adjacency_of(net) -> np.ndarray:
     return SignedNetwork(np.asarray(net, dtype=float)).adjacency
 
 
-def load_adjacency_json(path) -> SignedNetwork:
-    """Adjacency from a JSON row-major array of arrays (row i: weights into node i+1)."""
-    data = json.loads(Path(path).read_text())
-    return SignedNetwork(np.asarray(data, dtype=float))
-
-
-def load_adjacency_csv(path) -> SignedNetwork:
-    """Adjacency from a headerless CSV matrix; row i holds the weights into node i+1."""
-    rows = np.loadtxt(Path(path), delimiter=",", ndmin=2)
-    return SignedNetwork(rows)
-
-
 def laplacian_from_adjacency(net) -> np.ndarray:
     """Signed Laplacian: l_ij = -a_ij off-diagonal, diagonal set for zero row sums."""
     a = _adjacency_of(net)
@@ -77,14 +58,6 @@ def laplacian_from_adjacency(net) -> np.ndarray:
     np.fill_diagonal(lap, 0.0)
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
-
-
-def adjacency_from_laplacian(lap: np.ndarray) -> np.ndarray:
-    """Recover couplings a_ij = -l_ij (i != j) from a zero-row-sum Laplacian."""
-    lap = np.asarray(lap, dtype=float)
-    a = -lap.copy()
-    np.fill_diagonal(a, 0.0)
-    return a
 
 
 def threshold_graph(lap: np.ndarray, eta: float) -> ThresholdGraph:

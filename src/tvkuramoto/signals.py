@@ -406,37 +406,6 @@ def signal_from_json(obj: dict) -> TimeSignal:
     raise ValueError(f"unknown signal kind {kind!r}")
 
 
-def _jsonable(v):
-    return v if isinstance(v, float) else np.asarray(v).tolist()
-
-
-def signal_to_json(sig: TimeSignal) -> dict:
-    """Inverse of signal_from_json, used to echo configs into summaries."""
-    if isinstance(sig, ConstantSignal):
-        return {"kind": "constant", "value": _jsonable(sig.value)}
-    if isinstance(sig, SwitchingSignal):
-        return {
-            "kind": "switching",
-            "period": sig.period,
-            "pieces": [
-                {"duration": float(d), "value": _jsonable(v)}
-                for d, v in zip(sig.durations, sig.values)
-            ],
-        }
-    if isinstance(sig, SinusoidSignal):
-        return {
-            "kind": "sinusoid", "base": _jsonable(sig.base),
-            "amplitude": _jsonable(sig.amplitude), "phase": _jsonable(sig.phase),
-            "trig": sig.trig, "time_scale": sig.time_scale,
-        }
-    if isinstance(sig, TableSignal):
-        return {
-            "kind": "table", "times": sig.times.tolist(),
-            "values": [_jsonable(v) for v in sig.values], "period": sig.period,
-        }
-    raise TypeError(f"cannot serialize {type(sig).__name__}")
-
-
 def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: float,
                     dt: float) -> int:
     """Validate that dt tiles [s, t] and hits every signal breakpoint.

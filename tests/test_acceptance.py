@@ -259,11 +259,9 @@ def test_criterion_8_contraction_envelope_on_switching_example():
     ok = True
     worst = -math.inf
     for _ in range(5):
-        t1 = dynamics.simulate(rng.uniform(-math.pi / 6, math.pi / 6, 5),
-                               omega, coupling, t_end, dt)
-        t2 = dynamics.simulate(rng.uniform(-math.pi / 6, math.pi / 6, 5),
-                               omega, coupling, t_end, dt)
-        delta = t1.phases - t2.phases
+        starts = [rng.uniform(-math.pi / 6, math.pi / 6, 5) for _ in range(2)]
+        pair = dynamics.simulate(np.array(starts), omega, coupling, t_end, dt)
+        delta = pair.phases[0] - pair.phases[1]
         v = delta.max(axis=1) - delta.min(axis=1)
         envelope = np.exp(integral) * v[0] + 1e-6
         excess = (v - envelope).max()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tvkuramoto.certificates import (
+    CRITERIA,
     cor1_sliding_window_check,
     cor2_uniform_check,
     invariance_pointwise,
@@ -17,7 +18,7 @@ from tvkuramoto.certificates import (
     xi_index,
 )
 from tvkuramoto.cli import bundled_config_path
-from tvkuramoto.dynamics import invariance_monitor, pd_divergence, simulate
+from tvkuramoto.dynamics import PhaseTrajectory, invariance_monitor, pd_divergence, simulate
 from tvkuramoto.graph import laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
 from tvkuramoto.signals import (
@@ -329,9 +330,20 @@ def test_thm2_smooth_coupling_quadrature():
 
 
 def test_pairwise_criteria_reject_single_node():
-    for check in (invariance_pointwise, invariance_robust):
+    # every criterion reads pairs of oscillators, so a 1 x 1 coupling is invalid input
+    params = {
+        "invariance-pointwise": {"r": 0.5},
+        "invariance-robust": {"r": 0.5},
+        "thm1-spanning-tree": {"partition": [0.0, 1.0], "eta": 0.1},
+        "cor1-sliding-window": {"T": 1.0, "eta": 0.1},
+        "thm2-xi-window": {"r": 0.5, "T": 1.0, "eta": 0.1},
+        "thm3-lambda2-series": {"r": 0.5, "h": 1.0},
+        "cor2-lambda2-uniform": {"r": 0.5, "h": 1.0},
+    }
+    assert set(params) == set(CRITERIA)
+    for criterion, p in params.items():
         with pytest.raises(ValueError, match="two oscillators"):
-            check(ConstantSignal(1.0), ConstantSignal([[0.0]]), 0.5)
+            run_check(criterion, ConstantSignal(1.0), ConstantSignal([[0.0]]), p)
 
 
 # --- tilde transform and the symmetric PSD criteria ---------------------------
@@ -445,8 +457,9 @@ def test_certified_instances_have_stable_pds():
         cert_tree = cor1_sliding_window_check(coupling, 1.0, 0.5 * a[a > 0].min())
         if not (cert_inv.passed and cert_tree.passed):
             continue
-        t1 = simulate(rng.uniform(-r / 4, r / 4, m), omega, coupling, 100.0, 5e-3)
-        t2 = simulate(rng.uniform(-r / 4, r / 4, m), omega, coupling, 100.0, 5e-3)
+        starts = [rng.uniform(-r / 4, r / 4, m) for _ in range(2)]
+        batch = simulate(np.array(starts), omega, coupling, 100.0, 5e-3)
+        t1, t2 = (PhaseTrajectory(batch.times, phases) for phases in batch.phases)
         assert invariance_monitor(t1, r) is None
         assert invariance_monitor(t2, r) is None
         assert pd_divergence(t1, t2).final < 1e-2

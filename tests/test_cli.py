@@ -59,9 +59,11 @@ def test_simulate_rejects_r_out_of_range(tmp_path, capsys):
     cfg = small_simulate_config()
     cfg["parameters"]["r"] = 2.0
     cfg_path = write_config(tmp_path, cfg)
-    code = main(["experiment", "ap", "--config", cfg_path, "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "parameters.r" in capsys.readouterr().err
+    for command in (["simulate"], ["experiment", "ap"]):
+        code = main(command + ["--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "parameters.r" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_simulate_schema_error_names_field(tmp_path, capsys):
@@ -209,6 +211,48 @@ def test_certify_rejects_coupling_without_pairs(tmp_path, capsys, value):
         "parameters": {"r": 0.5},
     }
     assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "signals.coupling" in capsys.readouterr().err
+
+
+def _diagonal_config(criterion, diagonal):
+    a = np.ones((3, 3))
+    np.fill_diagonal(a, diagonal)
+    return {
+        "criterion": criterion,
+        "signals": {"omega": {"kind": "constant", "value": [0.0, 1.5, 3.0]},
+                    "coupling": {"kind": "constant", "value": a.tolist()}},
+        "parameters": {"r": 1.0},
+    }
+
+
+@pytest.mark.parametrize("criterion", ["invariance-pointwise", "invariance-robust"])
+def test_certify_rejects_coupling_diagonal(tmp_path, capsys, criterion):
+    # self-links leave the dynamics unchanged, so they must not move a verdict
+    code = main(["certify", "--config", write_config(tmp_path, _diagonal_config(criterion, 0.0)),
+                 "--out", str(tmp_path / "zero")])
+    assert code == 1
+    report = json.loads((tmp_path / "zero" / "certificate.json").read_text())
+    assert report["verdict"] == "fail"
+    code = main(["certify", "--config", write_config(tmp_path, _diagonal_config(criterion, 5.0)),
+                 "--out", str(tmp_path / "five")])
+    assert code == 2
+    assert "signals.coupling" in capsys.readouterr().err
+    assert not (tmp_path / "five" / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("coupling", [
+    {"kind": "constant", "value": [[0.0, 1.0], [1.0, -0.5]]},
+    {"kind": "switching", "pieces": [{"duration": 1.0, "value": [[0.0, 1.0], [1.0, 0.0]]},
+                                     {"duration": 1.0, "value": [[2.0, 1.0], [1.0, 0.0]]}]},
+    {"kind": "table", "times": [0.0, 1.0],
+     "values": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 3.0]]]},
+    {"kind": "sinusoid", "base": [[0.0, 1.0], [1.0, 0.0]], "amplitude": 0.1, "phase": 0.0},
+], ids=["constant", "switching", "table", "sinusoid"])
+def test_coupling_diagonal_exits_2(tmp_path, capsys, coupling):
+    cfg = small_simulate_config()
+    cfg["signals"]["coupling"] = coupling
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert "signals.coupling" in capsys.readouterr().err
 

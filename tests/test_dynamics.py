@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tvkuramoto.dynamics import (
-    DeltaState,
     hajnal_diameter,
     invariance_monitor,
     kuramoto_rhs,
@@ -178,17 +177,6 @@ def test_pd_divergence_rejects_grid_mismatch():
         pd_divergence(a, b)
 
 
-def test_pd_divergence_tail_stats():
-    a = simulate(np.array([0.2, 0.0]), ConstantSignal([1.2, 1.0]), TWO_NODE, 30.0, 1e-3)
-    b = simulate(np.array([-0.2, 0.0]), ConstantSignal([1.2, 1.0]), TWO_NODE, 30.0, 1e-3)
-    div = pd_divergence(a, b)
-    stats = div.tail_stats()
-    assert stats["final"] < 1e-3
-    assert stats["last_above_1e-2"] is not None
-    assert stats["last_above_1e-2"] <= stats["last_above_1e-3"]
-
-
 def test_hajnal_diameter():
     assert hajnal_diameter(np.array([1.0, 2.0, 3.0])) == 2.0
     assert hajnal_diameter(np.full(5, 0.3)) == 0.0
-    assert hajnal_diameter(DeltaState(np.array([-1.0, 1.0]))) == 2.0

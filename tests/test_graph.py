@@ -6,13 +6,10 @@ import pytest
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.graph import (
     SignedNetwork,
-    adjacency_from_laplacian,
     common_positive_neighbors,
     ergodic_quantities,
     has_spanning_tree,
     laplacian_from_adjacency,
-    load_adjacency_csv,
-    load_adjacency_json,
     threshold_graph,
 )
 from tvkuramoto.signals import ConstantSignal, SwitchingSignal, sample_grid
@@ -100,13 +97,6 @@ def test_laplacian_row_sums_vanish():
         np.fill_diagonal(a, 0.0)
         lap = laplacian_from_adjacency(a)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
-
-
-def test_adjacency_from_laplacian_round_trip():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5))
-    np.fill_diagonal(a, 0.0)
-    assert np.allclose(adjacency_from_laplacian(laplacian_from_adjacency(a)), a)
 
 
 def test_metzler_property_for_nonnegative_couplings():
@@ -296,11 +286,6 @@ def test_spanning_tree_matches_oracles_at_m20():
         assert not has_spanning_tree(cut)
 
 
-def test_signed_network_edge_set_is_derived():
-    a = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert SignedNetwork(a).edges() == [(0, 1)]
-
-
 def test_threshold_on_bundled_switching_matrix():
     cfg = json.loads(bundled_config_path("ap").read_text())
     a = np.asarray(cfg["signals"]["coupling"]["pieces"][0]["value"])
@@ -310,18 +295,3 @@ def test_threshold_on_bundled_switching_matrix():
         for j in range(5):
             assert g.edges[i, j] == (i != j and lap[i, j] < -0.01)
 
-
-def test_adjacency_file_loaders(tmp_path):
-    a = np.array([[0.0, -0.5, 1.0], [2.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
-    jpath = tmp_path / "adj.json"
-    jpath.write_text(json.dumps(a.tolist()))
-    assert np.allclose(load_adjacency_json(jpath).adjacency, a)
-
-    cpath = tmp_path / "adj.csv"
-    cpath.write_text("\n".join(",".join(str(v) for v in row) for row in a))
-    assert np.allclose(load_adjacency_csv(cpath).adjacency, a)
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,0.0\n0.0,0.0")  # nonzero diagonal
-    with pytest.raises(ValueError):
-        load_adjacency_csv(bad)

@@ -11,7 +11,6 @@ from tvkuramoto.signals import (
     check_alignment,
     sample_grid,
     signal_from_json,
-    signal_to_json,
 )
 
 
@@ -148,19 +147,6 @@ def test_breakpoints_in_periodic():
     sig = SwitchingSignal([1.0, 1.0], [0.0, 1.0])
     bps = sig.breakpoints_in(0.0, 4.0)
     assert np.allclose(bps, [0, 1, 2, 3, 4])
-
-
-def test_json_round_trip():
-    sigs = [
-        ConstantSignal([[0.0, 1.0], [1.0, 0.0]]),
-        SwitchingSignal([2.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]),
-        SinusoidSignal(1.0, 0.1, [0.1, 0.2], trig="sin"),
-        TableSignal([0.0, 1.0], [5.0, 6.0], period=3.0),
-    ]
-    for sig in sigs:
-        clone = signal_from_json(signal_to_json(sig))
-        for t in np.linspace(0, 5, 17):
-            assert np.allclose(clone.evaluate(t), sig.evaluate(t))
 
 
 def test_json_rejects_unknown_kind():
