@@ -23,7 +23,7 @@ import numpy as np
 
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
-from tvkuramoto.graph import _pair_sums, _pair_tensors
+from tvkuramoto.graph import _check_no_self_links, _laplacian, _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
 from tvkuramoto.signals import ConstantSignal, TableSignal, TimeSignal, sample_grid
 
@@ -96,7 +96,8 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
 
     must be strictly negative, where sum_neg collects the negative parts
     [a_ik]^- + [a_jk]^- outside the common positive neighborhood and
-    sum_common_min the pairwise minima inside it.
+    sum_common_min the pairwise minima inside it. A coupling with a nonzero
+    diagonal is rejected: a self-link would count as a common neighbour.
     """
     check_r(r)
     if grid is None:
@@ -111,6 +112,7 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
     for t in grid:
         a = _coupling_at(coupling, float(t))
         if a is not prev:  # piecewise-constant signals return one array per piece
+            _check_no_self_links(a)
             prev = a
             m = a.shape[0]
             common_min, neg_sum = _pair_sums(a)
@@ -143,7 +145,8 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
 
     Passes iff delta_omega / sin(r) <= mu0 + mu2 - mu1, with the mixing
     quantities from graph.ergodic_quantities. At r = 0 the condition is read
-    as requiring a zero frequency spread.
+    as requiring a zero frequency spread. A coupling with a nonzero diagonal
+    is rejected, as in invariance_pointwise.
     """
     check_r(r)
     if grid is None:
@@ -151,10 +154,14 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
-    m = _coupling_at(coupling, float(grid[0])).shape[0]
     delta_omega = 0.0
+    prev = None
     for t in grid:
-        w = _frequencies_at(omega, float(t), m)
+        a = _coupling_at(coupling, float(t))
+        if a is not prev:
+            _check_no_self_links(a)
+            prev = a
+        w = _frequencies_at(omega, float(t), a.shape[0])
         delta_omega = max(delta_omega, float(w.max() - w.min()))
     mu0, mu1, mu2 = graph.ergodic_quantities(coupling, grid)
     rhs = mu0 + mu2 - mu1
@@ -196,6 +203,13 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: fl
                              witnesses={"negative_coupling_at": worst}, parameters=params)
 
 
+def _window_laplacian(coupling: TimeSignal, s: float, t: float) -> np.ndarray:
+    """Laplacian of the coupling integrated over [s, t]; rejects self-links in the integral."""
+    z = coupling.integrate_window(s, t)
+    _check_no_self_links(z)
+    return _laplacian(z)
+
+
 def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
                              bins: "int | None" = None) -> CertificateReport:
     """Aggregated-connectivity test for nonnegative couplings.
@@ -228,8 +242,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     for n in range(n_intervals):
         edges = np.linspace(partition[n], partition[n + 1], nbins + 1)
         for k in range(nbins):
-            z = graph.laplacian_from_adjacency(
-                coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
+            z = _window_laplacian(coupling, float(edges[k]), float(edges[k + 1]))
             ok = graph.has_spanning_tree(graph.threshold_graph(z, float(etas[n])))
             windows.append({"interval": n + 1, "bin": k + 1, "spanning_tree": ok})
             if not ok and first_fail is None:
@@ -262,7 +275,7 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     if bad is not None:
         return bad
     for t in starts:
-        z = graph.laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
+        z = _window_laplacian(coupling, float(t), float(t) + window)
         if not graph.has_spanning_tree(graph.threshold_graph(z, eta)):
             return CertificateReport(
                 "cor1-sliding-window", FAIL,

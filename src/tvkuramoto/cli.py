@@ -322,6 +322,8 @@ def _cmd_experiment_perturb(args) -> int:
         "max_pd_deviation_from_lock": result.max_pd_deviation,
         "collective_rate": result.base.collective_rate,
         "lock_time": result.base.lock_time,
+        "lock_newton_iterations": result.base.newton_iterations,
+        "lock_residual": result.base.residual,
         "expansion_bound": result.expansion.bound,
         "certificate": result.certificate.to_json(),
     }
@@ -359,6 +361,8 @@ def _cmd_experiment_fast(args) -> int:
         "averaged_lock": {
             "collective_rate": report.base.collective_rate,
             "pd": report.base.pd.tolist(),
+            "lock_newton_iterations": report.base.newton_iterations,
+            "lock_residual": report.base.residual,
             "verified": report.base.verified,
             "certificate": report.base.certificate,
         },

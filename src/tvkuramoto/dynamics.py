@@ -97,20 +97,26 @@ def kuramoto_rhs(theta: np.ndarray, t: float, omega: TimeSignal,
                  coupling: TimeSignal) -> np.ndarray:
     """Right-hand side omega_i(t) + sum_j a_ij(t) sin(theta_j - theta_i)."""
     theta = np.asarray(theta, dtype=float)
-    _check_shapes(theta.shape[-1], omega, coupling)
+    _check_shapes(theta.shape, omega, coupling)
     return _rhs(theta, omega.evaluate(t), coupling.evaluate(t))
 
 
-def _check_shapes(m, omega, coupling):
-    if coupling.shape != (m, m):
-        raise ValueError(f"coupling matrix shape {coupling.shape} does not match m={m}")
-    if omega.shape not in ((), (m,)):
-        raise ValueError(f"frequency vector shape {omega.shape} does not match m={m}")
+def _check_shapes(shape, omega, coupling):
+    """Signals fit starts of this shape: (m,), or (R, m) with signals shared or per run."""
+    m, batch = shape[-1], shape[:-1]
+    if coupling.shape not in ((m, m), batch + (m, m)):
+        raise ValueError(f"coupling shape {coupling.shape} does not match "
+                         f"starts of shape {shape}")
+    if omega.shape not in ((), (m,), batch + (m,)):
+        raise ValueError(f"frequency shape {omega.shape} does not match "
+                         f"starts of shape {shape}")
 
 
 def _rhs(theta, w, a):
     # sum_j a_ij sin(theta_j - theta_i) = cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i
     s, c = np.sin(theta), np.cos(theta)
+    if a.ndim == 3:  # one coupling matrix per run
+        return w + c * (a @ s[..., None])[..., 0] - s * (a @ c[..., None])[..., 0]
     return w + c * np.dot(s, a.T) - s * np.dot(c, a.T)
 
 
@@ -166,15 +172,19 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
 
     theta0 is one start (m,) or a batch (R, m); the phases come back as
     (N+1, m) or (R, N+1, m), run i being the contiguous block phases[i].
-    dt must tile [0, t_end] and hit every breakpoint of both signals. Raises
-    on non-finite state, reporting the blow-up time.
+    A batch may share one pair of signals or give each run its own: signals
+    whose values carry the same leading axis, frequencies (R, m) and
+    couplings (R, m, m), with run i reading row i. Either signal may be
+    shared while the other is per run. dt must tile [0, t_end] and hit every
+    breakpoint of both signals. Raises on non-finite state, reporting the
+    blow-up time.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if theta0.ndim not in (1, 2):
         raise ValueError(f"theta0 must have shape (m,) or (R, m), got {theta0.shape}")
-    _check_shapes(theta0.shape[-1], omega, coupling)
+    _check_shapes(theta0.shape, omega, coupling)
     nsteps = check_alignment([omega, coupling], 0.0, t_end, dt)
     phases = np.empty(theta0.shape[:-1] + (nsteps + 1, theta0.shape[-1]))
     _rk4(_rhs, theta0, 0.0, dt, nsteps, (omega, coupling), out=np.moveaxis(phases, -2, 0))

@@ -25,8 +25,7 @@ class SignedNetwork:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if (np.abs(a.diagonal()) > 0).any():
-            raise ValueError("self-links are not allowed (nonzero diagonal)")
+        _check_no_self_links(a)
         object.__setattr__(self, "adjacency", a)
 
     @property
@@ -45,6 +44,12 @@ class ThresholdGraph:
         return self.edges.shape[0]
 
 
+def _check_no_self_links(a: np.ndarray) -> None:
+    """ValueError unless the square matrix a has a zero diagonal."""
+    if (np.abs(a.diagonal()) > 0).any():
+        raise ValueError("self-links are not allowed (nonzero diagonal)")
+
+
 def _adjacency_of(net) -> np.ndarray:
     if isinstance(net, SignedNetwork):
         return net.adjacency
@@ -53,7 +58,11 @@ def _adjacency_of(net) -> np.ndarray:
 
 def laplacian_from_adjacency(net) -> np.ndarray:
     """Signed Laplacian: l_ij = -a_ij off-diagonal, diagonal set for zero row sums."""
-    a = _adjacency_of(net)
+    return _laplacian(_adjacency_of(net))
+
+
+def _laplacian(a: np.ndarray) -> np.ndarray:
+    """laplacian_from_adjacency of a square float array the caller has validated."""
     lap = -a
     np.fill_diagonal(lap, 0.0)
     np.fill_diagonal(lap, -lap.sum(axis=1))

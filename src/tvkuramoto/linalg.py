@@ -88,16 +88,30 @@ def lambda2(mat: np.ndarray) -> float:
 
 
 def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> TransitionMatrix:
-    """Integrate U' = -G(tau) U, U(s) = I with the classical 4th-order one-step method.
+    """Transition matrix U(t) of U' = -G(tau) U, U(s) = I.
 
-    dt must divide the span and hit every breakpoint of the generator signal,
-    so a discontinuity never falls inside a step; a piecewise-constant
-    generator is evaluated once per piece.
+    dt must divide the span and hit every breakpoint of the generator signal.
+    A piecewise-constant generator whose pieces on [s, t] are all exactly
+    symmetric gets the exact product of per-piece factors V exp(-Lambda tau) V^T
+    (one eigh per piece). Any other generator is integrated with the classical
+    4th-order one-step method on the dt grid, so a discontinuity never falls
+    inside a step and a piecewise-constant generator is evaluated once per piece.
     """
     if t < s:
         raise ValueError(f"need t >= s, got s={s}, t={t}")
     nsteps = check_alignment(gen, s, t, dt)
-    u, _ = dynamics._rk4(lambda u, g: -g @ u, np.eye(gen.shape[0]), s, dt, nsteps, (gen,))
+    m = gen.shape[0]
+    if gen.is_piecewise_constant:
+        cuts = np.unique(np.concatenate([[s, t], gen.breakpoints_in(s, t)]))
+        pieces = [(np.asarray(gen.evaluate(float(lo)), dtype=float), hi - lo)
+                  for lo, hi in zip(cuts, cuts[1:])]
+        if all(np.array_equal(g, g.T) for g, _ in pieces):
+            u = np.eye(m)
+            for g, tau in pieces:
+                vals, vecs = np.linalg.eigh(g)
+                u = (vecs * np.exp(-vals * tau)) @ vecs.T @ u
+            return TransitionMatrix(s, t, u)
+    u, _ = dynamics._rk4(lambda u, g: -g @ u, np.eye(m), s, dt, nsteps, (gen,))
     return TransitionMatrix(s, t, u)
 
 

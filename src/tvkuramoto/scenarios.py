@@ -1,8 +1,9 @@
 """Experiment drivers: periodic switching, small perturbations, fast switching.
 
 All three build on the static phase-locked equilibrium finder, which locates a
-rotating solution theta_i(t) = Omega*t + rep_i with constant phase differences
-by integrating until the PD derivatives vanish over a trailing window.
+rotating solution theta_i(t) = Omega*t + rep_i with constant phase differences:
+it integrates until the PD derivatives stay small over a trailing window, then
+solves for the lock exactly by Newton's method.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvkuramoto import certificates, dynamics, graph, linalg
-from tvkuramoto.signals import SinusoidSignal, TimeSignal, check_alignment
+from tvkuramoto.signals import ConstantSignal, SinusoidSignal, TimeSignal, check_alignment
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,19 @@ class PhaseLockedState:
     rep_phases: np.ndarray        # representative phases with rep_phases[0] = 0
     omega_bar: np.ndarray         # static frequencies the lock belongs to
     coupling_bar: np.ndarray      # static couplings the lock belongs to
-    lock_time: float              # first time the derivative criterion held for a full window
+    lock_time: float              # hand-over time: start of the relaxation's first quiet window
     residual: float               # max_i |rhs_i - collective_rate| at the lock
+    newton_iterations: int        # Newton steps taken after the hand-over
     verified: bool                # a static stability certificate passed
     certificate: str              # which certificate verified it ("" if none)
 
 
 class NoLockError(RuntimeError):
     """The static system failed to phase-lock within the search horizon."""
+
+
+_HANDOVER_SPREAD = 1e-3  # derivative spread the relaxation holds for a window before Newton
+_NEWTON_MAX_ITER = 50
 
 
 def _static_certificate(a_bar: np.ndarray, r: float):
@@ -46,15 +52,89 @@ def _static_certificate(a_bar: np.ndarray, r: float):
     return False, ""
 
 
+def _jacobian(a: np.ndarray, theta: np.ndarray):
+    """Jacobian Y of the static rhs at theta, and sin(theta_j - theta_i).
+
+    y_ij = a_ij cos(theta_j - theta_i) off the diagonal, diagonal set for zero
+    row sums; it is also the matrix of the first-order correction's ODE.
+    """
+    diff = theta[None, :] - theta[:, None]  # diff[i, j] = theta_j - theta_i
+    y = a * np.cos(diff)
+    np.fill_diagonal(y, 0.0)
+    np.fill_diagonal(y, -y.sum(axis=1))
+    return y, np.sin(diff)
+
+
+def _relax(w, a, r: float, theta0, dt: float, t_max: float, window: float):
+    """RK4 relaxation of the static system until Newton can take over.
+
+    Stops once the phase-velocity spread has stayed below _HANDOVER_SPREAD for
+    a full window; returns the start of that window (the hand-over time) and
+    the state at its end. Raises NoLockError if the phases leave the
+    half-width-r hypercube or no such window ends before t_max.
+    """
+    need = max(int(round(window / dt)), 1)
+    quiet = 0
+
+    def settled(t, x, dx):
+        nonlocal quiet
+        if x.max() - x.min() > r:
+            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
+        quiet = quiet + 1 if float(dx.max() - dx.min()) < _HANDOVER_SPREAD else 0
+        return quiet >= need
+
+    nsteps = int(round(t_max / dt))
+    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt, nsteps, stop=settled)
+    if k == nsteps:
+        rate = dynamics._rhs(th, w, a)
+        raise NoLockError(
+            f"no phase lock within {t_max} s (derivative spread "
+            f"{float(rate.max() - rate.min()):.3g} at the horizon)")
+    return (k + 1 - need) * dt, th
+
+
+def _newton_lock(w, a, theta, deriv_tol: float):
+    """Newton's method on rhs(theta) = Omega for (theta_1..theta_{m-1}, Omega), theta_0 fixed.
+
+    The Jacobian is the bordered matrix [[Y, -1], [e_0^T, 0]]. Steps continue
+    until the phase-velocity spread falls below deriv_tol, plus one step that
+    takes it to rounding level. Returns (phases, velocities, steps taken).
+    """
+    m = theta.size
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, m] = -1.0
+    bordered[m, 0] = 1.0
+    th = theta.copy()
+    rate = dynamics._rhs(th, w, a)
+    omega = float(rate.mean())
+    steps, met = 0, False
+    while not met and steps < _NEWTON_MAX_ITER:
+        met = float(rate.max() - rate.min()) < deriv_tol
+        bordered[:m, :m] = _jacobian(a, th)[0]
+        try:
+            step = np.linalg.solve(bordered, np.append(omega - rate, 0.0))
+        except np.linalg.LinAlgError as exc:
+            raise NoLockError(f"singular Newton system at the lock: {exc}") from exc
+        th += step[:m]
+        omega += float(step[m])
+        rate = dynamics._rhs(th, w, a)
+        steps += 1
+    return th, rate, steps
+
+
 def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
                              dt: float = 1e-3, t_max: float = 500.0,
                              window: float = 1.0, deriv_tol: float = 1e-10) -> PhaseLockedState:
-    """Run the static system until the PDs stop moving and read off the lock.
+    """Find the static system's phase lock: RK4 relaxation, then Newton.
 
-    Locking is declared when the spread of the phase velocities (equal to the
-    largest |d theta_ij / dt|) stays below deriv_tol for a full trailing
-    window. Raises NoLockError after t_max, and errors out if the phases leave
-    the half-width-r hypercube during the search.
+    The relaxation runs until the spread of the phase velocities (equal to
+    the largest |d theta_ij / dt|) has stayed below 1e-3 for a full window;
+    lock_time is the start of that window. Newton's method then solves
+    omega_i + sum_j a_ij sin(theta_j - theta_i) = Omega exactly, with theta_0
+    held, until the velocity spread is below deriv_tol. Raises NoLockError
+    when the relaxation finds no such window by t_max, when the phases leave
+    the half-width-r hypercube during the relaxation or at the Newton lock, or
+    when Newton does not reach deriv_tol.
     """
     w = np.asarray(omega_bar, dtype=float)
     a = np.asarray(a_bar, dtype=float)
@@ -63,26 +143,17 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     if w.shape != (m,) or a.shape != (m, m):
         raise ValueError("omega_bar / a_bar dimensions do not match theta0")
 
-    need = max(int(round(window / dt)), 1)
-    quiet = 0
+    lock_time, th = _relax(w, a, r, th, dt, t_max, window)
+    th, rate, steps = _newton_lock(w, a, th, deriv_tol)
+    spread = float(rate.max() - rate.min())
+    if not spread < deriv_tol:
+        raise NoLockError(f"Newton reached a derivative spread of {spread:.3g} after {steps} "
+                          f"steps, not below {deriv_tol:.3g}")
+    if th.max() - th.min() > r:
+        raise NoLockError(f"the Newton lock leaves the PD region (half-width {r:.4g}): "
+                          f"phase spread {float(th.max() - th.min()):.4g}")
 
-    def locked(t, x, dx):
-        nonlocal quiet
-        if x.max() - x.min() > r:
-            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
-        quiet = quiet + 1 if float(dx.max() - dx.min()) < deriv_tol else 0
-        return quiet >= need
-
-    nsteps = int(round(t_max / dt))
-    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), th, 0.0, dt, nsteps, stop=locked)
-    k1 = dynamics._rhs(th, w, a)
-    if k == nsteps:
-        raise NoLockError(
-            f"no phase lock within {t_max} s (derivative spread "
-            f"{float(k1.max() - k1.min()):.3g} at the horizon)")
-
-    lock_time = (k + 1 - need) * dt
-    omega_lock = float(k1.mean())
+    omega_lock = float(rate.mean())
     verified, cert = _static_certificate(a, r)
     return PhaseLockedState(
         collective_rate=omega_lock,
@@ -91,7 +162,8 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
         omega_bar=w.copy(),
         coupling_bar=a.copy(),
         lock_time=float(lock_time),
-        residual=float(np.abs(k1 - omega_lock).max()),
+        residual=float(np.abs(rate - omega_lock).max()),
+        newton_iterations=steps,
         verified=verified,
         certificate=cert,
     )
@@ -183,26 +255,63 @@ class PerturbationExpansion:
         return base_phases + self.epsilon * self.phi
 
 
+def _harmonic_parts(sig: TimeSignal):
+    """(time_scale, base, cos coefficient, sin coefficient) of a constant or
+    sinusoid signal, time_scale None for a constant; None for any other kind."""
+    if isinstance(sig, ConstantSignal):
+        return None, sig.value, 0.0, 0.0
+    if isinstance(sig, SinusoidSignal):
+        return sig.time_scale, sig.base, sig._cos_coef, sig._sin_coef
+    return None
+
+
+_PHI_BLOCK = 512  # rows of phi per block of the closed form, so its temporaries stay small
+
+
 def linear_correction(base: PhaseLockedState, omega_pert: TimeSignal,
                       coupling_pert: TimeSignal, t_end: float, dt: float):
-    """Integrate phi' = z(t) + Y phi from phi(0) = 0.
+    """Solve phi' = z(t) + Y phi from phi(0) = 0 on the dt grid over [0, t_end].
 
     Y is the lock's Jacobian y_ij = a_bar_ij cos(theta_bar_ji) with zero row
-    sums; z collects the forcing projected onto the locked geometry.
+    sums; z collects the forcing projected onto the locked geometry,
+    z_i = omega_pert_i + sum_j coupling_pert_ij sin(theta_bar_ji). When Y is
+    symmetric and both forcings are constant or sinusoidal on one common
+    time_scale, z = g0 + gc cos(wt) + gs sin(wt) and phi is summed in closed
+    form over the eigen-modes of Y. Every other input is integrated by RK4.
     """
-    rep = base.rep_phases
-    m = rep.size
-    diff = rep[None, :] - rep[:, None]       # diff[i, j] = theta_bar_j - theta_bar_i
-    sin_lock = np.sin(diff)
-    y = base.coupling_bar * np.cos(diff)
-    np.fill_diagonal(y, 0.0)
-    np.fill_diagonal(y, -y.sum(axis=1))
-
+    y, sin_lock = _jacobian(base.coupling_bar, base.rep_phases)
+    m = y.shape[0]
     nsteps = check_alignment([omega_pert, coupling_pert], 0.0, t_end, dt)
+    times = np.arange(nsteps + 1) * dt
+    parts = [_harmonic_parts(omega_pert), _harmonic_parts(coupling_pert)]
+    scales = {p[0] for p in parts if p is not None and p[0] is not None}
     out = np.empty((nsteps + 1, m))
-    dynamics._rk4(lambda phi, w, a: w + (a * sin_lock).sum(axis=1) + y @ phi,
-                  np.zeros(m), 0.0, dt, nsteps, (omega_pert, coupling_pert), out=out)
-    return np.arange(nsteps + 1) * dt, out
+    if None in parts or len(scales) > 1 or not np.array_equal(y, y.T):
+        dynamics._rk4(lambda phi, w, a: w + (a * sin_lock).sum(axis=1) + y @ phi,
+                      np.zeros(m), 0.0, dt, nsteps, (omega_pert, coupling_pert), out=out)
+        return times, out
+
+    (_, w0, wc, ws), (_, a0, ac, as_) = parts
+    lam, vecs = np.linalg.eigh(y)
+    # forcing of each eigen-mode: g0 + gc cos(freq t) + gs sin(freq t)
+    g0, gc, gs = ((np.broadcast_to(wv, (m,)) + (av * sin_lock).sum(axis=1)) @ vecs
+                  for wv, av in ((w0, a0), (wc, ac), (ws, as_)))
+    freq = 1.0 / scales.pop() if scales else 1.0
+    den = lam ** 2 + freq ** 2
+    p_c = -(lam * gc + freq * gs) / den
+    p_s = (freq * gc - lam * gs) / den
+    zero = lam == 0.0
+    lam_nonzero = np.where(zero, 1.0, lam)
+    for lo in range(0, nsteps + 1, _PHI_BLOCK):
+        t = times[lo:lo + _PHI_BLOCK, None]
+        lt = lam * t
+        # psi = Pc cos + Ps sin - e^{lam t} Pc + g0 (e^{lam t} - 1)/lam, g0 t when lam = 0
+        psi = p_c * np.cos(freq * t) + p_s * np.sin(freq * t) - np.exp(lt) * p_c \
+            + g0 * np.where(zero, t, np.expm1(lt) / lam_nonzero)
+        if not np.isfinite(psi).all():
+            raise RuntimeError(f"first-order correction overflows by t = {t[-1, 0]:.6f} s")
+        out[lo:lo + _PHI_BLOCK] = psi @ vecs.T
+    return times, out
 
 
 def first_order_approx(base: PhaseLockedState, omega_pert: TimeSignal,
@@ -238,7 +347,7 @@ class BoundednessResult:
 
 def boundedness_check(expansion: PerturbationExpansion, horizon: float,
                       dt: float = 1e-3) -> BoundednessResult:
-    """Re-integrate phi over the horizon and test the running max for growth.
+    """Recompute phi over the horizon and test the running max for growth.
 
     Bounded means the running maximum of |phi| grows slower than 1e-4 per
     second over the second half of the horizon (a drift this slow is
@@ -464,17 +573,15 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     coupling_pert = SinusoidSignal(np.zeros((m, m)), mask, beta, trig="cos")
     expansion = first_order_approx(base, omega_pert, coupling_pert, epsilon, t_end, dt)
 
-    def full_sim(eps):
-        omega_full = SinusoidSignal(omega_bar, eps * np.ones(m), alpha, trig="sin")
-        coupling_full = SinusoidSignal(mask, eps * mask, beta, trig="cos")
-        return dynamics.simulate(base.rep_phases, omega_full, coupling_full, t_end, dt), \
-            coupling_full
-
-    full, coupling_full = full_sim(epsilon)
+    # the eps and eps/2 runs are one batch, each run reading its own row of the signals
+    scale = np.array([epsilon, epsilon / 2])
+    omega_full = SinusoidSignal(omega_bar, scale[:, None] * np.ones(m), alpha, trig="sin")
+    coupling_full = SinusoidSignal(mask, scale[:, None, None] * mask, beta, trig="cos")
+    batch = dynamics.simulate(np.stack([base.rep_phases] * 2), omega_full, coupling_full,
+                              t_end, dt)
+    full, half = (dynamics.PhaseTrajectory(batch.times, phases) for phases in batch.phases)
     approx = expansion.approx_phases()
     err = float(np.abs(full.phases[:, 0] - approx[:, 0]).max())
-
-    half, _ = full_sim(epsilon / 2)
     approx_half = expansion.base.rep_phases[None, :] + \
         expansion.base.collective_rate * expansion.times[:, None] + \
         (epsilon / 2) * expansion.phi
@@ -484,7 +591,8 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     max_dev = float((delta.max(axis=1) - delta.min(axis=1)).max())
 
     cert = certificates.cor1_sliding_window_check(
-        coupling_full, 2 * math.pi, eta=0.5 * float(2 * math.pi * (1 - epsilon)))
+        SinusoidSignal(mask, epsilon * mask, beta, trig="cos"), 2 * math.pi,
+        eta=0.5 * float(2 * math.pi * (1 - epsilon)))
 
     return PerturbationExperimentResult(
         network=net, base=base, expansion=expansion, full_run=full,

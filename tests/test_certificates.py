@@ -127,6 +127,29 @@ def test_robust_r_zero_division_guard():
 # --- aggregated connectivity -------------------------------------------------
 
 
+@pytest.mark.parametrize("check", [invariance_pointwise, invariance_robust])
+def test_invariance_criteria_reject_self_links(check):
+    # a positive a_ii would count node i as a common neighbour of every pair
+    # (i, j) and turn this fail into a pass
+    omega = ConstantSignal([0.0, 1.5, 3.0])
+    assert check(omega, ConstantSignal(np.ones((3, 3)) - np.eye(3)), 1.0).verdict == "fail"
+    with pytest.raises(ValueError, match=r"self-links are not allowed \(nonzero diagonal\)"):
+        check(omega, ConstantSignal(np.ones((3, 3)) + 4.0 * np.eye(3)), 1.0)
+    blinking = SwitchingSignal([1.0, 1.0], [np.ones((3, 3)) - np.eye(3), np.ones((3, 3))])
+    with pytest.raises(ValueError, match="self-links"):
+        check(omega, blinking, 1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda co: thm1_spanning_tree_check(co, [0.0, 2.0], 0.1),
+    lambda co: cor1_sliding_window_check(co, 1.0, 0.1),
+], ids=["thm1", "cor1"])
+def test_window_criteria_reject_self_links_in_window_integrals(check):
+    blinking = SwitchingSignal([1.0, 1.0], [np.ones((3, 3)) - np.eye(3), np.ones((3, 3))])
+    with pytest.raises(ValueError, match=r"self-links are not allowed \(nonzero diagonal\)"):
+        check(blinking)
+
+
 def test_thm1_constant_connected_passes():
     rng = np.random.default_rng(3)
     a = connected_nonneg_coupling(rng, 4)

@@ -282,6 +282,25 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_lock_numerics_land_in_the_summary(tmp_path):
+    perturb = {
+        "scenario": "perturb",
+        "parameters": {"m": 6, "p": 0.9, "seed": 0, "epsilon": 0.1, "r": 1.0,
+                       "omega_low": 0.9, "omega_high": 1.1, "t_end": 1.0, "dt": 0.001},
+    }
+    fast = json.loads(bundled_config_path("fast").read_text())
+    fast["parameters"].update({"frequencies": [1.0], "t_end": 1.0})
+    for name, cfg in (("perturb", perturb), ("fast", fast)):
+        out = tmp_path / name
+        assert main(["experiment", name, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        lock = results if name == "perturb" else results["averaged_lock"]
+        assert isinstance(lock["lock_newton_iterations"], int)
+        assert 1 <= lock["lock_newton_iterations"] <= 5
+        assert 0.0 <= lock["lock_residual"] <= 1e-13
+
+
 def test_seed_and_dt_overrides_land_in_config(tmp_path):
     cfg_path = write_config(tmp_path, small_simulate_config())
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""The batched RK4 integrator against the per-run reference loops in rk4_oracle."""
+"""The batched RK4 integrator against the per-run reference loops in rk4_oracle,
+and the exact lock, correction and transition paths against independent oracles."""
 
 import math
 import re
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
 import rk4_oracle
 from tvkuramoto.dynamics import simulate
 from tvkuramoto.linalg import state_transition
-from tvkuramoto.scenarios import linear_correction, phase_locked_equilibrium
+from tvkuramoto.scenarios import _relax, linear_correction, phase_locked_equilibrium
 from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal
 
 KINDS = ("constant", "switching", "table", "sinusoid", "mixed")
@@ -21,21 +25,23 @@ T_END, DT = 1.0, 5e-3
 def network(kind, w, a, phase):
     """(omega, coupling) of one signal kind built on base frequencies w and couplings a.
 
-    w is (m,) and a is (m, m); phase is an (m, m) array of modulation phases.
-    Every breakpoint lies on a multiple of DT.
+    w is (m,) and a is (m, m), or (R, m) and (R, m, m) for one network per
+    run; phase is an (m, m) array of modulation phases. Every breakpoint lies
+    on a multiple of DT.
     """
+    a_t = np.swapaxes(a, -1, -2)
     if kind == "constant":
         return ConstantSignal(w), ConstantSignal(a)
     if kind == "switching":
         return (SwitchingSignal([0.25, 0.35], [w, 0.8 * w]),
-                SwitchingSignal([0.3, 0.2, 0.15], [a, -0.5 * a, a.T]))
+                SwitchingSignal([0.3, 0.2, 0.15], [a, -0.5 * a, a_t]))
     if kind == "table":
         return (TableSignal([0.0, 0.45], [w, 1.2 * w]),
-                TableSignal([0.0, 0.2, 0.55], [a, 0.3 * a, a.T], period=0.7))
+                TableSignal([0.0, 0.2, 0.55], [a, 0.3 * a, a_t], period=0.7))
     sin_w = SinusoidSignal(w, 0.3, np.diagonal(phase), trig="sin", time_scale=0.2)
     if kind == "sinusoid":
         return sin_w, SinusoidSignal(a, 0.4 * a, phase, trig="cos", time_scale=0.3)
-    return sin_w, SwitchingSignal([0.3, 0.2, 0.15], [a, -0.5 * a, a.T])  # mixed
+    return sin_w, SwitchingSignal([0.3, 0.2, 0.15], [a, -0.5 * a, a_t])  # mixed
 
 
 def draw_arrays(m, seed, num):
@@ -85,17 +91,26 @@ def test_blow_up_in_one_row_names_the_time():
 
 @pytest.mark.parametrize("m, seed", [(2, 0), (5, 1), (8, 2)])
 def test_lock_search_matches_the_reference_loop(m, seed):
+    # the relaxation is the reference loop stopped at a spread of 1e-3; the
+    # Newton lock it hands over to is the loop's own lock at 1e-10, polished
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, (m, m))
     a = np.triu(a, 1)
     a = a + a.T
     w = rng.uniform(0.9, 1.1, m)
     theta0 = rng.uniform(-0.2, 0.2, m)
-    lock = phase_locked_equilibrium(w, a, math.pi / 3, theta0)
-    lock_time, th, k1 = rk4_oracle.lock_search(w, a, math.pi / 3, theta0)
-    assert lock.lock_time == lock_time
-    assert np.abs(lock.rep_phases - (th - th[0])).max() <= 1e-12
-    assert abs(lock.collective_rate - float(k1.mean())) <= 1e-12
+    r = math.pi / 3
+    lock = phase_locked_equilibrium(w, a, r, theta0)
+    handover, state = _relax(w, a, r, theta0, 1e-3, 500.0, 1.0)
+    ref_time, ref_state, _ = rk4_oracle.lock_search(w, a, r, theta0, deriv_tol=1e-3)
+    assert abs(lock.lock_time - ref_time) <= 1e-12 and abs(handover - ref_time) <= 1e-12
+    assert np.abs(state - ref_state).max() <= 1e-12
+    _, th, k1 = rk4_oracle.lock_search(w, a, r, theta0)
+    assert np.abs(lock.rep_phases - (th - th[0])).max() <= 1e-9
+    assert abs(lock.collective_rate - float(k1.mean())) <= 1e-9
+    rate = rk4_oracle.kuramoto_rhs(lock.rep_phases, w, a)
+    assert rate.max() - rate.min() <= 1e-13
+    assert lock.residual <= 1e-13 and 1 <= lock.newton_iterations <= 5
 
 
 def _lock(m, seed):
@@ -138,8 +153,25 @@ def test_linear_correction_holds_each_switching_piece():
     assert ratio >= 12.0
 
 
+def expm_product(laps, durations, s, t):
+    """Product of expm(-G_k tau_k) over the pieces of a periodic schedule met in [s, t]."""
+    starts = np.concatenate([[0.0], np.cumsum(durations)])
+    period = starts[-1]
+    u = np.eye(laps[0].shape[0])
+    tau = s
+    while tau < t - 1e-12:
+        cycle, rem = divmod(tau, period)
+        k = int(np.searchsorted(starts, rem + 1e-12, side="right")) - 1
+        end = min(cycle * period + starts[k + 1], t)
+        u = expm(-laps[k] * (end - tau)) @ u
+        tau = end
+    return u
+
+
 @pytest.mark.parametrize("kind", ["switching", "sinusoid", "constant"])
 def test_state_transition_matches_the_reference_loop(kind):
+    # piecewise-constant symmetric generators take the exact per-piece product
+    # and are held to scipy's expm; a smooth generator is held to the RK4 loop
     rng = np.random.default_rng(4)
     m = 5
     laps = []
@@ -151,7 +183,50 @@ def test_state_transition_matches_the_reference_loop(kind):
            "constant": ConstantSignal(laps[2])}[kind]
     for s, t in ((0.0, 2.0), (1.25, 3.0), (3.0, 3.0)):
         u = state_transition(gen, s, t, 5e-3).matrix
-        assert np.abs(u - rk4_oracle.state_transition(gen, s, t, 5e-3)).max() <= 1e-12
+        if kind == "switching":
+            ref = expm_product(laps, [0.5, 0.25, 0.25], s, t)
+        elif kind == "constant":
+            ref = expm(-laps[2] * (t - s))
+        else:
+            ref = rk4_oracle.state_transition(gen, s, t, 5e-3)
+        assert np.abs(u - ref).max() <= 1e-12
+
+
+def test_state_transition_of_an_asymmetric_schedule_steps_rk4():
+    rng = np.random.default_rng(6)
+    laps = [rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(2)]
+    gen = SwitchingSignal([0.5, 0.25], laps)
+    u = state_transition(gen, 0.25, 2.0, 5e-3).matrix
+    assert np.abs(u - rk4_oracle.state_transition(gen, 0.25, 2.0, 5e-3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("omega_kind, time_scale", [("sinusoid", 1.0), ("constant", 1.0),
+                                                    ("sinusoid", 0.7)])
+def test_linear_correction_matches_dop853(omega_kind, time_scale):
+    lock, rng = _lock(6, 3)
+    m = 6
+    if omega_kind == "sinusoid":
+        omega_pert = SinusoidSignal(np.zeros(m), np.ones(m), rng.uniform(-0.5, 0.5, m),
+                                    trig="sin", time_scale=time_scale)
+    else:
+        omega_pert = ConstantSignal(0.1)
+    coupling_pert = SinusoidSignal(0.2 * lock.coupling_bar, lock.coupling_bar,
+                                   rng.uniform(-0.5, 0.5, (m, m)), trig="cos",
+                                   time_scale=time_scale)
+    times, phi = linear_correction(lock, omega_pert, coupling_pert, 20.0, 1e-3)
+    rep = lock.rep_phases
+    diff = rep[None, :] - rep[:, None]
+    y = lock.coupling_bar * np.cos(diff)
+    y -= np.diag(y.sum(axis=1))
+
+    def rhs(t, p):
+        z = omega_pert.evaluate(t) + (coupling_pert.evaluate(t) * np.sin(diff)).sum(axis=1)
+        return z + y @ p
+
+    sample = slice(None, None, 250)
+    sol = solve_ivp(rhs, (0.0, 20.0), np.zeros(m), method="DOP853", rtol=1e-12, atol=1e-12,
+                    t_eval=times[sample])
+    assert np.abs(phi[sample] - sol.y.T).max() <= 1e-10
 
 
 @st.composite
@@ -176,3 +251,37 @@ def test_batched_runs_equal_per_run_and_commute_with_relabelling(case):
     omega_p, coupling_p = network(kind, w[perm], a[np.ix_(perm, perm)], phase[np.ix_(perm, perm)])
     relabelled = simulate(starts[:, perm], omega_p, coupling_p, 0.5, DT).phases
     assert np.abs(relabelled - batch[..., perm]).max() <= 1e-12
+
+
+@st.composite
+def per_run_networks(draw):
+    """Starts and one seeded network per run, all of one signal kind."""
+    kind = draw(st.sampled_from(KINDS))
+    m = draw(st.integers(2, 6))
+    num = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=num, max_size=num))
+    runs = [draw_arrays(m, seed, 1) for seed in seeds]
+    return (kind, np.stack([run[0] for run in runs]), np.stack([run[1] for run in runs]),
+            runs[0][2], np.concatenate([run[3] for run in runs]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(per_run_networks())
+def test_per_run_signals_equal_their_single_runs_bit_for_bit(case):
+    kind, w, a, phase, starts = case
+    batch = simulate(starts, *network(kind, w, a, phase), 0.5, DT).phases
+    for i, th in enumerate(starts):
+        single = simulate(th, *network(kind, w[i], a[i], phase), 0.5, DT).phases
+        assert np.array_equal(batch[i], single)
+
+
+def test_per_run_signals_must_match_the_batch():
+    w, a, phase, starts = draw_arrays(3, seed=1, num=2)
+    omega, coupling = network("sinusoid", np.stack([w] * 3), np.stack([a] * 3), phase)
+    mismatch = "does not match starts of shape (2, 3)"
+    with pytest.raises(ValueError, match=re.escape(f"(3, 3, 3) {mismatch}")):
+        simulate(starts, ConstantSignal(w), coupling, 0.5, DT)
+    with pytest.raises(ValueError, match=re.escape(f"(3, 3) {mismatch}")):
+        simulate(starts, omega, ConstantSignal(a), 0.5, DT)
+    with pytest.raises(ValueError, match="does not match starts of shape"):
+        simulate(starts[0], ConstantSignal(w), ConstantSignal(np.stack([a] * 2)), 0.5, DT)

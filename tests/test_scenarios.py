@@ -88,6 +88,19 @@ def test_lock_region_exit():
         phase_locked_equilibrium(np.array([2.0, 1.0]), np.zeros((2, 2)), 0.5, np.zeros(2))
 
 
+def test_lock_rejects_a_newton_lock_outside_the_region():
+    # the relaxation hands over at a phase spread of 0.10010, inside r; Newton
+    # then reaches the lock asin(0.1) = 0.10017, outside it
+    with pytest.raises(NoLockError, match="Newton lock leaves the PD region"):
+        phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, 0.1001, np.zeros(2))
+
+
+def test_lock_rejects_an_unreached_residual():
+    with pytest.raises(NoLockError, match="not below 0"):
+        phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, math.pi / 3, np.zeros(2),
+                                 deriv_tol=0.0)
+
+
 # --- period map and orbit -------------------------------------------------------
 
 
