@@ -23,7 +23,7 @@ import numpy as np
 
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
-from tvkuramoto.graph import _check_no_self_links, _laplacian, _pair_sums, _pair_tensors
+from tvkuramoto.graph import _checked_adjacency, _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
 from tvkuramoto.signals import ConstantSignal, TableSignal, TimeSignal, sample_grid
 
@@ -112,7 +112,7 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
     for t in grid:
         a = _coupling_at(coupling, float(t))
         if a is not prev:  # piecewise-constant signals return one array per piece
-            _check_no_self_links(a)
+            _checked_adjacency(a)
             prev = a
             m = a.shape[0]
             common_min, neg_sum = _pair_sums(a)
@@ -159,7 +159,7 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
     for t in grid:
         a = _coupling_at(coupling, float(t))
         if a is not prev:
-            _check_no_self_links(a)
+            _checked_adjacency(a)
             prev = a
         w = _frequencies_at(omega, float(t), a.shape[0])
         delta_omega = max(delta_omega, float(w.max() - w.min()))
@@ -203,13 +203,6 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: fl
                              witnesses={"negative_coupling_at": worst}, parameters=params)
 
 
-def _window_laplacian(coupling: TimeSignal, s: float, t: float) -> np.ndarray:
-    """Laplacian of the coupling integrated over [s, t]; rejects self-links in the integral."""
-    z = coupling.integrate_window(s, t)
-    _check_no_self_links(z)
-    return _laplacian(z)
-
-
 def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
                              bins: "int | None" = None) -> CertificateReport:
     """Aggregated-connectivity test for nonnegative couplings.
@@ -228,8 +221,11 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
         etas = np.full(n_intervals, float(etas))
     if etas.size != n_intervals or np.any(etas <= 0):
         raise ValueError("need one positive eta per partition interval")
-    m = _coupling_at(coupling, 0.0).shape[0]
-    nbins = int(bins) if bins is not None else max(m - 1, 1)
+    if bins is None:
+        bins = max(_coupling_at(coupling, 0.0).shape[0] - 1, 1)
+    elif isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    nbins = int(bins)
 
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
     bad = _negative_coupling_report("thm1-spanning-tree", coupling, partition,
@@ -242,7 +238,8 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     for n in range(n_intervals):
         edges = np.linspace(partition[n], partition[n + 1], nbins + 1)
         for k in range(nbins):
-            z = _window_laplacian(coupling, float(edges[k]), float(edges[k + 1]))
+            z = graph.laplacian_from_adjacency(
+                coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
             ok = graph.has_spanning_tree(graph.threshold_graph(z, float(etas[n])))
             windows.append({"interval": n + 1, "bin": k + 1, "spanning_tree": ok})
             if not ok and first_fail is None:
@@ -256,6 +253,13 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     return CertificateReport("thm1-spanning-tree", verdict, witnesses=wit, parameters=params)
 
 
+def _nonempty_starts(starts) -> np.ndarray:
+    starts = np.asarray(starts, dtype=float)
+    if starts.size == 0:
+        raise ValueError("starts must hold at least one window start")
+    return starts
+
+
 def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
                               starts=None) -> CertificateReport:
     """Sliding-window spanning-tree test for nonnegative couplings.
@@ -266,16 +270,14 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     """
     if window <= 0 or eta <= 0:
         raise ValueError("window length and eta must be positive")
-    if starts is None:
-        starts = sample_grid(coupling, num=128)
-    starts = np.asarray(starts, dtype=float)
+    starts = _nonempty_starts(sample_grid(coupling, num=128) if starts is None else starts)
     params = {"window": window, "eta": eta, "num_starts": int(starts.size)}
     bad = _negative_coupling_report("cor1-sliding-window", coupling, starts,
                                     0.0, float(starts.max() + window), params)
     if bad is not None:
         return bad
     for t in starts:
-        z = _window_laplacian(coupling, float(t), float(t) + window)
+        z = graph.laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
         if not graph.has_spanning_tree(graph.threshold_graph(z, eta)):
             return CertificateReport(
                 "cor1-sliding-window", FAIL,
@@ -340,13 +342,20 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     Passes iff the average of xi(L(s), r) over [t, t+T] is <= -eta at every
     sampled window start t. Piecewise-constant couplings integrate the
     per-piece xi step signal exactly; smooth couplings use midpoint quadrature.
+    For a periodic piecewise-constant coupling the default starts hold every
+    start where a window end meets a breakpoint, so the default check is exact.
     """
     check_r(r)
     if window <= 0:
         raise ValueError("window length must be positive")
     if starts is None:
         starts = sample_grid(coupling, num=128)
-    starts = np.asarray(starts, dtype=float)
+        if coupling.is_piecewise_constant and coupling.period is not None:
+            # a window integral is linear in its start between the starts where
+            # either end meets a breakpoint, so its extremes lie on those
+            kinks = np.mod(coupling.breakpoints() - window, coupling.period)
+            starts = np.unique(np.concatenate([starts, kinks[kinks < coupling.period]]))
+    starts = _nonempty_starts(starts)
     if coupling.is_piecewise_constant:
         steps = _xi_steps(coupling, r)
         integrals = [steps.integrate_window(float(t), float(t) + window) for t in starts]
@@ -404,8 +413,7 @@ def _lambda2_series(coupling: TimeSignal, r: float, h: float, num_windows: int):
     """alpha_k = lambda2 of the tilde of the window-averaged Laplacian, k < num_windows."""
     alphas = []
     for k in range(num_windows):
-        avg = coupling.window_average(k * h, (k + 1) * h).value
-        lap = graph.laplacian_from_adjacency(np.asarray(avg, dtype=float))
+        lap = graph.laplacian_from_adjacency(coupling.window_average(k * h, (k + 1) * h))
         alphas.append(lambda2(tilde_laplacian(lap, r)))
     return np.array(alphas)
 

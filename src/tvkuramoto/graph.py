@@ -22,61 +22,41 @@ class SignedNetwork:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        _check_no_self_links(a)
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", _checked_adjacency(self.adjacency))
 
     @property
     def m(self) -> int:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
-class ThresholdGraph:
-    """Boolean digraph keeping edges whose Laplacian entry lies below -eta."""
-
-    edges: np.ndarray  # m x m bool, edges[i, j] True means j -> i present
-
-    @property
-    def m(self) -> int:
-        return self.edges.shape[0]
-
-
-def _check_no_self_links(a: np.ndarray) -> None:
-    """ValueError unless the square matrix a has a zero diagonal."""
+def _checked_adjacency(a) -> np.ndarray:
+    """a as a float array; ValueError unless it is square with a zero diagonal."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if (np.abs(a.diagonal()) > 0).any():
         raise ValueError("self-links are not allowed (nonzero diagonal)")
+    return a
 
 
-def _adjacency_of(net) -> np.ndarray:
-    if isinstance(net, SignedNetwork):
-        return net.adjacency
-    return SignedNetwork(np.asarray(net, dtype=float)).adjacency
-
-
-def laplacian_from_adjacency(net) -> np.ndarray:
+def laplacian_from_adjacency(a) -> np.ndarray:
     """Signed Laplacian: l_ij = -a_ij off-diagonal, diagonal set for zero row sums."""
-    return _laplacian(_adjacency_of(net))
-
-
-def _laplacian(a: np.ndarray) -> np.ndarray:
-    """laplacian_from_adjacency of a square float array the caller has validated."""
-    lap = -a
-    np.fill_diagonal(lap, 0.0)
+    lap = -_checked_adjacency(a)
+    np.fill_diagonal(lap, 0.0)  # -a holds -0.0 there
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 
-def threshold_graph(lap: np.ndarray, eta: float) -> ThresholdGraph:
-    """Keep directed edges (i, j), i != j, with l_ij strictly below -eta."""
+def threshold_graph(lap: np.ndarray, eta: float) -> np.ndarray:
+    """Boolean digraph of the directed edges (i, j), i != j, with l_ij strictly below -eta.
+
+    edges[i, j] True means the link j -> i is kept.
+    """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    lap = np.asarray(lap, dtype=float)
-    edges = lap < -eta
+    edges = np.asarray(lap, dtype=float) < -eta
     np.fill_diagonal(edges, False)
-    return ThresholdGraph(edges)
+    return edges
 
 
 def has_spanning_tree(g) -> bool:
@@ -86,7 +66,7 @@ def has_spanning_tree(g) -> bool:
     boolean transitive closure comes from ceil(log2 m) squarings of the
     reflexive reachability matrix; a root exists iff some row is all True.
     """
-    edges = g.edges if isinstance(g, ThresholdGraph) else np.asarray(g, dtype=bool)
+    edges = np.asarray(g, dtype=bool)
     m = edges.shape[0]
     reach = edges.T | np.eye(m, dtype=bool)  # reach[j, i]: j reaches i
     length = 1  # reach covers every path of at most this many links
@@ -104,7 +84,7 @@ def common_positive_neighbors(net, i: int, j: int) -> set:
     """
     if i == j:
         raise ValueError("common_positive_neighbors needs two distinct nodes")
-    a = _adjacency_of(net)
+    a = net.adjacency if isinstance(net, SignedNetwork) else _checked_adjacency(net)
     return set(np.nonzero((a[i] > 0) & (a[j] > 0))[0].tolist())
 
 

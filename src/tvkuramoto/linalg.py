@@ -25,15 +25,6 @@ class SymmetricSpectrum:
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Linear map sending a solution at time s to its value at time t."""
-
-    s: float
-    t: float
-    matrix: np.ndarray
-
-
 def _check_symmetric(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -87,7 +78,7 @@ def lambda2(mat: np.ndarray) -> float:
     return float(restricted_spectrum(mat)[0])
 
 
-def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> TransitionMatrix:
+def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarray:
     """Transition matrix U(t) of U' = -G(tau) U, U(s) = I.
 
     dt must divide the span and hit every breakpoint of the generator signal.
@@ -110,9 +101,9 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> Transiti
             for g, tau in pieces:
                 vals, vecs = np.linalg.eigh(g)
                 u = (vecs * np.exp(-vals * tau)) @ vecs.T @ u
-            return TransitionMatrix(s, t, u)
+            return u
     u, _ = dynamics._rk4(lambda u, g: -g @ u, np.eye(m), s, dt, nsteps, (gen,))
-    return TransitionMatrix(s, t, u)
+    return u
 
 
 def contraction_factor(trans) -> float:
@@ -121,7 +112,7 @@ def contraction_factor(trans) -> float:
     Equals the squared worst-case gain of the transition over disagreement
     vectors; 1 for the identity, below 1 once the generator mixes.
     """
-    u = trans.matrix if isinstance(trans, TransitionMatrix) else np.asarray(trans, dtype=float)
+    u = np.asarray(trans, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
     return float(restricted_spectrum(u.T @ u)[-1])

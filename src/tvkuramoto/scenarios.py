@@ -408,8 +408,8 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
                      else f"coupling Laplacian is not PSD at t = {t} (eigenvalue {low:.4g})")
             break
 
-    a_bar = np.asarray(coupling_base.window_average(0.0, coupling_base.period).value)
-    w_bar = np.asarray(omega_base.window_average(0.0, omega_base.period).value)
+    a_bar = np.asarray(coupling_base.window_average(0.0, coupling_base.period))
+    w_bar = np.asarray(omega_base.window_average(0.0, omega_base.period))
     lam2 = linalg.lambda2(graph.laplacian_from_adjacency(a_bar))
     if lam2 <= 0:
         raise ValueError(f"averaged algebraic connectivity {lam2:.4g} is not positive")

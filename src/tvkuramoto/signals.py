@@ -1,17 +1,17 @@
 """Time-varying signals: frequencies, coupling matrices, and their window integrals.
 
 A signal maps t >= 0 to a scalar, an m-vector, or an m x m matrix. Four kinds are
-supported: constant, periodic piecewise-constant switching schedules, sinusoidal
-offsets base + amplitude*trig(t/scale + phase), and sampled step tables. Switching
-schedules and tables are right-continuous at their breakpoints. Window integrals
-use exact antiderivatives for every kind (step functions are summed piece by piece),
-so downstream eigenvalue certificates see no quadrature noise.
+supported: constant, sinusoidal offsets base + amplitude*trig(t/scale + phase),
+sampled step tables, and periodic switching schedules, which are periodic tables
+built from piece durations. Step functions are right-continuous at their
+breakpoints. Window integrals use exact antiderivatives for every kind (a step
+function keeps its integral up to each breakpoint), so downstream eigenvalue
+certificates see no quadrature noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +31,6 @@ def _value_shape(v) -> tuple:
 
 def _zeros_like_value(v):
     return 0.0 if isinstance(v, float) else np.zeros_like(v)
-
-
-@dataclass(frozen=True)
-class WindowAverage:
-    """Mean value of a signal over [start, end]."""
-
-    start: float
-    end: float
-    value: "float | np.ndarray"
 
 
 _BREAK_SNAP = 1e-9  # relative half-width for snapping a query onto a breakpoint
@@ -93,10 +84,11 @@ class TimeSignal:
         """Discontinuity times within one period (empty for smooth kinds)."""
         return np.array([])
 
-    def window_average(self, s: float, t: float) -> WindowAverage:
+    def window_average(self, s: float, t: float):
+        """Mean value over [s, t], s < t."""
         if t <= s:
             raise ValueError(f"zero-length window: need t > s, got s={s}, t={t}")
-        return WindowAverage(s, t, self.integrate_window(s, t) / (t - s))
+        return self.integrate_window(s, t) / (t - s)
 
     def breakpoints_in(self, s: float, t: float) -> np.ndarray:
         """All discontinuity instants within [s, t] (absolute times)."""
@@ -140,86 +132,6 @@ class ConstantSignal(TimeSignal):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         return self
-
-
-class SwitchingSignal(TimeSignal):
-    """Periodic schedule of constant pieces, right-continuous at switch times.
-
-    Piece k holds on [b_k, b_{k+1}) with b_0 = 0 and b_{k+1} - b_k = durations[k];
-    the pattern repeats with period sum(durations).
-    """
-
-    kind = "switching"
-
-    def __init__(self, durations: Sequence[float], values: Sequence, period: "float | None" = None):
-        durations = [float(d) for d in durations]
-        if len(durations) == 0 or len(durations) != len(values):
-            raise ValueError("need one duration per piece and at least one piece")
-        if not all(0 < d < math.inf for d in durations):
-            raise ValueError("piece durations must be positive and finite")
-        if period is not None and not math.isfinite(period):
-            raise ValueError(f"declared period must be finite, got {period}")
-        self.durations = np.array(durations)
-        self.values = [_as_value(v) for v in values]
-        shapes = {_value_shape(v) for v in self.values}
-        if len(shapes) != 1:
-            raise ValueError(f"pieces have inconsistent shapes: {shapes}")
-        self.period = float(self.durations.sum())
-        if period is not None and not math.isclose(period, self.period, rel_tol=1e-12):
-            raise ValueError(f"declared period {period} != sum of durations {self.period}")
-        self._starts = np.concatenate([[0.0], np.cumsum(self.durations)])  # length n+1
-        self._piece_integrals = [v * d for v, d in zip(self.values, self.durations)]
-        self._full_integral = sum(self._piece_integrals[1:], self._piece_integrals[0])
-
-    @property
-    def shape(self):
-        return _value_shape(self.values[0])
-
-    @property
-    def is_piecewise_constant(self):
-        return True
-
-    def breakpoints(self):
-        return self._starts[:-1].copy()
-
-    def _piece_index(self, tau: float) -> int:
-        # tau in [0, period); side='right' keeps right-continuity at piece
-        # starts, and the snap pulls queries a few ulps below a start onto it
-        idx = int(np.searchsorted(self._starts, tau + _BREAK_SNAP * self.period,
-                                  side="right")) - 1
-        return min(idx, len(self.values) - 1)
-
-    def evaluate(self, t):
-        if t < 0:
-            raise ValueError(f"signal domain is t >= 0, got {t}")
-        return self.values[self._piece_index(_fold_periodic(t, self.period))]
-
-    def _partial_integral(self, x: float):
-        """Integral over [0, x] for x in [0, period]."""
-        acc = _zeros_like_value(self.values[0])
-        for k, (start, dur) in enumerate(zip(self._starts[:-1], self.durations)):
-            if x <= start:
-                break
-            overlap = min(x, start + dur) - start
-            acc = acc + self.values[k] * overlap
-        return acc
-
-    def integrate_window(self, s, t):
-        self._check_window(s, t)
-
-        def antider(x):
-            n = math.floor(x / self.period)
-            rem = x - n * self.period
-            if rem >= self.period:
-                n, rem = n + 1, 0.0
-            return self._full_integral * n + self._partial_integral(rem)
-
-        return antider(t) - antider(s)
-
-    def time_compress(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        return SwitchingSignal(self.durations * epsilon, self.values)
 
 
 class SinusoidSignal(TimeSignal):
@@ -312,7 +224,15 @@ class TableSignal(TimeSignal):
             self.period = None
         shapes = {_value_shape(v) for v in self.values}
         if len(shapes) != 1:
-            raise ValueError(f"table values have inconsistent shapes: {shapes}")
+            raise ValueError(f"values have inconsistent shapes: {shapes}")
+        span = self.period if self.period is not None else self.times[-1] + 1.0
+        self._snap = _BREAK_SNAP * span
+        # integral over [0, times[k]], summed piece by piece in time order
+        self._cum = [_zeros_like_value(self.values[0])]
+        for v, lo, hi in zip(self.values, self.times, self.times[1:]):
+            self._cum.append(self._cum[-1] + v * (hi - lo))
+        if self.period is not None:
+            self._full = self._partial_integral(self.period)
 
     @property
     def shape(self):
@@ -325,47 +245,33 @@ class TableSignal(TimeSignal):
     def breakpoints(self):
         return self.times.copy()
 
-    def _eval_local(self, tau):
-        snap = _BREAK_SNAP * (self.period if self.period is not None else self.times[-1] + 1.0)
-        idx = int(np.searchsorted(self.times, tau + snap, side="right")) - 1
-        return self.values[min(idx, len(self.values) - 1)]
-
     def evaluate(self, t):
         if t < 0:
             raise ValueError(f"signal domain is t >= 0, got {t}")
-        if self.period is None:
-            return self._eval_local(min(t, self.times[-1]))
-        return self._eval_local(_fold_periodic(t, self.period))
+        tau = min(t, self.times[-1]) if self.period is None else _fold_periodic(t, self.period)
+        # side='right' keeps right-continuity at piece starts, and the snap
+        # pulls queries a few ulps below a start onto it
+        return self.values[int(np.searchsorted(self.times, tau + self._snap, side="right")) - 1]
 
-    def _partial_integral(self, x, end):
-        acc = _zeros_like_value(self.values[0])
-        bounds = np.concatenate([self.times, [end]])
-        for k in range(len(self.values)):
-            if x <= bounds[k]:
-                break
-            acc = acc + self.values[k] * (min(x, bounds[k + 1]) - bounds[k])
-        return acc
+    def _partial_integral(self, x):
+        """Integral over [0, x], x >= 0 (and x <= period for a periodic table)."""
+        k = int(np.searchsorted(self.times, x)) - 1  # last piece starting before x
+        if k < 0:
+            return self._cum[0]
+        return self._cum[k] + self.values[k] * (x - self.times[k])
+
+    def _antiderivative(self, x):
+        if self.period is None:  # step function extended by its last value
+            return self._partial_integral(x)
+        n = math.floor(x / self.period)
+        rem = x - n * self.period
+        if rem >= self.period:
+            n, rem = n + 1, 0.0
+        return self._full * n + self._partial_integral(rem)
 
     def integrate_window(self, s, t):
         self._check_window(s, t)
-        if self.period is None:
-            # step function extended by its last value
-            def antider(x):
-                core = self._partial_integral(min(x, self.times[-1]), self.times[-1])
-                if x > self.times[-1]:
-                    core = core + self.values[-1] * (x - self.times[-1])
-                return core
-        else:
-            full = self._partial_integral(self.period, self.period)
-
-            def antider(x):
-                n = math.floor(x / self.period)
-                rem = x - n * self.period
-                if rem >= self.period:
-                    n, rem = n + 1, 0.0
-                return full * n + self._partial_integral(rem, self.period)
-
-        return antider(t) - antider(s)
+        return self._antiderivative(t) - self._antiderivative(s)
 
     def time_compress(self, epsilon):
         if epsilon <= 0:
@@ -373,6 +279,36 @@ class TableSignal(TimeSignal):
         if self.period is None:
             raise ValueError("time_compress requires a periodic signal")
         return TableSignal(self.times * epsilon, self.values, self.period * epsilon)
+
+
+class SwitchingSignal(TableSignal):
+    """Periodic schedule of constant pieces: a periodic table built from durations.
+
+    Piece k holds on [b_k, b_{k+1}) with b_0 = 0 and b_{k+1} - b_k = durations[k];
+    the pattern repeats with period sum(durations).
+    """
+
+    kind = "switching"
+
+    def __init__(self, durations: Sequence[float], values: Sequence, period: "float | None" = None):
+        durations = [float(d) for d in durations]
+        if len(durations) == 0 or len(durations) != len(values):
+            raise ValueError("need one duration per piece and at least one piece")
+        if not all(0 < d < math.inf for d in durations):
+            raise ValueError("piece durations must be positive and finite")
+        if period is not None and not math.isfinite(period):
+            raise ValueError(f"declared period must be finite, got {period}")
+        self.durations = np.array(durations)
+        total = float(self.durations.sum())
+        if period is not None and not math.isclose(period, total, rel_tol=1e-12):
+            raise ValueError(f"declared period {period} != sum of durations {total}")
+        super().__init__(np.concatenate([[0.0], np.cumsum(self.durations)[:-1]]), values, total)
+
+    def time_compress(self, epsilon):
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        # scale the durations before the running sum: scaled switch times can differ by an ulp
+        return SwitchingSignal(self.durations * epsilon, self.values)
 
 
 def signal_from_json(obj: dict) -> TimeSignal:

@@ -212,7 +212,7 @@ def test_criterion_7_switched_consensus_and_contraction_bound():
         gen = SwitchingSignal([0.5, 0.5, 0.5, 0.5], laps)
         # rescale so every window's tilde rate lands in a firmly admissible band
         betas = [linalg.lambda2(certificates.tilde_laplacian(
-            gen.window_average(k * h, (k + 1) * h).value, r)) for k in range(2)]
+            gen.window_average(k * h, (k + 1) * h), r)) for k in range(2)]
         scale = 0.7 / min(betas)
         laps = [lap * scale for lap in laps]
         gen = SwitchingSignal([0.5, 0.5, 0.5, 0.5], laps)
@@ -221,7 +221,7 @@ def test_criterion_7_switched_consensus_and_contraction_bound():
         total = np.eye(m)
         for k in range(int(horizon / h)):
             u_k = linalg.state_transition(gen, k * h, (k + 1) * h, 5e-3)
-            avg_lap = gen.window_average(k * h, (k + 1) * h).value
+            avg_lap = gen.window_average(k * h, (k + 1) * h)
             beta_k = linalg.lambda2(certificates.tilde_laplacian(avg_lap, r))
             if beta_k <= 0.1:
                 all_bounded = False
@@ -230,7 +230,7 @@ def test_criterion_7_switched_consensus_and_contraction_bound():
             worst_margin = min(worst_margin, margin)
             if margin < 0:
                 all_bounded = False
-            total = u_k.matrix @ total
+            total = u_k @ total
         x = total @ rng.uniform(-1.0, 1.0, m)
         if x.max() - x.min() >= 1e-6:
             all_consensus = False

@@ -281,6 +281,39 @@ def test_thm2_bundled_switching_schedule_passes():
     assert rep.witnesses["worst_window_average"] <= -0.01
 
 
+def test_thm2_default_starts_reach_the_worst_window():
+    # pieces of 3, 2 and 5 s with xi = -2, -0.5 and -5; the window [1, 5] ends
+    # on the 5 s switch and averages (2 * -2 + 2 * -0.5) / 4 = -1.25 > -1.26,
+    # while no one of the 128 even starts plus the switches lands on t = 1
+    r, window = 1.0, 4.0
+    xi_unit = xi_index(TWO_NODE, r)
+    coupling = SwitchingSignal([3.0, 2.0, 5.0], [TWO_NODE * x / xi_unit for x in (-2, -0.5, -5)])
+    rep = thm2_window_check(coupling, r, window, eta=1.26)
+    assert rep.verdict == "fail"
+    assert rep.witnesses["worst_start"] == 1.0
+    assert rep.witnesses["worst_window_average"] == pytest.approx(-1.25, abs=1e-12)
+    dense = thm2_window_check(coupling, r, window, eta=1.26, starts=np.linspace(0.0, 10.0, 4001))
+    assert dense.witnesses["worst_window_average"] <= rep.witnesses["worst_window_average"] + 1e-12
+    # a window of one period has no kink off the switches: the bundled default stays 128 starts
+    ap = signal_from_json(json.loads(bundled_config_path("ap").read_text())["signals"]["coupling"])
+    assert thm2_window_check(ap, math.pi / 3, ap.period, 0.01).parameters["num_starts"] == 128
+
+
+@pytest.mark.parametrize("check", [
+    lambda co, starts: cor1_sliding_window_check(co, 1.0, 0.1, starts=starts),
+    lambda co, starts: thm2_window_check(co, 1.0, 1.0, 0.1, starts=starts),
+], ids=["cor1", "thm2"])
+def test_window_criteria_reject_empty_starts(check):
+    with pytest.raises(ValueError, match="starts"):
+        check(ConstantSignal(TWO_NODE), [])
+
+
+@pytest.mark.parametrize("bins", [0, -1, 1.5, 2.0, True])
+def test_thm1_rejects_bins_that_are_not_positive_integers(bins):
+    with pytest.raises(ValueError, match="bins"):
+        thm1_spanning_tree_check(ConstantSignal(np.zeros((3, 3))), [0.0, 1.0], 0.1, bins=bins)
+
+
 def xi_integral_by_pieces(starts, period, xis, a, b):
     """Sum xi * overlap over every piece instance meeting [a, b], one at a time."""
     bounds = list(starts) + [period]

@@ -257,6 +257,17 @@ def test_coupling_diagonal_exits_2(tmp_path, capsys, coupling):
     assert "signals.coupling" in capsys.readouterr().err
 
 
+def test_certify_thm1_with_zero_bins_exits_2(tmp_path, capsys):
+    # zero bins checked no window and passed, even on an all-zero coupling
+    cfg = {"criterion": "thm1-spanning-tree",
+           "signals": {"omega": {"kind": "constant", "value": 0.0},
+                       "coupling": {"kind": "constant", "value": np.zeros((3, 3)).tolist()}},
+           "parameters": {"partition": [0.0, 1.0], "eta": 0.1, "bins": 0}}
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "bins" in capsys.readouterr().err
+
+
 def test_certify_bundled_ap_thm2(tmp_path):
     ap = json.loads(bundled_config_path("ap").read_text())
     cfg = {

@@ -111,13 +111,13 @@ def test_metzler_property_for_nonnegative_couplings():
 def test_threshold_complete_graph():
     lap = laplacian_from_adjacency(np.ones((3, 3)) - np.eye(3))
     g = threshold_graph(lap, 0.5)
-    assert g.edges.sum() == 6
+    assert g.sum() == 6
 
 
 def test_threshold_strict_inequality():
     lap = laplacian_from_adjacency(np.ones((3, 3)) - np.eye(3))
     g = threshold_graph(lap, 1.0)  # l_ij = -1 exactly: strict < -1 fails
-    assert g.edges.sum() == 0
+    assert g.sum() == 0
 
 
 def test_threshold_matches_entrywise_scan():
@@ -128,14 +128,14 @@ def test_threshold_matches_entrywise_scan():
     for i in range(5):
         for j in range(5):
             expect = i != j and lap[i, j] < -eta
-            assert g.edges[i, j] == expect
+            assert g[i, j] == expect
 
 
 def test_threshold_monotone_in_eta():
     rng = np.random.default_rng(3)
     lap = laplacian_from_adjacency(rng.normal(size=(6, 6)) * (1 - np.eye(6)))
-    e1 = threshold_graph(lap, 0.1).edges
-    e2 = threshold_graph(lap, 0.5).edges
+    e1 = threshold_graph(lap, 0.1)
+    e2 = threshold_graph(lap, 0.5)
     assert not np.any(e2 & ~e1)
 
 
@@ -293,5 +293,5 @@ def test_threshold_on_bundled_switching_matrix():
     g = threshold_graph(lap, 0.01)
     for i in range(5):
         for j in range(5):
-            assert g.edges[i, j] == (i != j and lap[i, j] < -0.01)
+            assert g[i, j] == (i != j and lap[i, j] < -0.01)
 

@@ -182,7 +182,7 @@ def test_state_transition_matches_the_reference_loop(kind):
            "sinusoid": SinusoidSignal(laps[0], 0.5 * laps[1], np.zeros((m, m))),
            "constant": ConstantSignal(laps[2])}[kind]
     for s, t in ((0.0, 2.0), (1.25, 3.0), (3.0, 3.0)):
-        u = state_transition(gen, s, t, 5e-3).matrix
+        u = state_transition(gen, s, t, 5e-3)
         if kind == "switching":
             ref = expm_product(laps, [0.5, 0.25, 0.25], s, t)
         elif kind == "constant":
@@ -196,7 +196,7 @@ def test_state_transition_of_an_asymmetric_schedule_steps_rk4():
     rng = np.random.default_rng(6)
     laps = [rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(2)]
     gen = SwitchingSignal([0.5, 0.25], laps)
-    u = state_transition(gen, 0.25, 2.0, 5e-3).matrix
+    u = state_transition(gen, 0.25, 2.0, 5e-3)
     assert np.abs(u - rk4_oracle.state_transition(gen, 0.25, 2.0, 5e-3)).max() <= 1e-12
 
 

@@ -89,13 +89,13 @@ def test_lambda2_rejects_nonzero_row_sums():
 def test_state_transition_zero_generator():
     gen = ConstantSignal(np.zeros((3, 3)))
     u = state_transition(gen, 0.0, 2.0, 1e-2)
-    assert np.allclose(u.matrix, np.eye(3), atol=1e-12)
+    assert np.allclose(u, np.eye(3), atol=1e-12)
 
 
 def test_state_transition_closed_form():
     gen = ConstantSignal([[1.0, -1.0], [-1.0, 1.0]])
     u = state_transition(gen, 0.0, 1.0, 1e-3)
-    ev = np.sort(np.linalg.eigvals(u.matrix).real)
+    ev = np.sort(np.linalg.eigvals(u).real)
     assert abs(ev[0] - math.exp(-2.0)) < 1e-6
     assert abs(ev[1] - 1.0) < 1e-9
 
@@ -106,7 +106,7 @@ def test_state_transition_preserves_ones():
     lap2 = random_psd_laplacian(rng, 4)
     gen = SwitchingSignal([0.5, 0.5], [lap1, lap2])
     u = state_transition(gen, 0.0, 3.0, 1e-2)
-    assert np.abs(u.matrix @ np.ones(4) - 1.0).max() < 1e-8
+    assert np.abs(u @ np.ones(4) - 1.0).max() < 1e-8
 
 
 def test_state_transition_rejects_misaligned_dt():
@@ -120,9 +120,9 @@ def test_state_transition_semigroup():
     gen = SwitchingSignal([0.5, 0.5], [random_psd_laplacian(rng, 5),
                                        random_psd_laplacian(rng, 5)])
     for split in (0.5, 1.0, 1.5):
-        u_full = state_transition(gen, 0.0, 2.0, 1e-2).matrix
-        u_a = state_transition(gen, 0.0, split, 1e-2).matrix
-        u_b = state_transition(gen, split, 2.0, 1e-2).matrix
+        u_full = state_transition(gen, 0.0, 2.0, 1e-2)
+        u_a = state_transition(gen, 0.0, split, 1e-2)
+        u_b = state_transition(gen, split, 2.0, 1e-2)
         assert np.linalg.norm(u_b @ u_a - u_full) < 1e-7
 
 
@@ -146,7 +146,7 @@ def test_contraction_factor_bound_random_generators():
         laps = [random_psd_laplacian(rng, m, mixed_sign=trial % 2 == 0) for _ in range(2)]
         gen = SwitchingSignal([0.5, 0.5], laps)
         norm_bound = max(np.abs(np.linalg.eigvalsh(lap)).max() for lap in laps)
-        avg = gen.window_average(0.0, h).value
+        avg = gen.window_average(0.0, h)
         beta = lambda2(tilde_laplacian(avg, r))
         u = state_transition(gen, 0.0, h, 5e-3)
         bound = 1.0 - h * beta / (1.0 + norm_bound * h) ** 2
@@ -169,6 +169,6 @@ def test_consensus_for_divergent_rate_sums():
         m = 5
         laps = [random_psd_laplacian(rng, m) for _ in range(2)]
         gen = SwitchingSignal([0.5, 0.5], laps)
-        u = state_transition(gen, 0.0, 50.0, 5e-3).matrix
+        u = state_transition(gen, 0.0, 50.0, 5e-3)
         x = u @ rng.uniform(-1, 1, m)
         assert x.max() - x.min() < 1e-6

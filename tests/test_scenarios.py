@@ -71,8 +71,8 @@ def test_lock_two_node_closed_form():
 
 def test_lock_averaged_fast_schedule():
     omega, coupling = bundled_signals("fast")
-    w_bar = omega.window_average(0.0, omega.period).value
-    a_bar = coupling.window_average(0.0, coupling.period).value
+    w_bar = omega.window_average(0.0, omega.period)
+    a_bar = coupling.window_average(0.0, coupling.period)
     lock = phase_locked_equilibrium(w_bar, a_bar, math.pi / 3, np.zeros(5))
     assert np.abs(lock.pd).max() < math.pi / 3
 
@@ -306,7 +306,7 @@ def test_linear_jacobian_reaches_consensus():
     y = base.coupling_bar * np.cos(diff)
     np.fill_diagonal(y, 0.0)
     np.fill_diagonal(y, -y.sum(axis=1))
-    flow = state_transition(ConstantSignal(-y), 0.0, 100.0, 1e-2).matrix
+    flow = state_transition(ConstantSignal(-y), 0.0, 100.0, 1e-2)
     for _ in range(20):
         u = flow @ rng.uniform(-1, 1, 8)
         assert u.max() - u.min() < 1e-6

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,13 +57,13 @@ def test_window_average_equal_pieces():
     m2 = np.array([[0.0, 3.0], [4.0, 0.0]])
     sig = SwitchingSignal([2.0, 2.0], [m1, m2])
     avg = sig.window_average(0.0, 4.0)
-    assert np.allclose(avg.value, (m1 + m2) / 2)
+    assert np.allclose(avg, (m1 + m2) / 2)
 
 
 def test_window_average_constant():
     m = np.array([[0.0, 2.5], [1.5, 0.0]])
     avg = ConstantSignal(m).window_average(0.3, 7.7)
-    assert np.allclose(avg.value, m)
+    assert np.allclose(avg, m)
 
 
 def test_window_average_rejects_zero_length():
@@ -94,12 +96,12 @@ def test_time_compress_preserves_window_averages():
     sig = SwitchingSignal([0.5, 1.5, 1.0], list(rng.normal(size=3)))
     eps = 0.2
     fast = sig.time_compress(eps)
-    a = sig.window_average(0.0, sig.period).value
-    b = fast.window_average(0.0, fast.period).value
+    a = sig.window_average(0.0, sig.period)
+    b = fast.window_average(0.0, fast.period)
     assert abs(a - b) < 1e-9
     # corresponding sub-windows too
-    a = sig.window_average(1.0, 2.5).value
-    b = fast.window_average(1.0 * eps, 2.5 * eps).value
+    a = sig.window_average(1.0, 2.5)
+    b = fast.window_average(1.0 * eps, 2.5 * eps)
     assert abs(a - b) < 1e-9
 
 
@@ -260,3 +262,123 @@ def _aligned(sig, s, t, dt):
     except ValueError:
         return False
     return True
+
+
+class PieceOracle:
+    """A periodic switching schedule read piece by piece, in plain Python.
+
+    Switch times are running sums of the durations and the period is their
+    sum. A query is right-continuous, and one that falls less than 1e-9
+    periods below a switch reads the piece after it. Positions and overlaps
+    are exact fractions of the float inputs.
+    """
+
+    def __init__(self, durations, values):
+        self.durations = [float(d) for d in durations]
+        self.values = values
+        self.starts = [0.0]
+        for d in self.durations[:-1]:
+            self.starts.append(self.starts[-1] + d)
+        self.period = sum(self.durations)
+
+    def evaluate(self, t):
+        period = Fraction(self.period)
+        tau = (Fraction(t) + Fraction(1e-9) * period) % period
+        k = 0
+        while k + 1 < len(self.starts) and Fraction(self.starts[k + 1]) <= tau:
+            k += 1
+        return self.values[k]
+
+    def breakpoints_in(self, s, t):
+        out = []
+        cycle = math.floor(s / self.period) - 1
+        while cycle * self.period <= t:
+            out.extend(x for x in (cycle * self.period + b for b in self.starts) if s <= x <= t)
+            cycle += 1
+        return out
+
+    def integrate_window(self, s, t):
+        period = Fraction(self.period)
+        bounds = [Fraction(b) for b in self.starts] + [period]
+        lo_end, hi_end = Fraction(s), Fraction(t)
+        overlaps = [Fraction(0)] * len(self.values)
+        for cycle in range(math.floor(s / self.period) - 1, math.floor(t / self.period) + 2):
+            for k in range(len(self.values)):
+                lo = max(cycle * period + bounds[k], lo_end)
+                hi = min(cycle * period + bounds[k + 1], hi_end)
+                if hi > lo:
+                    overlaps[k] += hi - lo
+        return sum(v * float(x) for v, x in zip(self.values, overlaps))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 3)], ids=["scalar", "matrix"])
+def test_switching_schedule_matches_a_piece_by_piece_oracle(shape):
+    rng = np.random.default_rng(29 + len(shape))
+    for _ in range(6):
+        durations = rng.uniform(0.05, 1.3, int(rng.integers(1, 7)))  # not dyadic
+        draws = rng.normal(size=(durations.size,) + shape)
+        values = [float(v) if shape == () else v for v in draws]
+        sig, oracle = SwitchingSignal(durations, values), PieceOracle(durations, values)
+        assert sig.period == oracle.period
+        scale = max(float(np.abs(v).max()) for v in values)
+        queries = list(rng.uniform(0.0, 200.0 * oracle.period, 40))
+        for cycle in (0, 1, 57, 199):  # every switch and a few ulps either side of it
+            for b, way in itertools.product(oracle.starts, (math.inf, -math.inf)):
+                x = cycle * oracle.period + b
+                for _ in range(4):
+                    queries.append(x)
+                    x = np.nextafter(x, way)
+        for t in queries:
+            if t >= 0:
+                assert np.array_equal(sig.evaluate(float(t)), oracle.evaluate(float(t)))
+        ends = [float(x) for x in oracle.breakpoints_in(0.0, 200.0 * oracle.period)]
+        for _ in range(30):
+            s = float(rng.choice(ends)) if rng.random() < 0.3 else rng.uniform(0.0, 10.0)
+            t = s + oracle.period * (float(rng.integers(0, 201)) if rng.random() < 0.3
+                                     else rng.uniform(0.0, 200.0))
+            assert sig.breakpoints_in(s, t).tolist() == oracle.breakpoints_in(s, t)
+            err = np.abs(sig.integrate_window(s, t) - oracle.integrate_window(s, t)).max()
+            assert err <= 1e-12 * scale * max(1.0, t)
+
+
+def _table_integral_loop(sig, s, t):
+    """Window integral of a TableSignal, one piece at a time (the loop the lookup replaced)."""
+    times, values = sig.times, sig.values
+
+    def partial(x, end):
+        acc = 0.0 if isinstance(values[0], float) else np.zeros_like(values[0])
+        bounds = np.concatenate([times, [end]])
+        for k in range(len(values)):
+            if x <= bounds[k]:
+                break
+            acc = acc + values[k] * (min(x, bounds[k + 1]) - bounds[k])
+        return acc
+
+    def antider(x):
+        if sig.period is None:
+            core = partial(min(x, times[-1]), times[-1])
+            return core + values[-1] * (x - times[-1]) if x > times[-1] else core
+        n = math.floor(x / sig.period)
+        rem = x - n * sig.period
+        if rem >= sig.period:
+            n, rem = n + 1, 0.0
+        return partial(sig.period, sig.period) * n + partial(rem, sig.period)
+
+    return antider(t) - antider(s)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "aperiodic"])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "matrix"])
+def test_table_integral_lookup_equals_the_piece_loop_bit_for_bit(periodic, shape):
+    rng = np.random.default_rng(41 + 2 * len(shape) + periodic)
+    for _ in range(20):
+        gaps = rng.uniform(0.05, 1.3, int(rng.integers(0, 6)))
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        values = [float(v) if shape == () else v for v in rng.normal(size=(times.size,) + shape)]
+        period = times[-1] + rng.uniform(0.05, 1.3) if periodic else None
+        sig = TableSignal(times, values, period)
+        span = 50.0 * (period or times[-1] + 1.0)
+        ends = list(sig.breakpoints_in(0.0, span)) + list(rng.uniform(0.0, span, 20))
+        for _ in range(30):
+            s, t = sorted(float(x) for x in rng.choice(ends, 2))
+            assert np.array_equal(sig.integrate_window(s, t), _table_integral_loop(sig, s, t))
