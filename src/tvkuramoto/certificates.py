@@ -3,10 +3,11 @@
 Every check returns a CertificateReport: a verdict (pass / fail / inconclusive)
 plus the witnesses that certify it -- threshold margins, window averages,
 eigenvalue series, or the earliest violating pair/window/time. Quantifiers over
-all t >= 0 are evaluated on one period for periodic signals (sufficient by
-periodicity) and on the supplied horizon otherwise; window integrals of the
-coupling are exact for piecewise-constant signals and midpoint quadrature
-aligned to breakpoints otherwise.
+all t >= 0 are evaluated on signals.sample_grid: up to the last switch of an
+aperiodic table plus one common period (sufficient by periodicity); window
+integrals of the coupling are exact for piecewise-constant signals and midpoint
+quadrature otherwise. Each criterion checks its coupling once, with
+graph.check_coupling, before any evaluation.
 
 Sign convention for matrices quoted from the literature on switched oscillator
 networks: a printed matrix with negative diagonal and zero row sums is
@@ -23,7 +24,7 @@ import numpy as np
 
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
-from tvkuramoto.graph import _checked_adjacency, _pair_sums, _pair_tensors
+from tvkuramoto.graph import _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
 from tvkuramoto.signals import ConstantSignal, TableSignal, TimeSignal, sample_grid
 
@@ -66,28 +67,16 @@ def _jsonable(obj):
     return obj
 
 
-def _frequencies_at(omega: TimeSignal, t: float, m: int) -> np.ndarray:
-    w = omega.evaluate(t)
-    if isinstance(w, float):
-        return np.full(m, w)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"frequency signal shape {w.shape} does not match m={m}")
-    return w
+def _invariance_inputs(omega: TimeSignal, coupling: TimeSignal, r: float) -> tuple:
+    """(m, sample grid) of an invariance criterion, its inputs checked once."""
+    m = graph.check_coupling(coupling)
+    if omega.shape not in ((), (m,)):
+        raise ValueError(f"frequency signal shape {omega.shape} does not match m={m}")
+    check_r(r)
+    return m, sample_grid([omega, coupling])
 
 
-def _coupling_at(coupling: TimeSignal, t: float) -> np.ndarray:
-    """Coupling matrix at t; every criterion needs an m x m matrix with m >= 2."""
-    a = np.asarray(coupling.evaluate(t), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"coupling signal must be matrix-valued, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError(f"coupling must couple at least two oscillators, got m={a.shape[0]}")
-    return a
-
-
-def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
-                         grid=None) -> CertificateReport:
+def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> CertificateReport:
     """Pointwise sufficient condition for the PD hypercube to be invariant.
 
     For every ordered pair i != j and every grid time, the drift margin
@@ -96,29 +85,23 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
 
     must be strictly negative, where sum_neg collects the negative parts
     [a_ik]^- + [a_jk]^- outside the common positive neighborhood and
-    sum_common_min the pairwise minima inside it. A coupling with a nonzero
-    diagonal is rejected: a self-link would count as a common neighbour.
+    sum_common_min the pairwise minima inside it, at every time of
+    signals.sample_grid. A coupling with a nonzero diagonal is rejected: a
+    self-link would count as a common neighbour.
     """
-    check_r(r)
-    if grid is None:
-        grid = sample_grid([omega, coupling])
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty evaluation grid")
+    m, grid = _invariance_inputs(omega, coupling, r)
     sin_r = math.sin(r)
     worst = -math.inf
     worst_loc = None
     prev = None
     for t in grid:
-        a = _coupling_at(coupling, float(t))
+        a = coupling.evaluate(float(t))
         if a is not prev:  # piecewise-constant signals return one array per piece
-            _checked_adjacency(a)
             prev = a
-            m = a.shape[0]
             common_min, neg_sum = _pair_sums(a)
             mixing = ((a + a.T) + neg_sum + common_min) * sin_r
-        w = _frequencies_at(omega, float(t), m)
-        lhs = (w[:, None] - w[None, :]) - mixing
+        w = omega.evaluate(float(t))
+        lhs = np.subtract.outer(w, w) - mixing
         np.fill_diagonal(lhs, -math.inf)
         k = int(np.argmax(lhs))
         i, j = divmod(k, m)
@@ -139,30 +122,20 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float,
     )
 
 
-def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float,
-                      grid=None) -> CertificateReport:
+def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float) -> CertificateReport:
     """Robust invariance test: frequency spread vs. mixing quantities.
 
     Passes iff delta_omega / sin(r) <= mu0 + mu2 - mu1, with the mixing
-    quantities from graph.ergodic_quantities. At r = 0 the condition is read
-    as requiring a zero frequency spread. A coupling with a nonzero diagonal
-    is rejected, as in invariance_pointwise.
+    quantities from graph.ergodic_quantities, both over signals.sample_grid.
+    At r = 0 the condition is read as requiring a zero frequency spread. A
+    coupling with a nonzero diagonal is rejected, as in invariance_pointwise.
     """
-    check_r(r)
-    if grid is None:
-        grid = sample_grid([omega, coupling])
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty evaluation grid")
+    _, grid = _invariance_inputs(omega, coupling, r)
     delta_omega = 0.0
-    prev = None
-    for t in grid:
-        a = _coupling_at(coupling, float(t))
-        if a is not prev:
-            _checked_adjacency(a)
-            prev = a
-        w = _frequencies_at(omega, float(t), a.shape[0])
-        delta_omega = max(delta_omega, float(w.max() - w.min()))
+    if omega.shape:  # a scalar frequency has no spread
+        for t in grid:
+            w = omega.evaluate(float(t))
+            delta_omega = max(delta_omega, float(w.max() - w.min()))
     mu0, mu1, mu2 = graph.ergodic_quantities(coupling, grid)
     rhs = mu0 + mu2 - mu1
     if math.sin(r) == 0.0:
@@ -191,7 +164,7 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: fl
     for u in np.unique(np.concatenate([
         times, coupling.breakpoints_in(s, t), np.linspace(s, t, 101),
     ])):
-        a = _coupling_at(coupling, float(u))
+        a = coupling.evaluate(float(u))
         k = int(np.argmin(a))
         value = float(a.flat[k])
         if value < -1e-12 and (worst is None or value < worst["value"]):
@@ -212,6 +185,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     spanning tree. The divergence of sum(eta_n) over an infinite horizon is
     the caller's asymptotic claim; the report echoes the finite sum.
     """
+    m = graph.check_coupling(coupling)
     partition = np.asarray(partition, dtype=float)
     if partition.size < 2 or np.any(np.diff(partition) <= 0):
         raise ValueError("partition must be strictly increasing with at least two times")
@@ -222,7 +196,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     if etas.size != n_intervals or np.any(etas <= 0):
         raise ValueError("need one positive eta per partition interval")
     if bins is None:
-        bins = max(_coupling_at(coupling, 0.0).shape[0] - 1, 1)
+        bins = m - 1
     elif isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins!r}")
     nbins = int(bins)
@@ -268,6 +242,7 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     at eta, must contain a spanning tree. For periodic couplings one period of
     window starts suffices and is the default.
     """
+    graph.check_coupling(coupling)
     if window <= 0 or eta <= 0:
         raise ValueError("window length and eta must be positive")
     starts = _nonempty_starts(sample_grid(coupling, num=128) if starts is None else starts)
@@ -297,11 +272,8 @@ def xi_index(net, r: float) -> float:
     (else untouched). Negative window averages of xi certify exponential PD
     stability for signed couplings.
     """
-    if isinstance(net, graph.SignedNetwork):
-        a = net.adjacency
-    else:
-        a = np.asarray(net, dtype=float).copy()
-        np.fill_diagonal(a, 0.0)
+    a = np.asarray(net, dtype=float).copy()
+    np.fill_diagonal(a, 0.0)
     cos_r = math.cos(r)
     s = a + a.T
     c = np.where(s > 0, s * cos_r, s)
@@ -323,20 +295,21 @@ def _xi_steps(coupling: TimeSignal, r: float) -> TableSignal:
     starts = coupling.breakpoints()
     if starts.size == 0:
         starts = np.array([0.0])
-    xis = [xi_index(_coupling_at(coupling, float(t)), r) for t in starts]
+    xis = [xi_index(coupling.evaluate(float(t)), r) for t in starts]
     return TableSignal(starts, xis, period=coupling.period)
 
 
-def _xi_window_integral(coupling: TimeSignal, r: float, a: float, b: float,
-                        quad_points: int) -> float:
+_XI_QUAD_POINTS = 256  # midpoint-rule nodes per window of a smooth coupling
+
+
+def _xi_window_integral(coupling: TimeSignal, r: float, a: float, b: float) -> float:
     """Integral of xi(L(t), r) over [a, b] for a smooth coupling, by the midpoint rule."""
-    n = max(8, quad_points)
-    mids = a + (np.arange(n) + 0.5) * (b - a) / n
-    return float(np.mean([xi_index(_coupling_at(coupling, float(t)), r) for t in mids])) * (b - a)
+    mids = a + (np.arange(_XI_QUAD_POINTS) + 0.5) * (b - a) / _XI_QUAD_POINTS
+    return float(np.mean([xi_index(coupling.evaluate(float(t)), r) for t in mids])) * (b - a)
 
 
 def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
-                      starts=None, quad_points: int = 256) -> CertificateReport:
+                      starts=None) -> CertificateReport:
     """Window-averaged xi test for signed couplings.
 
     Passes iff the average of xi(L(s), r) over [t, t+T] is <= -eta at every
@@ -345,6 +318,7 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     For a periodic piecewise-constant coupling the default starts hold every
     start where a window end meets a breakpoint, so the default check is exact.
     """
+    graph.check_coupling(coupling)
     check_r(r)
     if window <= 0:
         raise ValueError("window length must be positive")
@@ -360,7 +334,7 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
         steps = _xi_steps(coupling, r)
         integrals = [steps.integrate_window(float(t), float(t) + window) for t in starts]
     else:
-        integrals = [_xi_window_integral(coupling, r, float(t), float(t) + window, quad_points)
+        integrals = [_xi_window_integral(coupling, r, float(t), float(t) + window)
                      for t in starts]
     averages = np.array(integrals) / window
     worst_idx = int(np.argmax(averages))
@@ -428,6 +402,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     per-period sum; the uniform-lower-bound verdict (min alpha > alpha_hat) is
     reported alongside for the exponential-rate corollary.
     """
+    graph.check_coupling(coupling)
     check_r(r)
     if h <= 0 or num_windows < 1:
         raise ValueError("need h > 0 and at least one window")
@@ -437,7 +412,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     ]))
     params = {"r": r, "h": h, "num_windows": num_windows, "alpha_hat": alpha_hat}
     for t in probe:
-        fault, low = psd_fault(graph.laplacian_from_adjacency(_coupling_at(coupling, float(t))))
+        fault, low = psd_fault(graph.laplacian_from_adjacency(coupling.evaluate(float(t))))
         if fault is not None:
             wit = ({"asymmetric_at": float(t)} if low is None
                    else {"not_psd_at": float(t), "min_eigenvalue": low})
@@ -477,10 +452,8 @@ def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: in
                        alpha_hat: float = 1e-6) -> CertificateReport:
     """Exponential-rate variant: every alpha_k must exceed alpha_hat."""
     base = thm3_series_check(coupling, r, h, num_windows, alpha_hat)
-    if base.verdict == INCONCLUSIVE:
-        return CertificateReport("cor2-lambda2-uniform", INCONCLUSIVE,
-                                 witnesses=base.witnesses, parameters=base.parameters)
-    verdict = PASS if base.witnesses["cor2_uniform_pass"] else FAIL
+    verdict = (INCONCLUSIVE if base.verdict == INCONCLUSIVE
+               else PASS if base.witnesses["cor2_uniform_pass"] else FAIL)
     return CertificateReport("cor2-lambda2-uniform", verdict,
                              witnesses=base.witnesses, parameters=base.parameters)
 

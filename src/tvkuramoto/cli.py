@@ -33,7 +33,9 @@ import numpy as np
 
 from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
-from tvkuramoto.signals import ConstantSignal, SinusoidSignal, signal_from_json
+from tvkuramoto.graph import check_coupling, laplacian_from_adjacency
+from tvkuramoto.linalg import lambda2
+from tvkuramoto.signals import signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -115,15 +117,6 @@ def _keywords(cfg: dict, fn, *fields: str, **renamed: str) -> dict:
             for kw, field in dict(zip(fields, fields), **renamed).items()}
 
 
-def _coupling_values(sig) -> list:
-    """The matrices a coupling signal is built from; a sinusoid's base and amplitude."""
-    if isinstance(sig, ConstantSignal):
-        return [sig.value]
-    if isinstance(sig, SinusoidSignal):
-        return [sig.base, sig.amplitude]
-    return sig.values
-
-
 def _signals(cfg: dict):
     sigs = _get(cfg, "signals", dict)
     loaded = []
@@ -134,12 +127,10 @@ def _signals(cfg: dict):
             loaded.append(signal_from_json(sigs[key]))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"signals.{key}", str(exc)) from exc
-    shape = loaded[1].shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
-        raise ConfigError("signals.coupling",
-                          f"must be an m x m matrix with m >= 2, got shape {shape}")
-    if any(np.diagonal(np.broadcast_to(v, shape)).any() for v in _coupling_values(loaded[1])):
-        raise ConfigError("signals.coupling", "diagonal must be zero (no self-links)")
+    try:
+        check_coupling(loaded[1])
+    except ValueError as exc:
+        raise ConfigError("signals.coupling", str(exc)) from exc
     return tuple(loaded)
 
 
@@ -386,8 +377,6 @@ def verify_reference_values(quiet: bool = False) -> dict:
     xi2 = certificates.xi_index(ap_pieces[1], r)
     fast_pieces = [np.asarray(p["value"], dtype=float)
                    for p in fast_cfg["signals"]["coupling"]["pieces"]]
-    from tvkuramoto.graph import laplacian_from_adjacency
-    from tvkuramoto.linalg import lambda2
     lam2 = lambda2(laplacian_from_adjacency(0.5 * (fast_pieces[0] + fast_pieces[1])))
 
     rows = [

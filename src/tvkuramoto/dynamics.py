@@ -206,20 +206,8 @@ def invariance_monitor(traj: PhaseTrajectory, r: float):
     return float(traj.times[bad[0]])
 
 
-@dataclass(frozen=True)
-class DivergenceSeries:
-    """Pointwise maximum PD discrepancy between two runs."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-
-def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> DivergenceSeries:
-    """max_{i>j} |pd_a_ij(t) - pd_b_ij(t)| along two runs on the same grid.
+def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> np.ndarray:
+    """max_{i>j} |pd_a_ij(t) - pd_b_ij(t)| at each time of two runs on the same grid.
 
     Computed as the Hajnal diameter of delta(t) = theta_a(t) - theta_b(t),
     which equals the maximum pairwise PD discrepancy and is invariant to
@@ -230,5 +218,4 @@ def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> Divergenc
     ):
         raise ValueError("trajectories are sampled on different grids")
     delta = traj_a.phases - traj_b.phases
-    values = delta.max(axis=1) - delta.min(axis=1)
-    return DivergenceSeries(traj_a.times.copy(), values)
+    return delta.max(axis=1) - delta.min(axis=1)

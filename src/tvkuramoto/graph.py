@@ -8,25 +8,9 @@ Laplacian has l_ij = -a_ij off the diagonal and zero row sums. Node indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from tvkuramoto.signals import TimeSignal
-
-
-@dataclass(frozen=True)
-class SignedNetwork:
-    """Weighted signed adjacency for m oscillators at one time instant."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "adjacency", _checked_adjacency(self.adjacency))
-
-    @property
-    def m(self) -> int:
-        return self.adjacency.shape[0]
+from tvkuramoto.signals import SinusoidSignal, TableSignal, TimeSignal
 
 
 def _checked_adjacency(a) -> np.ndarray:
@@ -37,6 +21,25 @@ def _checked_adjacency(a) -> np.ndarray:
     if (np.abs(a.diagonal()) > 0).any():
         raise ValueError("self-links are not allowed (nonzero diagonal)")
     return a
+
+
+def check_coupling(sig: TimeSignal) -> int:
+    """m of a coupling signal; ValueError unless it is m x m, m >= 2, and every matrix
+    it is built from (table pieces, sinusoid base and amplitude) has a zero diagonal."""
+    shape = sig.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"coupling signal must be an m x m matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError(f"coupling must couple at least two oscillators, got m={shape[0]}")
+    if isinstance(sig, SinusoidSignal):
+        parts = [sig.base, sig.amplitude]
+    elif isinstance(sig, TableSignal):
+        parts = sig.values
+    else:
+        parts = [sig.evaluate(0.0)]
+    for v in parts:
+        _checked_adjacency(np.broadcast_to(v, shape))
+    return shape[0]
 
 
 def laplacian_from_adjacency(a) -> np.ndarray:
@@ -76,7 +79,7 @@ def has_spanning_tree(g) -> bool:
     return bool(reach.all(axis=1).any())
 
 
-def common_positive_neighbors(net, i: int, j: int) -> set:
+def common_positive_neighbors(a, i: int, j: int) -> set:
     """Nodes k with a_ik > 0 and a_jk > 0 (positive influencers of both i and j).
 
     Returns the raw set; callers exclude k = i, j where a formula requires it
@@ -84,7 +87,7 @@ def common_positive_neighbors(net, i: int, j: int) -> set:
     """
     if i == j:
         raise ValueError("common_positive_neighbors needs two distinct nodes")
-    a = net.adjacency if isinstance(net, SignedNetwork) else _checked_adjacency(net)
+    a = _checked_adjacency(a)
     return set(np.nonzero((a[i] > 0) & (a[j] > 0))[0].tolist())
 
 

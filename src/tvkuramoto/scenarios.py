@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvkuramoto import certificates, dynamics, graph, linalg
-from tvkuramoto.signals import ConstantSignal, SinusoidSignal, TimeSignal, check_alignment
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TimeSignal, check_alignment,
+                                common_period)
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class NoLockError(RuntimeError):
 
 
 _HANDOVER_SPREAD = 1e-3  # derivative spread the relaxation holds for a window before Newton
+_HANDOVER_WINDOW = 1.0   # length of that window (s)
 _NEWTON_MAX_ITER = 50
 
 
@@ -65,15 +67,15 @@ def _jacobian(a: np.ndarray, theta: np.ndarray):
     return y, np.sin(diff)
 
 
-def _relax(w, a, r: float, theta0, dt: float, t_max: float, window: float):
+def _relax(w, a, r: float, theta0, dt: float, t_max: float):
     """RK4 relaxation of the static system until Newton can take over.
 
     Stops once the phase-velocity spread has stayed below _HANDOVER_SPREAD for
-    a full window; returns the start of that window (the hand-over time) and
+    _HANDOVER_WINDOW; returns the start of that window (the hand-over time) and
     the state at its end. Raises NoLockError if the phases leave the
     half-width-r hypercube or no such window ends before t_max.
     """
-    need = max(int(round(window / dt)), 1)
+    need = max(int(round(_HANDOVER_WINDOW / dt)), 1)
     quiet = 0
 
     def settled(t, x, dx):
@@ -124,12 +126,12 @@ def _newton_lock(w, a, theta, deriv_tol: float):
 
 def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
                              dt: float = 1e-3, t_max: float = 500.0,
-                             window: float = 1.0, deriv_tol: float = 1e-10) -> PhaseLockedState:
+                             deriv_tol: float = 1e-10) -> PhaseLockedState:
     """Find the static system's phase lock: RK4 relaxation, then Newton.
 
     The relaxation runs until the spread of the phase velocities (equal to
-    the largest |d theta_ij / dt|) has stayed below 1e-3 for a full window;
-    lock_time is the start of that window. Newton's method then solves
+    the largest |d theta_ij / dt|) has stayed below 1e-3 for 1 s; lock_time
+    is the start of that second. Newton's method then solves
     omega_i + sum_j a_ij sin(theta_j - theta_i) = Omega exactly, with theta_0
     held, until the velocity spread is below deriv_tol. Raises NoLockError
     when the relaxation finds no such window by t_max, when the phases leave
@@ -143,7 +145,7 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     if w.shape != (m,) or a.shape != (m, m):
         raise ValueError("omega_bar / a_bar dimensions do not match theta0")
 
-    lock_time, th = _relax(w, a, r, th, dt, t_max, window)
+    lock_time, th = _relax(w, a, r, th, dt, t_max)
     th, rate, steps = _newton_lock(w, a, th, deriv_tol)
     spread = float(rate.max() - rate.min())
     if not spread < deriv_tol:
@@ -378,8 +380,7 @@ class FastSwitchReport:
 
 def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
                          frequencies, r: float, t_end: float = 40.0,
-                         dt_target: float = 1e-3, tail_fraction: float = 0.2,
-                         lock_t_max: float = 500.0) -> FastSwitchReport:
+                         dt_target: float = 1e-3, tail_fraction: float = 0.2) -> FastSwitchReport:
     """Compare the switched system against its averaged lock across frequencies.
 
     The base schedule is compressed so that the switch rate equals each
@@ -415,7 +416,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
         raise ValueError(f"averaged algebraic connectivity {lam2:.4g} is not positive")
     try:
         base = phase_locked_equilibrium(w_bar, a_bar, r, np.zeros(a_bar.shape[0]),
-                                        dt=dt_target, t_max=lock_t_max)
+                                        dt=dt_target)
     except NoLockError as exc:
         raise RuntimeError(f"averaged system failed to lock: {exc}") from exc
 
@@ -444,9 +445,11 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
                             not notes, notes)
 
 
-def er_random_network(m: int, p: float, seed: int,
-                      max_attempts: int = 10_000) -> graph.SignedNetwork:
-    """Seeded connected undirected 0/1 random graph.
+_ER_MAX_ATTEMPTS = 10_000
+
+
+def er_random_network(m: int, p: float, seed: int) -> np.ndarray:
+    """Adjacency (0/1, zero diagonal) of a seeded connected undirected random graph.
 
     Draws are deterministic in (seed, attempt); the attempt counter is the
     documented sub-seed incremented until the sample is connected.
@@ -455,13 +458,13 @@ def er_random_network(m: int, p: float, seed: int,
         raise ValueError(f"linking probability must be in (0, 1], got {p}")
     if m < 2:
         raise ValueError(f"need at least two nodes, got {m}")
-    for attempt in range(max_attempts):
+    for attempt in range(_ER_MAX_ATTEMPTS):
         rng = np.random.default_rng([int(seed), attempt])
         upper = np.triu(rng.random((m, m)) < p, k=1)
         adj = (upper | upper.T).astype(float)
         if graph.has_spanning_tree(adj != 0):  # symmetric, so rooted == connected
-            return graph.SignedNetwork(adj)
-    raise RuntimeError(f"no connected draw in {max_attempts} attempts (p too small?)")
+            return adj
+    raise RuntimeError(f"no connected draw in {_ER_MAX_ATTEMPTS} attempts (p too small?)")
 
 
 # ----------------------------------------------------------------------------
@@ -473,8 +476,6 @@ class ApExperimentResult:
     runs: list                  # PhaseTrajectory per initial condition
     exit_times: list            # None per run when invariant
     orbit: PeriodicPDOrbit
-    two_period_times: np.ndarray
-    two_period_pd: np.ndarray
     max_divergence_after: float  # worst pairwise PD divergence at t >= divergence_from
     divergence_from: float
     max_distance_to_orbit_end: float
@@ -487,11 +488,12 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
                   t_end: float = 60.0, dt: float = 1e-3,
                   divergence_from: float = 40.0, eta: float = 0.01,
                   orbit_tol: float = 1e-10, orbit_max_iter: int = 200) -> ApExperimentResult:
-    """Periodic-switching experiment: multi-start runs plus the periodic PD orbit."""
-    if coupling.period is None:
-        raise ValueError("the switching schedule must be periodic")
-    period = coupling.period
-    m = np.asarray(coupling.evaluate(0.0)).shape[0]
+    """Multi-start runs plus the periodic PD orbit over the signals' common period."""
+    period = common_period([omega, coupling])
+    if period is None or any(sig.period is None and sig.kind != "constant"
+                             for sig in (omega, coupling)):
+        raise ValueError("the signals must be periodic or constant, and not both constant")
+    m = coupling.shape[0]
 
     cert = certificates.thm2_window_check(coupling, r, period, eta)
 
@@ -506,14 +508,11 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
     for i in range(num_runs):
         for j in range(i + 1, num_runs):
             div = dynamics.pd_divergence(runs[i], runs[j])
-            worst_div = max(worst_div, float(div.values[start_idx:].max()))
+            worst_div = max(worst_div, float(div[start_idx:].max()))
 
     orbit = find_periodic_pd(omega, coupling, period,
                              dynamics.phase_differences(runs[0].final()),
                              tol=orbit_tol, max_iter=orbit_max_iter, dt=dt, r=r)
-    two = dynamics.simulate(dynamics.phases_from_pd(orbit.fixed_point, m),
-                            omega, coupling, 2 * period, dt)
-    two_pd = two.phase_differences()
 
     # runs end on a period boundary when t_end is a multiple of the period
     n_period = t_end / period
@@ -526,13 +525,11 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
         float(np.abs(dynamics.phase_differences(run.final()) - target).max())
         for run in runs
     )
-    return ApExperimentResult(runs, exits, orbit, two.times, two_pd,
-                              worst_div, divergence_from, dist_end, cert)
+    return ApExperimentResult(runs, exits, orbit, worst_div, divergence_from, dist_end, cert)
 
 
 @dataclass(frozen=True)
 class PerturbationExperimentResult:
-    network: graph.SignedNetwork
     base: PhaseLockedState
     expansion: PerturbationExpansion
     full_run: dynamics.PhaseTrajectory
@@ -542,15 +539,12 @@ class PerturbationExperimentResult:
     exit_time: "float | None"
     max_pd_deviation: float      # from the static locked PDs
     certificate: certificates.CertificateReport
-    alpha: np.ndarray            # frequency modulation phases
-    beta: np.ndarray             # coupling modulation phases
 
 
 def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
                             epsilon: float = 0.1, r: float = math.pi / 3,
                             omega_low: float = 0.9, omega_high: float = 1.1,
-                            t_end: float = 50.0, dt: float = 1e-3,
-                            lock_t_max: float = 500.0) -> PerturbationExperimentResult:
+                            t_end: float = 50.0, dt: float = 1e-3) -> PerturbationExperimentResult:
     """Small-perturbation experiment on a seeded connected random graph.
 
     Unit couplings on the edges are modulated by eps*cos(t + beta_ij) and the
@@ -558,16 +552,14 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     uniformly from [-r/2, r/2]. The full run starts exactly at the static lock
     so the expansion shares its initial condition.
     """
-    net = er_random_network(m, p, seed)
-    mask = net.adjacency
+    mask = er_random_network(m, p, seed)
     rng = np.random.default_rng([int(seed), 90001])
     omega_bar = rng.uniform(omega_low, omega_high, m)
     alpha = rng.uniform(-r / 2, r / 2, m)
     beta_upper = np.triu(rng.uniform(-r / 2, r / 2, (m, m)), k=1)
     beta = beta_upper + beta_upper.T
 
-    base = phase_locked_equilibrium(omega_bar, mask, r, np.zeros(m),
-                                    dt=dt, t_max=lock_t_max)
+    base = phase_locked_equilibrium(omega_bar, mask, r, np.zeros(m), dt=dt)
 
     omega_pert = SinusoidSignal(np.zeros(m), np.ones(m), alpha, trig="sin")
     coupling_pert = SinusoidSignal(np.zeros((m, m)), mask, beta, trig="cos")
@@ -595,9 +587,9 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
         eta=0.5 * float(2 * math.pi * (1 - epsilon)))
 
     return PerturbationExperimentResult(
-        network=net, base=base, expansion=expansion, full_run=full,
+        base=base, expansion=expansion, full_run=full,
         approx_error=err, approx_error_half=err_half,
         error_ratio=err / err_half if err_half > 0 else math.inf,
         exit_time=dynamics.invariance_monitor(full, r),
-        max_pd_deviation=max_dev, certificate=cert, alpha=alpha, beta=beta,
+        max_pd_deviation=max_dev, certificate=cert,
     )

@@ -367,28 +367,42 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
     return int(nsteps)
 
 
-def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000,
-                horizon: "float | None" = None) -> np.ndarray:
-    """Evaluation grid covering one period (or [0, horizon]) plus all breakpoints.
+_PERIOD_MULTIPLES = 64  # largest multiple of the longest period common_period tries
 
-    Extrema taken on this grid are exact for piecewise-constant signals and a
-    documented approximation otherwise.
+
+def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
+    """Smallest whole multiple of the longest period that every period divides within
+    1e-9; None when no signal is periodic, ValueError when no multiple up to
+    _PERIOD_MULTIPLES works."""
+    periods = [s.period for s in signals if s.period is not None]
+    if not periods:
+        return None
+    longest = max(periods)
+    for k in range(1, _PERIOD_MULTIPLES + 1):
+        span = k * longest
+        if all(abs(span / p - round(span / p)) < 1e-9 for p in periods):
+            return span
+    raise ValueError(f"periods {periods} have no common multiple within "
+                     f"{_PERIOD_MULTIPLES} times the longest")
+
+
+def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000) -> np.ndarray:
+    """Evaluation grid covering [0, s + P) plus every breakpoint, s included.
+
+    s is the last switch of any aperiodic table (its last value holds from
+    there on) and P the common period, 0 when no signal is periodic; past s
+    the signals together repeat every P, so [0, s + P) sees every value they
+    take. Extrema taken on this grid are exact for piecewise-constant signals
+    and a documented approximation otherwise.
     """
     if isinstance(signals, TimeSignal):
         signals = [signals]
-    if horizon is None:
-        periods = [s.period for s in signals if s.period is not None]
-        if not periods:
-            if all(s.kind == "constant" for s in signals):
-                return np.array([0.0])
-            raise ValueError("aperiodic signals need an explicit horizon")
-        horizon = max(periods)
-    pts = [np.linspace(0.0, horizon, max(int(num), 2), endpoint=False)]
+    settle = max([float(s.times[-1]) for s in signals
+                  if isinstance(s, TableSignal) and s.period is None], default=0.0)
+    span = settle + (common_period(signals) or 0.0)
+    pts = [np.linspace(0.0, span, max(int(num), 2), endpoint=False), [settle]]
     for s in signals:
-        bp = s.breakpoints_in(0.0, horizon)
-        # half-open evaluation window: drop the horizon point itself
-        pts.append(bp[bp < horizon])
-    grid = np.unique(np.concatenate(pts))
-    if grid.size == 0:
-        raise ValueError("empty sampling grid")
-    return grid
+        bp = s.breakpoints_in(0.0, span)
+        # half-open evaluation window: drop the end point itself
+        pts.append(bp[bp < span])
+    return np.unique(np.concatenate(pts))

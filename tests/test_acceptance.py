@@ -114,6 +114,10 @@ def test_criterion_3_periodic_switching_experiment():
         ic_high=p["ic_high"], seed=p["seed"], t_end=p["t_end"], dt=p["dt"],
         divergence_from=p["divergence_from"], eta=p["eta"],
         orbit_tol=p["orbit_tol"], orbit_max_iter=p["orbit_max_iter"])
+    # two periods from the orbit's fixed point: the second must repeat the first
+    two_period_pd = dynamics.simulate(
+        dynamics.phases_from_pd(res.orbit.fixed_point, coupling.shape[0]),
+        omega, coupling, 2 * res.orbit.period, p["dt"]).phase_differences()
     elapsed = time.monotonic() - started
 
     invariant = all(e is None for e in res.exit_times)
@@ -121,7 +125,7 @@ def test_criterion_3_periodic_switching_experiment():
     orbit_ok = res.orbit.residual < 1e-8 and res.max_distance_to_orbit_end < 1e-3
     n_period = int(round(4.0 / p["dt"]))
     wrap = np.linalg.norm(
-        res.two_period_pd[n_period:2 * n_period + 1] - res.two_period_pd[:n_period + 1],
+        two_period_pd[n_period:2 * n_period + 1] - two_period_pd[:n_period + 1],
         axis=1).max()
     periodic = wrap < 1e-6
     ok = invariant and converged and orbit_ok and periodic and elapsed < 120.0

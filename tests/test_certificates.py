@@ -127,17 +127,52 @@ def test_robust_r_zero_division_guard():
 # --- aggregated connectivity -------------------------------------------------
 
 
-@pytest.mark.parametrize("check", [invariance_pointwise, invariance_robust])
-def test_invariance_criteria_reject_self_links(check):
+SELF_LINK_CHECKS = {
+    "invariance_pointwise": lambda om, co: invariance_pointwise(om, co, 1.0),
+    "invariance_robust": lambda om, co: invariance_robust(om, co, 1.0),
+    "thm1": lambda om, co: thm1_spanning_tree_check(co, [0.0, 2.0], 0.1),
+    "cor1": lambda om, co: cor1_sliding_window_check(co, 1.0, 0.1),
+    "thm2": lambda om, co: thm2_window_check(co, 1.0, 2.0, 0.1),
+    "thm3": lambda om, co: thm3_series_check(co, 1.0, 1.0, 2),
+    "cor2": lambda om, co: cor2_uniform_check(co, 1.0, 1.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SELF_LINK_CHECKS))
+def test_invariance_criteria_reject_self_links(name):
     # a positive a_ii would count node i as a common neighbour of every pair
-    # (i, j) and turn this fail into a pass
+    # (i, j) and turn the invariance fail into a pass; xi would drop it unseen
+    assert len(SELF_LINK_CHECKS) == len(CRITERIA)
+    check = SELF_LINK_CHECKS[name]
     omega = ConstantSignal([0.0, 1.5, 3.0])
-    assert check(omega, ConstantSignal(np.ones((3, 3)) - np.eye(3)), 1.0).verdict == "fail"
+    report = check(omega, ConstantSignal(np.ones((3, 3)) - np.eye(3)))
+    if name.startswith("invariance"):
+        assert report.verdict == "fail"
     with pytest.raises(ValueError, match=r"self-links are not allowed \(nonzero diagonal\)"):
-        check(omega, ConstantSignal(np.ones((3, 3)) + 4.0 * np.eye(3)), 1.0)
+        check(omega, ConstantSignal(np.ones((3, 3)) + 4.0 * np.eye(3)))
     blinking = SwitchingSignal([1.0, 1.0], [np.ones((3, 3)) - np.eye(3), np.ones((3, 3))])
     with pytest.raises(ValueError, match="self-links"):
-        check(omega, blinking, 1.0)
+        check(omega, blinking)
+
+
+def test_invariance_grid_reaches_past_the_last_switch_of_a_table():
+    # the coupling switches off for good at t = 5; the frequency spread then
+    # has nothing to hold it, though every time before 5 passes
+    omega = SwitchingSignal([1.0, 1.0], [[0.0, 0.1, 0.2], [0.2, 0.1, 0.0]])
+    coupling = TableSignal([0.0, 5.0], [5.0 * (np.ones((3, 3)) - np.eye(3)), np.zeros((3, 3))])
+    rep = invariance_pointwise(omega, coupling, 1.0)
+    assert rep.verdict == "fail" and rep.witnesses["worst_time"] >= 5.0
+    # an aperiodic table needs no horizon: the window starting at 5 sees only zeros
+    assert thm2_window_check(coupling, 1.0, 1.0, 0.1).witnesses["worst_start"] >= 5.0
+
+
+def test_invariance_grid_covers_the_common_period():
+    # periods 2 and 3: the weak coupling meets the wide frequencies only on [5, 6)
+    j = np.ones((3, 3)) - np.eye(3)
+    omega = SwitchingSignal([1.0, 1.0], [[0.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+    coupling = SwitchingSignal([2.0, 1.0], [5.0 * j, 0.1 * j])
+    rep = invariance_pointwise(omega, coupling, 1.0)
+    assert rep.verdict == "fail" and 5.0 <= rep.witnesses["worst_time"] < 6.0
 
 
 @pytest.mark.parametrize("check", [
@@ -178,7 +213,7 @@ def test_thm1_blinking_graph_bin_placement():
     omega = ConstantSignal(np.full(3, 1.0))
     t1 = simulate(np.array([0.2, -0.1, 0.1]), omega, blink, 60.0, 1e-3)
     t2 = simulate(np.array([-0.2, 0.1, 0.0]), omega, blink, 60.0, 1e-3)
-    assert pd_divergence(t1, t2).final < 1e-6
+    assert pd_divergence(t1, t2)[-1] < 1e-6
 
 
 def test_thm1_disconnected_fails_every_window():
@@ -358,6 +393,8 @@ def test_thm2_aperiodic_table_holds_last_piece():
     rng = np.random.default_rng(34)
     r = math.pi / 5
     pieces = [rng.uniform(-0.3, 1.0, (4, 4)) for _ in range(3)]
+    for a in pieces:  # xi ignores the diagonal; the criterion rejects a nonzero one
+        np.fill_diagonal(a, 0.0)
     starts = [0.0, 0.2, 0.65]
     xis = [xi_index(a, r) for a in pieces]
     offsets = np.array([0.0, 0.1, 0.5, 0.9, 3.0])
@@ -518,7 +555,7 @@ def test_certified_instances_have_stable_pds():
         t1, t2 = (PhaseTrajectory(batch.times, phases) for phases in batch.phases)
         assert invariance_monitor(t1, r) is None
         assert invariance_monitor(t2, r) is None
-        assert pd_divergence(t1, t2).final < 1e-2
+        assert pd_divergence(t1, t2)[-1] < 1e-2
         checked += 1
         assert attempt < 200
 

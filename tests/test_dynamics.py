@@ -162,12 +162,12 @@ def test_invariance_monitor_linear_exit_time():
 def test_pd_divergence_identical_and_shifted():
     traj = simulate(np.array([0.1, -0.1]), ConstantSignal([1.2, 1.0]), TWO_NODE, 1.0, 1e-3)
     same = pd_divergence(traj, traj)
-    assert np.all(same.values == 0.0)
+    assert np.all(same == 0.0)
     shifted = simulate(np.array([0.1, -0.1]) + 0.4, ConstantSignal([1.2, 1.0]),
                        TWO_NODE, 1.0, 1e-3)
     div = pd_divergence(traj, shifted)
-    assert div.values.max() < 1e-10
-    assert div.final < 1e-10
+    assert div.max() < 1e-10
+    assert div[-1] < 1e-10
 
 
 def test_pd_divergence_rejects_grid_mismatch():

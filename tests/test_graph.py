@@ -5,7 +5,6 @@ import pytest
 
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.graph import (
-    SignedNetwork,
     common_positive_neighbors,
     ergodic_quantities,
     has_spanning_tree,
@@ -198,13 +197,12 @@ def test_common_positive_neighbors_matches_set_builder():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(5, 5))
     np.fill_diagonal(a, 0.0)
-    net = SignedNetwork(a)
     for i in range(5):
         for j in range(5):
             if i == j:
                 continue
             expect = {k for k in range(5) if a[i, k] > 0 and a[j, k] > 0}
-            assert common_positive_neighbors(net, i, j) == expect
+            assert common_positive_neighbors(a, i, j) == expect
 
 
 def test_ergodic_quantities_two_node():

@@ -101,7 +101,7 @@ def test_lock_search_matches_the_reference_loop(m, seed):
     theta0 = rng.uniform(-0.2, 0.2, m)
     r = math.pi / 3
     lock = phase_locked_equilibrium(w, a, r, theta0)
-    handover, state = _relax(w, a, r, theta0, 1e-3, 500.0, 1.0)
+    handover, state = _relax(w, a, r, theta0, 1e-3, 500.0)
     ref_time, ref_state, _ = rk4_oracle.lock_search(w, a, r, theta0, deriv_tol=1e-3)
     assert abs(lock.lock_time - ref_time) <= 1e-12 and abs(handover - ref_time) <= 1e-12
     assert np.abs(state - ref_state).max() <= 1e-12

@@ -10,6 +10,7 @@ from tvkuramoto.linalg import state_transition
 from tvkuramoto.scenarios import (
     NoLockError,
     PerturbationExpansion,
+    ap_experiment,
     boundedness_check,
     er_random_network,
     fast_switching_sweep,
@@ -281,8 +282,7 @@ def test_boundedness_flags_secular_drift():
 def test_boundedness_full_scale_random_graph():
     # the first-order correction stays bounded over 200 s on the bundled
     # perturbation setup (connected ER graph, zero-mean modulations)
-    net = er_random_network(20, 0.2, seed=1)
-    mask = net.adjacency
+    mask = er_random_network(20, 0.2, seed=1)
     rng = np.random.default_rng(21)
     omega_bar = rng.uniform(0.9, 1.1, 20)
     base = phase_locked_equilibrium(omega_bar, mask, math.pi / 3, np.zeros(20), dt=1e-3)
@@ -373,24 +373,35 @@ def test_fast_delta_dynamics_residual():
         assert np.abs(lhs - rhs).max() < 1e-4
 
 
+def test_ap_orbit_runs_over_the_common_period():
+    # coupling period 4, frequency period 6: the pair repeats every 12 s, and a
+    # period map over 4 s would restart the frequencies at the wrong phase
+    cfg = json.loads(bundled_config_path("ap").read_text())
+    _, coupling = bundled_signals("ap")
+    omega = SwitchingSignal([3.0, 3.0], [p["value"] for p in cfg["signals"]["omega"]["pieces"]])
+    res = ap_experiment(omega, coupling, cfg["parameters"]["r"], num_runs=2, t_end=24.0,
+                        divergence_from=8.0)
+    assert res.orbit.period == 12.0
+    assert res.orbit.residual < 1e-10
+    assert res.max_distance_to_orbit_end < 1e-9
+
+
 # --- random networks --------------------------------------------------------------
 
 
 def test_er_complete_at_p_one():
-    net = er_random_network(5, 1.0, seed=0)
-    assert np.array_equal(net.adjacency, np.ones((5, 5)) - np.eye(5))
+    assert np.array_equal(er_random_network(5, 1.0, seed=0), np.ones((5, 5)) - np.eye(5))
 
 
 def test_er_same_seed_is_identical():
-    a = er_random_network(20, 0.2, seed=13).adjacency
-    b = er_random_network(20, 0.2, seed=13).adjacency
+    a = er_random_network(20, 0.2, seed=13)
+    b = er_random_network(20, 0.2, seed=13)
     assert np.array_equal(a, b)
 
 
 def test_er_outputs_connected_and_symmetric():
     for seed in range(100):
-        net = er_random_network(20, 0.2, seed=seed)
-        a = net.adjacency
+        a = er_random_network(20, 0.2, seed=seed)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert union_find_connected(a)

@@ -11,6 +11,7 @@ from tvkuramoto.signals import (
     SwitchingSignal,
     TableSignal,
     check_alignment,
+    common_period,
     sample_grid,
     signal_from_json,
 )
@@ -166,6 +167,15 @@ def test_check_alignment_catches_misaligned_breakpoint():
     check_alignment(sig, 0.0, 1.0, 0.05)
     with pytest.raises(ValueError):
         check_alignment(sig, 0.0, 1.0, 0.1)  # 0.25 not a multiple of 0.1
+
+
+def test_common_period():
+    two, three = SwitchingSignal([1.0, 1.0], [0.0, 1.0]), SwitchingSignal([2.0, 1.0], [0.0, 1.0])
+    assert common_period([two, three]) == 6.0
+    assert common_period([two, ConstantSignal(1.0), TableSignal([0.0, 5.0], [0.0, 1.0])]) == 2.0
+    assert common_period([ConstantSignal(1.0)]) is None
+    with pytest.raises(ValueError, match="no common multiple"):
+        common_period([two, SinusoidSignal(0.0, 1.0, 0.0)])
 
 
 def test_sample_grid_includes_breakpoints():
