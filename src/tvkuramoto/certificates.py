@@ -67,13 +67,13 @@ def _jsonable(obj):
     return obj
 
 
-def _invariance_inputs(omega: TimeSignal, coupling: TimeSignal, r: float) -> tuple:
-    """(m, sample grid) of an invariance criterion, its inputs checked once."""
+def _invariance_inputs(omega: TimeSignal, coupling: TimeSignal, r: float) -> int:
+    """m of an invariance criterion, its inputs checked once."""
     m = graph.check_coupling(coupling)
     if omega.shape not in ((), (m,)):
         raise ValueError(f"frequency signal shape {omega.shape} does not match m={m}")
     check_r(r)
-    return m, sample_grid([omega, coupling])
+    return m
 
 
 def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> CertificateReport:
@@ -85,11 +85,12 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> C
 
     must be strictly negative, where sum_neg collects the negative parts
     [a_ik]^- + [a_jk]^- outside the common positive neighborhood and
-    sum_common_min the pairwise minima inside it, at every time of
-    signals.sample_grid. A coupling with a nonzero diagonal is rejected: a
-    self-link would count as a common neighbour.
+    sum_common_min the pairwise minima inside it, at every time of the joint
+    signals.sample_grid of both signals. A coupling with a nonzero diagonal is
+    rejected: a self-link would count as a common neighbour.
     """
-    m, grid = _invariance_inputs(omega, coupling, r)
+    m = _invariance_inputs(omega, coupling, r)
+    grid = sample_grid([omega, coupling])
     sin_r = math.sin(r)
     worst = -math.inf
     worst_loc = None
@@ -126,17 +127,18 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float) -> Cert
     """Robust invariance test: frequency spread vs. mixing quantities.
 
     Passes iff delta_omega / sin(r) <= mu0 + mu2 - mu1, with the mixing
-    quantities from graph.ergodic_quantities, both over signals.sample_grid.
-    At r = 0 the condition is read as requiring a zero frequency spread. A
-    coupling with a nonzero diagonal is rejected, as in invariance_pointwise.
+    quantities from graph.ergodic_quantities; each side over its own signal's
+    signals.sample_grid, so the two periods need no common multiple. At r = 0
+    the condition is read as requiring a zero frequency spread. A coupling
+    with a nonzero diagonal is rejected, as in invariance_pointwise.
     """
-    _, grid = _invariance_inputs(omega, coupling, r)
+    _invariance_inputs(omega, coupling, r)
     delta_omega = 0.0
     if omega.shape:  # a scalar frequency has no spread
-        for t in grid:
+        for t in sample_grid(omega):
             w = omega.evaluate(float(t))
             delta_omega = max(delta_omega, float(w.max() - w.min()))
-    mu0, mu1, mu2 = graph.ergodic_quantities(coupling, grid)
+    mu0, mu1, mu2 = graph.ergodic_quantities(coupling, sample_grid(coupling))
     rhs = mu0 + mu2 - mu1
     if math.sin(r) == 0.0:
         ok = delta_omega == 0.0 and rhs >= 0.0
@@ -315,8 +317,8 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     Passes iff the average of xi(L(s), r) over [t, t+T] is <= -eta at every
     sampled window start t. Piecewise-constant couplings integrate the
     per-piece xi step signal exactly; smooth couplings use midpoint quadrature.
-    For a periodic piecewise-constant coupling the default starts hold every
-    start where a window end meets a breakpoint, so the default check is exact.
+    For a piecewise-constant coupling the default starts hold every start
+    where a window end meets a breakpoint, so the default check is exact.
     """
     graph.check_coupling(coupling)
     check_r(r)
@@ -324,11 +326,14 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
         raise ValueError("window length must be positive")
     if starts is None:
         starts = sample_grid(coupling, num=128)
-        if coupling.is_piecewise_constant and coupling.period is not None:
+        if coupling.is_piecewise_constant:
             # a window integral is linear in its start between the starts where
             # either end meets a breakpoint, so its extremes lie on those
-            kinks = np.mod(coupling.breakpoints() - window, coupling.period)
-            starts = np.unique(np.concatenate([starts, kinks[kinks < coupling.period]]))
+            kinks = coupling.breakpoints() - window
+            if coupling.period is not None:
+                kinks = np.mod(kinks, coupling.period)
+                kinks = kinks[kinks < coupling.period]
+            starts = np.unique(np.concatenate([starts, np.maximum(kinks, 0.0)]))
     starts = _nonempty_starts(starts)
     if coupling.is_piecewise_constant:
         steps = _xi_steps(coupling, r)
@@ -452,8 +457,10 @@ def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: in
                        alpha_hat: float = 1e-6) -> CertificateReport:
     """Exponential-rate variant: every alpha_k must exceed alpha_hat."""
     base = thm3_series_check(coupling, r, h, num_windows, alpha_hat)
-    verdict = (INCONCLUSIVE if base.verdict == INCONCLUSIVE
-               else PASS if base.witnesses["cor2_uniform_pass"] else FAIL)
+    if base.verdict == INCONCLUSIVE:
+        return CertificateReport("cor2-lambda2-uniform", INCONCLUSIVE,
+                                 witnesses=base.witnesses, parameters=base.parameters)
+    verdict = PASS if base.witnesses["cor2_uniform_pass"] else FAIL
     return CertificateReport("cor2-lambda2-uniform", verdict,
                              witnesses=base.witnesses, parameters=base.parameters)
 

@@ -35,7 +35,7 @@ from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
 from tvkuramoto.graph import check_coupling, laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
-from tvkuramoto.signals import signal_from_json
+from tvkuramoto.signals import common_period, signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -117,7 +117,7 @@ def _keywords(cfg: dict, fn, *fields: str, **renamed: str) -> dict:
             for kw, field in dict(zip(fields, fields), **renamed).items()}
 
 
-def _signals(cfg: dict):
+def _signals(cfg: dict, joint: bool = False):
     sigs = _get(cfg, "signals", dict)
     loaded = []
     for key in ("omega", "coupling"):
@@ -131,6 +131,11 @@ def _signals(cfg: dict):
         check_coupling(loaded[1])
     except ValueError as exc:
         raise ConfigError("signals.coupling", str(exc)) from exc
+    try:
+        if joint:  # read at the same times, the signals need a common period
+            common_period(loaded)
+    except ValueError as exc:
+        raise ConfigError("signals", str(exc)) from exc
     return tuple(loaded)
 
 
@@ -225,7 +230,7 @@ def _cmd_certify(args) -> int:
     if criterion not in certificates.CRITERIA:
         raise ConfigError("criterion", f"unknown {criterion!r}; "
                           f"known: {', '.join(certificates.CRITERIA)}")
-    omega, coupling = _signals(cfg)
+    omega, coupling = _signals(cfg, joint=criterion == "invariance-pointwise")
     params = _get(cfg, "parameters", dict)
     chash = _config_hash(cfg)
     outdir = Path(args.out)
@@ -246,7 +251,7 @@ def _cmd_certify(args) -> int:
 def _cmd_experiment_ap(args) -> int:
     started = time.monotonic()
     cfg = _apply_overrides(_load_config(args.config), args)
-    omega, coupling = _signals(cfg)
+    omega, coupling = _signals(cfg, joint=True)
     r = _get_r(cfg)
     result = scenarios.ap_experiment(omega, coupling, r, **_keywords(
         cfg, scenarios.ap_experiment, "num_runs", "ic_low", "ic_high", "seed", "t_end", "dt",

@@ -387,20 +387,23 @@ def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
 
 
 def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000) -> np.ndarray:
-    """Evaluation grid covering [0, s + P) plus every breakpoint, s included.
+    """Evaluation grid: num even points on each of [0, s) and [s, s + P), and every switch.
 
     s is the last switch of any aperiodic table (its last value holds from
     there on) and P the common period, 0 when no signal is periodic; past s
     the signals together repeat every P, so [0, s + P) sees every value they
     take. Extrema taken on this grid are exact for piecewise-constant signals
-    and a documented approximation otherwise.
+    and a documented approximation otherwise: a smooth periodic signal gets
+    num points per period past s, but only num over all of [0, s).
     """
     if isinstance(signals, TimeSignal):
         signals = [signals]
     settle = max([float(s.times[-1]) for s in signals
                   if isinstance(s, TableSignal) and s.period is None], default=0.0)
     span = settle + (common_period(signals) or 0.0)
-    pts = [np.linspace(0.0, span, max(int(num), 2), endpoint=False), [settle]]
+    num = max(int(num), 2)
+    pts = [np.linspace(0.0, settle, num, endpoint=False),
+           np.linspace(settle, span, num, endpoint=False)]  # starts at s
     for s in signals:
         bp = s.breakpoints_in(0.0, span)
         # half-open evaluation window: drop the end point itself

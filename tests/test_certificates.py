@@ -175,6 +175,31 @@ def test_invariance_grid_covers_the_common_period():
     assert rep.verdict == "fail" and 5.0 <= rep.witnesses["worst_time"] < 6.0
 
 
+def test_invariance_robust_takes_each_signal_over_its_own_period():
+    # periods 2 pi and 4 have no common multiple; each supremum needs only its own
+    j = np.ones((3, 3)) - np.eye(3)
+    omega = SinusoidSignal([0.0, 0.1, 0.2], [0.0, 0.0, 0.1], 0.0)
+    coupling = SwitchingSignal([2.0, 2.0], [5.0 * j, 0.1 * j])
+    rep = invariance_robust(omega, coupling, 1.0)
+    assert rep.verdict == "pass"
+    assert rep.witnesses["delta_omega"] == pytest.approx(0.3, rel=1e-12)
+    assert (rep.witnesses["mu0"], rep.witnesses["mu1"], rep.witnesses["mu2"]) == (5.0, 0.0, 10.0)
+    with pytest.raises(ValueError, match="no common multiple"):
+        invariance_pointwise(omega, coupling, 1.0)
+
+
+def test_thm2_default_starts_hold_the_kinks_of_an_aperiodic_table():
+    # on two nodes at r = 0, xi = -2 a_12: -6 on [0, 1), 5 on [1, 1.5), -15 from 1.5;
+    # the worst unit window starts at 1.5 - T = 0.5, between two of the 128 even
+    # starts, whose best reads -0.535 and would pass eta = 0.52
+    j = np.ones((2, 2)) - np.eye(2)
+    coupling = TableSignal([0.0, 1.0, 1.5], [3.0 * j, -2.5 * j, 7.5 * j])
+    rep = thm2_window_check(coupling, 0.0, 1.0, 0.52)
+    assert rep.verdict == "fail"
+    assert rep.witnesses["worst_start"] == 0.5
+    assert rep.witnesses["worst_window_average"] == pytest.approx(-0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("check", [
     lambda co: thm1_spanning_tree_check(co, [0.0, 2.0], 0.1),
     lambda co: cor1_sliding_window_check(co, 1.0, 0.1),

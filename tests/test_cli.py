@@ -257,6 +257,34 @@ def test_coupling_diagonal_exits_2(tmp_path, capsys, coupling):
     assert "signals.coupling" in capsys.readouterr().err
 
 
+def _incommensurate_config(criterion):
+    # omega has period 2 pi and the coupling period 4: no common multiple
+    j = np.ones((3, 3)) - np.eye(3)
+    return {
+        "criterion": criterion,
+        "signals": {
+            "omega": {"kind": "sinusoid", "base": [0.0, 0.1, 0.2],
+                      "amplitude": [0.0, 0.0, 0.1], "phase": 0.0},
+            "coupling": {"kind": "switching", "pieces": [
+                {"duration": 2.0, "value": (5.0 * j).tolist()},
+                {"duration": 2.0, "value": (0.1 * j).tolist()}]},
+        },
+        "parameters": {"r": 1.0, "num_runs": 2, "t_end": 4.0, "divergence_from": 2.0},
+    }
+
+
+@pytest.mark.parametrize("argv, criterion, code", [
+    (["certify"], "invariance-robust", 0),
+    (["certify"], "invariance-pointwise", 2),
+    (["experiment", "ap"], None, 2),
+], ids=["robust", "pointwise", "ap"])
+def test_incommensurate_periods_fail_only_where_signals_are_read_together(
+        tmp_path, capsys, argv, criterion, code):
+    cfg_path = write_config(tmp_path, _incommensurate_config(criterion))
+    assert main(argv + ["--config", cfg_path, "--out", str(tmp_path / "o")]) == code
+    assert ("config field 'signals':" in capsys.readouterr().err) == (code == 2)
+
+
 def test_certify_thm1_with_zero_bins_exits_2(tmp_path, capsys):
     # zero bins checked no window and passed, even on an all-zero coupling
     cfg = {"criterion": "thm1-spanning-tree",

@@ -185,6 +185,16 @@ def test_sample_grid_includes_breakpoints():
     assert grid.min() >= 0.0 and grid.max() < sig.period
 
 
+def test_sample_grid_keeps_its_density_past_a_late_switch():
+    # s = 1000 s is some 159 sinusoid periods: [0, s) and [s, s + 2 pi) get num points each
+    grid = sample_grid([SinusoidSignal(0.0, 1.0, 0.0), TableSignal([0.0, 1000.0], [0.0, 1.0])],
+                       num=100)
+    tail = grid[grid >= 1000.0]
+    assert grid.size == 200 and tail.size == 100
+    assert tail[0] == 1000.0 and tail[-1] < 1000.0 + 2 * math.pi
+    assert np.allclose(np.diff(tail), 2 * math.pi / 100)
+
+
 @pytest.mark.parametrize("make", [
     lambda bad: ConstantSignal([[0.0, bad], [1.0, 0.0]]),
     lambda bad: SwitchingSignal([1.0, 1.0], [[1.0, 2.0], [bad, 2.0]]),
