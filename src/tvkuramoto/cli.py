@@ -35,7 +35,7 @@ from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
 from tvkuramoto.graph import check_coupling, laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
-from tvkuramoto.signals import common_period, signal_from_json
+from tvkuramoto.signals import PeriodError, common_period, signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -139,36 +139,47 @@ def _signals(cfg: dict, joint: bool = False):
     return tuple(loaded)
 
 
+def _run_scenario(fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ValueError a config error of signals or parameters."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError("signals" if isinstance(exc, PeriodError) else "parameters",
+                          str(exc)) from exc
+
+
 # values per % operation; one % over the whole array is no faster and holds
 # some 70 bytes of Python floats and text per value at once
 _CSV_BLOCK_VALUES = 4096
 
 
-def _write_csv(path: Path, header_cols, rows, config_hash: str, units: str):
-    rows = np.asarray(rows)
-    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-    step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])
+def _write_csv(path: Path, header_cols, rows, config_hash: str, units: str, form=None):
+    """One %.12g line per row, written in blocks; form, if given, maps a block of
+    rows to the lines' values, so a derived array never exists whole."""
+    line = ",".join(["%.12g"] * len(header_cols)) + "\n"
+    step = max(1, _CSV_BLOCK_VALUES // len(header_cols))
     with path.open("w", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash} units: {units}\n")
         fh.write(",".join(header_cols) + "\n")
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
+            if form is not None:
+                block = form(block)
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
-
-
-def _write_trajectory_csv(path, traj, config_hash):
-    cols = ["t"] + [f"theta_{i + 1}" for i in range(traj.m)]
-    rows = np.column_stack([traj.times, traj.phases])
-    _write_csv(path, cols, rows, config_hash, "t=s theta=rad")
 
 
 def _pd_header(m):
     return ["t"] + [f"pd_{i + 1}_{j + 1}" for i, j in pd_pairs(m)]
 
 
-def _write_pd_csv(path, times, pd_array, m, config_hash):
-    rows = np.column_stack([times, pd_array])
-    _write_csv(path, _pd_header(m), rows, config_hash, "t=s pd=rad")
+def _write_run_csvs(outdir: Path, traj, config_hash, tag=""):
+    """trajectory<tag>.csv and pd<tag>.csv of one run, both from its (t, theta) rows."""
+    rows = np.column_stack([traj.times, traj.phases])
+    _write_csv(outdir / f"trajectory{tag}.csv", ["t"] + [f"theta_{i + 1}" for i in range(traj.m)],
+               rows, config_hash, "t=s theta=rad")
+    ii, jj = dynamics.pd_index(traj.m)
+    _write_csv(outdir / f"pd{tag}.csv", _pd_header(traj.m), rows, config_hash, "t=s pd=rad",
+               form=lambda b: np.column_stack([b[:, 0], b[:, 1 + ii] - b[:, 1 + jj]]))
 
 
 def _write_two_column(path, times, values, name, config_hash):
@@ -213,8 +224,7 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     traj = dynamics.simulate(theta0, omega, coupling, t_end, dt)
-    _write_trajectory_csv(outdir / "trajectory.csv", traj, chash)
-    _write_pd_csv(outdir / "pd.csv", traj.times, traj.phase_differences(), traj.m, chash)
+    _write_run_csvs(outdir, traj, chash)
     results = {"steps": len(traj.times) - 1, "final_phases": traj.final().tolist()}
     if r is not None:
         exit_time = dynamics.invariance_monitor(traj, r)
@@ -253,7 +263,7 @@ def _cmd_experiment_ap(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     omega, coupling = _signals(cfg, joint=True)
     r = _get_r(cfg)
-    result = scenarios.ap_experiment(omega, coupling, r, **_keywords(
+    result = _run_scenario(scenarios.ap_experiment, omega, coupling, r, **_keywords(
         cfg, scenarios.ap_experiment, "num_runs", "ic_low", "ic_high", "seed", "t_end", "dt",
         "divergence_from", "eta", "orbit_tol", "orbit_max_iter"))
     chash = _config_hash(cfg)
@@ -261,15 +271,14 @@ def _cmd_experiment_ap(args) -> int:
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
     m = result.runs[0].m
     for k, traj in enumerate(result.runs):
-        _write_trajectory_csv(outdir / f"trajectory_run{k}.csv", traj, chash)
-        _write_pd_csv(outdir / f"pd_run{k}.csv", traj.times, traj.phase_differences(),
-                      m, chash)
+        _write_run_csvs(outdir, traj, chash, f"_run{k}")
         adjacent = traj.phases[:, :-1] - traj.phases[:, 1:]
         for i in range(m - 1):
             _write_two_column(outdir / "plotdata" / f"run{k}_pd_{i + 1}_{i + 2}.csv",
                               traj.times, adjacent[:, i], f"pd_{i + 1}_{i + 2}", chash)
-    _write_pd_csv(outdir / "orbit.csv", result.orbit.times, result.orbit.pd_samples,
-                  m, chash)
+    _write_csv(outdir / "orbit.csv", _pd_header(m),
+               np.column_stack([result.orbit.times, result.orbit.pd_samples]), chash,
+               "t=s pd=rad")
     results = {
         "invariant": [e is None for e in result.exit_times],
         "max_pairwise_divergence_after_t": {
@@ -287,15 +296,14 @@ def _cmd_experiment_perturb(args) -> int:
     started = time.monotonic()
     cfg = _apply_overrides(_load_config(args.config), args)
     r = _get_r(cfg)
-    result = scenarios.perturbation_experiment(r=r, **_keywords(
+    result = _run_scenario(scenarios.perturbation_experiment, r=r, **_keywords(
         cfg, scenarios.perturbation_experiment, "m", "p", "seed", "epsilon", "omega_low",
         "omega_high", "t_end", "dt"))
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
     full = result.full_run
-    _write_trajectory_csv(outdir / "trajectory.csv", full, chash)
-    _write_pd_csv(outdir / "pd.csv", full.times, full.phase_differences(), full.m, chash)
+    _write_run_csvs(outdir, full, chash)
     approx = result.expansion.approx_phases()
     _write_two_column(outdir / "plotdata" / "theta_1.csv", full.times,
                       full.phases[:, 0], "theta_1", chash)
@@ -333,9 +341,10 @@ def _cmd_experiment_fast(args) -> int:
     omega, coupling = _signals(cfg)
     r = _get_r(cfg)
     freqs = _get(cfg, "parameters.frequencies", list)
-    report = scenarios.fast_switching_sweep(
-        omega, coupling, [float(f) for f in freqs], r, **_keywords(
-            cfg, scenarios.fast_switching_sweep, "t_end", "tail_fraction", dt_target="dt"))
+    report = _run_scenario(scenarios.fast_switching_sweep, omega, coupling,
+                           [float(f) for f in freqs], r, **_keywords(
+                               cfg, scenarios.fast_switching_sweep, "t_end", "tail_fraction",
+                               dt_target="dt"))
     chash = _config_hash(cfg)
     outdir = Path(args.out)
     (outdir / "plotdata").mkdir(parents=True, exist_ok=True)

@@ -28,12 +28,16 @@ def pd_pairs(m: int) -> tuple:
     return tuple((i, j) for i in range(1, m) for j in range(i))
 
 
+@lru_cache(maxsize=None)
+def pd_index(m: int) -> tuple:
+    """Index arrays (ii, jj) of pd_pairs(m): the PDs are theta[..., ii] - theta[..., jj]."""
+    return tuple(np.array(pd_pairs(m), dtype=int).reshape(-1, 2).T)
+
+
 def phase_differences(theta: np.ndarray) -> np.ndarray:
     """The m(m-1)/2 independent differences theta_i - theta_j, i > j."""
     theta = np.asarray(theta, dtype=float)
-    pairs = pd_pairs(theta.shape[-1])
-    ii = np.array([p[0] for p in pairs], dtype=int)
-    jj = np.array([p[1] for p in pairs], dtype=int)
+    ii, jj = pd_index(theta.shape[-1])
     return theta[..., ii] - theta[..., jj]
 
 

@@ -1,9 +1,9 @@
 """Experiment drivers: periodic switching, small perturbations, fast switching.
 
-All three build on the static phase-locked equilibrium finder, which locates a
-rotating solution theta_i(t) = Omega*t + rep_i with constant phase differences:
-it integrates until the PD derivatives stay small over a trailing window, then
-solves for the lock exactly by Newton's method.
+The perturbation and fast-switching experiments start at the static phase
+lock theta_i(t) = Omega*t + rep_i, which Newton's method finds from the given
+start when it is linearly stable; failing that, the static system is integrated
+and Newton tried again from its state once a second.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvkuramoto import certificates, dynamics, graph, linalg
-from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TimeSignal, check_alignment,
-                                common_period)
+from tvkuramoto.signals import (ConstantSignal, PeriodError, SinusoidSignal, TimeSignal,
+                                check_alignment, common_period)
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class PhaseLockedState:
     rep_phases: np.ndarray        # representative phases with rep_phases[0] = 0
     omega_bar: np.ndarray         # static frequencies the lock belongs to
     coupling_bar: np.ndarray      # static couplings the lock belongs to
-    lock_time: float              # hand-over time: start of the relaxation's first quiet window
+    lock_time: float              # hand-over time: 0 when Newton locks from theta0
     residual: float               # max_i |rhs_i - collective_rate| at the lock
-    newton_iterations: int        # Newton steps taken after the hand-over
+    newton_iterations: int        # Newton steps from the hand-over state
     verified: bool                # a static stability certificate passed
     certificate: str              # which certificate verified it ("" if none)
 
@@ -38,8 +38,8 @@ class NoLockError(RuntimeError):
     """The static system failed to phase-lock within the search horizon."""
 
 
-_HANDOVER_SPREAD = 1e-3  # derivative spread the relaxation holds for a window before Newton
-_HANDOVER_WINDOW = 1.0   # length of that window (s)
+_HANDOVER_SPREAD = 1e-8  # velocity spread at which a linearly stable Newton lock is handed over
+_HANDOVER_WINDOW = 1.0   # relaxation time between Newton attempts (s)
 _NEWTON_MAX_ITER = 50
 
 
@@ -67,40 +67,13 @@ def _jacobian(a: np.ndarray, theta: np.ndarray):
     return y, np.sin(diff)
 
 
-def _relax(w, a, r: float, theta0, dt: float, t_max: float):
-    """RK4 relaxation of the static system until Newton can take over.
-
-    Stops once the phase-velocity spread has stayed below _HANDOVER_SPREAD for
-    _HANDOVER_WINDOW; returns the start of that window (the hand-over time) and
-    the state at its end. Raises NoLockError if the phases leave the
-    half-width-r hypercube or no such window ends before t_max.
-    """
-    need = max(int(round(_HANDOVER_WINDOW / dt)), 1)
-    quiet = 0
-
-    def settled(t, x, dx):
-        nonlocal quiet
-        if x.max() - x.min() > r:
-            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
-        quiet = quiet + 1 if float(dx.max() - dx.min()) < _HANDOVER_SPREAD else 0
-        return quiet >= need
-
-    nsteps = int(round(t_max / dt))
-    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt, nsteps, stop=settled)
-    if k == nsteps:
-        rate = dynamics._rhs(th, w, a)
-        raise NoLockError(
-            f"no phase lock within {t_max} s (derivative spread "
-            f"{float(rate.max() - rate.min()):.3g} at the horizon)")
-    return (k + 1 - need) * dt, th
-
-
 def _newton_lock(w, a, theta, deriv_tol: float):
     """Newton's method on rhs(theta) = Omega for (theta_1..theta_{m-1}, Omega), theta_0 fixed.
 
     The Jacobian is the bordered matrix [[Y, -1], [e_0^T, 0]]. Steps continue
     until the phase-velocity spread falls below deriv_tol, plus one step that
-    takes it to rounding level. Returns (phases, velocities, steps taken).
+    takes it to rounding level; a singular system ends them early. Returns
+    (phases, velocities, steps taken).
     """
     m = theta.size
     bordered = np.zeros((m + 1, m + 1))
@@ -115,8 +88,8 @@ def _newton_lock(w, a, theta, deriv_tol: float):
         bordered[:m, :m] = _jacobian(a, th)[0]
         try:
             step = np.linalg.solve(bordered, np.append(omega - rate, 0.0))
-        except np.linalg.LinAlgError as exc:
-            raise NoLockError(f"singular Newton system at the lock: {exc}") from exc
+        except np.linalg.LinAlgError:
+            break
         th += step[:m]
         omega += float(step[m])
         rate = dynamics._rhs(th, w, a)
@@ -124,19 +97,62 @@ def _newton_lock(w, a, theta, deriv_tol: float):
     return th, rate, steps
 
 
+def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
+    """RK4 relaxation of the static system, tried by Newton at t = 0, before any
+    step, and at every whole _HANDOVER_WINDOW.
+
+    An attempt takes over when it reaches a velocity spread below
+    _HANDOVER_SPREAD at a linearly stable lock. Returns the hand-over time, the
+    RK4 state there and Newton's (phases, velocities, steps). Raises
+    NoLockError if the phases leave the half-width-r hypercube first or no
+    attempt before t_max takes over.
+    """
+    every = max(int(round(_HANDOVER_WINDOW / dt)), 1)
+    basis = linalg._ones_complement_basis(theta0.size)
+    lock = None
+
+    def handed_over(t, x, dx):
+        nonlocal lock
+        if round(t / dt) % every == 0:
+            th, rate, steps = _newton_lock(w, a, x, min(deriv_tol, _HANDOVER_SPREAD))
+            if rate.max() - rate.min() < _HANDOVER_SPREAD:
+                # Y 1 = 0, so Y on the ones-complement has every eigenvalue but the zero mode
+                modes = np.linalg.eigvals(basis.T @ _jacobian(a, th)[0] @ basis)
+                if modes.real.max() < 0:
+                    lock = th, rate, steps
+                    return True
+        if x.max() - x.min() > r:
+            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
+        return False
+
+    nsteps = int(round(t_max / dt))
+    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt, nsteps,
+                          stop=handed_over)
+    if lock is None:
+        rate = dynamics._rhs(th, w, a)
+        raise NoLockError(
+            f"no phase lock within {t_max} s (derivative spread "
+            f"{float(rate.max() - rate.min()):.3g} at the horizon)")
+    return k * dt, th, lock
+
+
 def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
                              dt: float = 1e-3, t_max: float = 500.0,
                              deriv_tol: float = 1e-10) -> PhaseLockedState:
-    """Find the static system's phase lock: RK4 relaxation, then Newton.
+    """Find the static system's phase lock: Newton first, RK4 relaxation if it must.
 
-    The relaxation runs until the spread of the phase velocities (equal to
-    the largest |d theta_ij / dt|) has stayed below 1e-3 for 1 s; lock_time
-    is the start of that second. Newton's method then solves
-    omega_i + sum_j a_ij sin(theta_j - theta_i) = Omega exactly, with theta_0
-    held, until the velocity spread is below deriv_tol. Raises NoLockError
-    when the relaxation finds no such window by t_max, when the phases leave
-    the half-width-r hypercube during the relaxation or at the Newton lock, or
-    when Newton does not reach deriv_tol.
+    Newton's method solves omega_i + sum_j a_ij sin(theta_j - theta_i) = Omega,
+    theta_0 held, from theta0 until the velocity spread is below deriv_tol
+    (1e-8 at most). A linearly stable lock with a spread below 1e-8 is taken
+    at lock_time 0; otherwise RK4 relaxes from theta0 and Newton is tried from
+    its state at each whole second. A symmetric nonnegative connected
+    coupling has one lock with every |theta_ij| < pi/2, and it is
+    exponentially stable (Dorfler & Bullo, Automatica 50, 2014), so Newton
+    lands on the lock the relaxation reaches; a signed or directed coupling
+    may give a stable lock where the relaxation would leave the region.
+    Raises NoLockError when the relaxation leaves the half-width-r hypercube
+    or finds no lock by t_max, when the lock leaves the hypercube, or when
+    Newton does not reach deriv_tol.
     """
     w = np.asarray(omega_bar, dtype=float)
     a = np.asarray(a_bar, dtype=float)
@@ -145,8 +161,7 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     if w.shape != (m,) or a.shape != (m, m):
         raise ValueError("omega_bar / a_bar dimensions do not match theta0")
 
-    lock_time, th = _relax(w, a, r, th, dt, t_max)
-    th, rate, steps = _newton_lock(w, a, th, deriv_tol)
+    lock_time, _, (th, rate, steps) = _relax(w, a, r, th, dt, t_max, deriv_tol)
     spread = float(rate.max() - rate.min())
     if not spread < deriv_tol:
         raise NoLockError(f"Newton reached a derivative spread of {spread:.3g} after {steps} "
@@ -391,7 +406,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     connectivity or a non-locking averaged system does abort.
     """
     if coupling_base.period is None or omega_base.period is None:
-        raise ValueError("fast switching needs periodic base signals")
+        raise PeriodError("fast switching needs periodic base signals")
     freqs = np.asarray(sorted(frequencies), dtype=float)
     if freqs.size == 0 or freqs[0] <= 0:
         raise ValueError("switching frequencies must be positive")
@@ -492,7 +507,7 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
     period = common_period([omega, coupling])
     if period is None or any(sig.period is None and sig.kind != "constant"
                              for sig in (omega, coupling)):
-        raise ValueError("the signals must be periodic or constant, and not both constant")
+        raise PeriodError("the signals must be periodic or constant, and not both constant")
     m = coupling.shape[0]
 
     cert = certificates.thm2_window_check(coupling, r, period, eta)

@@ -17,6 +17,10 @@ from typing import Sequence
 import numpy as np
 
 
+class PeriodError(ValueError):
+    """The signals lack the period a computation needs."""
+
+
 def _as_value(v):
     """Normalize a scalar / nested list to float or ndarray; reject NaN and inf."""
     arr = np.asarray(v, dtype=float)
@@ -372,7 +376,7 @@ _PERIOD_MULTIPLES = 64  # largest multiple of the longest period common_period t
 
 def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
     """Smallest whole multiple of the longest period that every period divides within
-    1e-9; None when no signal is periodic, ValueError when no multiple up to
+    1e-9; None when no signal is periodic, PeriodError when no multiple up to
     _PERIOD_MULTIPLES works."""
     periods = [s.period for s in signals if s.period is not None]
     if not periods:
@@ -382,8 +386,8 @@ def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
         span = k * longest
         if all(abs(span / p - round(span / p)) < 1e-9 for p in periods):
             return span
-    raise ValueError(f"periods {periods} have no common multiple within "
-                     f"{_PERIOD_MULTIPLES} times the longest")
+    raise PeriodError(f"periods {periods} have no common multiple within "
+                      f"{_PERIOD_MULTIPLES} times the longest")
 
 
 def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000) -> np.ndarray:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tvkuramoto.cli import _write_csv, bundled_config_path, main, verify_reference_values
+from tvkuramoto.cli import (_pd_header, _write_csv, _write_run_csvs, bundled_config_path, main,
+                            verify_reference_values)
+from tvkuramoto.dynamics import PhaseTrajectory
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -321,6 +323,34 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def _aperiodic_config():
+    # a constant omega and a table coupling that switches once, at t = 5
+    ones = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    return {"signals": {"omega": {"kind": "constant", "value": [1.0, 1.1, 0.9]},
+                        "coupling": {"kind": "table", "times": [0.0, 5.0],
+                                     "values": [ones, (2 * np.array(ones)).tolist()]}},
+            "parameters": {"r": 1.0, "frequencies": [1.0]}}
+
+
+def _bundled(name, **parameters):
+    cfg = json.loads(bundled_config_path(name).read_text())
+    cfg["parameters"].update(parameters)
+    return cfg
+
+
+@pytest.mark.parametrize("scenario, cfg, field, message", [
+    ("ap", _aperiodic_config(), "signals", "periodic or constant"),
+    ("fast", _aperiodic_config(), "signals", "needs periodic base signals"),
+    ("fast", _bundled("fast", frequencies=[-1.0]), "parameters", "must be positive"),
+    ("perturb", _bundled("perturb", p=1.5), "parameters", "linking probability"),
+], ids=["ap-aperiodic", "fast-aperiodic", "fast-frequency", "perturb-p"])
+def test_experiment_input_errors_exit_2(tmp_path, capsys, scenario, cfg, field, message):
+    assert main(["experiment", scenario, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config field '{field}':" in err and message in err
+
+
 def test_lock_numerics_land_in_the_summary(tmp_path):
     perturb = {
         "scenario": "perturb",
@@ -405,3 +435,12 @@ def test_csv_rows_match_savetxt_bytes(tmp_path):
         fh.write("# config_hash=h units: u\na,b,c,d\n")
         np.savetxt(fh, rows, fmt="%.12g", delimiter=",", newline="\n")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_pd_csv_formed_block_by_block_matches_the_whole_pd_array(tmp_path):
+    rng = np.random.default_rng(1)
+    traj = PhaseTrajectory(np.arange(3001) * 1e-3, np.cumsum(rng.standard_normal((3001, 7)), 0))
+    _write_run_csvs(tmp_path, traj, "h", "_run0")
+    _write_csv(tmp_path / "whole.csv", _pd_header(7),
+               np.column_stack([traj.times, traj.phase_differences()]), "h", "t=s pd=rad")
+    assert (tmp_path / "pd_run0.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

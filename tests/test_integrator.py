@@ -1,6 +1,7 @@
 """The batched RK4 integrator against the per-run reference loops in rk4_oracle,
 and the exact lock, correction and transition paths against independent oracles."""
 
+import json
 import math
 import re
 
@@ -13,10 +14,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import rk4_oracle
+from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.dynamics import simulate
 from tvkuramoto.linalg import state_transition
-from tvkuramoto.scenarios import _relax, linear_correction, phase_locked_equilibrium
-from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal
+from tvkuramoto.scenarios import (_jacobian, _newton_lock, _relax, er_random_network,
+                                  linear_correction, phase_locked_equilibrium)
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal,
+                                signal_from_json)
 
 KINDS = ("constant", "switching", "table", "sinusoid", "mixed")
 T_END, DT = 1.0, 5e-3
@@ -89,10 +93,17 @@ def test_blow_up_in_one_row_names_the_time():
     assert simulate(starts[[0, 2]], omega, coupling, 1.0, 1e-2).phases.shape == (2, 101, 2)
 
 
+def assert_relaxed_lock(lock, w, a, r, theta0):
+    """The lock is the reference loop's own lock at a spread of 1e-10, polished."""
+    _, th, k1 = rk4_oracle.lock_search(w, a, r, theta0)
+    assert np.abs(lock.rep_phases - (th - th[0])).max() <= 1e-9
+    assert abs(lock.collective_rate - float(k1.mean())) <= 1e-9
+
+
 @pytest.mark.parametrize("m, seed", [(2, 0), (5, 1), (8, 2)])
 def test_lock_search_matches_the_reference_loop(m, seed):
-    # the relaxation is the reference loop stopped at a spread of 1e-3; the
-    # Newton lock it hands over to is the loop's own lock at 1e-10, polished
+    # a symmetric positive coupling locks by Newton from theta0 before any
+    # RK4 step, on the lock the reference loop relaxes to
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, (m, m))
     a = np.triu(a, 1)
@@ -101,16 +112,75 @@ def test_lock_search_matches_the_reference_loop(m, seed):
     theta0 = rng.uniform(-0.2, 0.2, m)
     r = math.pi / 3
     lock = phase_locked_equilibrium(w, a, r, theta0)
-    handover, state = _relax(w, a, r, theta0, 1e-3, 500.0)
-    ref_time, ref_state, _ = rk4_oracle.lock_search(w, a, r, theta0, deriv_tol=1e-3)
-    assert abs(lock.lock_time - ref_time) <= 1e-12 and abs(handover - ref_time) <= 1e-12
-    assert np.abs(state - ref_state).max() <= 1e-12
-    _, th, k1 = rk4_oracle.lock_search(w, a, r, theta0)
-    assert np.abs(lock.rep_phases - (th - th[0])).max() <= 1e-9
-    assert abs(lock.collective_rate - float(k1.mean())) <= 1e-9
+    handover, state, _ = _relax(w, a, r, theta0, 1e-3, 500.0, 1e-10)
+    assert lock.lock_time == 0.0 and handover == 0.0 and np.array_equal(state, theta0)
+    assert_relaxed_lock(lock, w, a, r, theta0)
     rate = rk4_oracle.kuramoto_rhs(lock.rep_phases, w, a)
     assert rate.max() - rate.min() <= 1e-13
     assert lock.residual <= 1e-13 and 1 <= lock.newton_iterations <= 5
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_newton_first_lock_on_the_perturb_graphs(seed):
+    # the m = 20 graph and static frequencies perturbation_experiment draws
+    mask = er_random_network(20, 0.2, seed)
+    w = np.random.default_rng([seed, 90001]).uniform(0.9, 1.1, 20)
+    lock = phase_locked_equilibrium(w, mask, math.pi / 3, np.zeros(20))
+    assert lock.lock_time == 0.0 and 1 <= lock.newton_iterations <= 5
+    assert_relaxed_lock(lock, w, mask, math.pi / 3, np.zeros(20))
+
+
+def test_newton_first_lock_of_the_averaged_fast_schedule():
+    cfg = json.loads(bundled_config_path("fast").read_text())
+    omega, coupling = (signal_from_json(cfg["signals"][k]) for k in ("omega", "coupling"))
+    w = np.asarray(omega.window_average(0.0, omega.period))
+    a = np.asarray(coupling.window_average(0.0, coupling.period))
+    lock = phase_locked_equilibrium(w, a, math.pi / 3, np.zeros(5))
+    assert lock.lock_time == 0.0 and 1 <= lock.newton_iterations <= 5
+    assert_relaxed_lock(lock, w, a, math.pi / 3, np.zeros(5))
+
+
+def signed_network(m, seed):
+    """Seeded directed signed coupling, frequencies and start of a lock test."""
+    rng = np.random.default_rng([m, seed])
+    a = rng.uniform(-1.0, 1.5, (m, m))
+    np.fill_diagonal(a, 0.0)
+    return rng.uniform(-0.6, 0.6, m), a, rng.uniform(-0.5, 0.5, m)
+
+
+def test_lock_relaxes_where_newton_from_theta0_finds_an_unstable_lock():
+    # Newton from theta0 lands on a lock with a growing mode, so RK4 relaxes
+    # and Newton takes over from its state after one second
+    w, a, theta0 = signed_network(6, 34)
+    r = math.pi / 3
+    unstable, rate, _ = _newton_lock(w, a, theta0, 1e-10)
+    assert rate.max() - rate.min() < 1e-10
+    assert np.linalg.eigvals(_jacobian(a, unstable)[0]).real.max() > 0.1
+    handover, state, _ = _relax(w, a, r, theta0, 1e-3, 500.0, 1e-10)
+    assert handover == 1.0
+    ref = rk4_oracle.simulate(theta0, ConstantSignal(w), ConstantSignal(a), handover, 1e-3)
+    assert np.abs(state - ref[-1]).max() <= 1e-12
+    lock = phase_locked_equilibrium(w, a, r, theta0)
+    assert lock.lock_time == handover and lock.residual <= 1e-13
+    assert_relaxed_lock(lock, w, a, r, theta0)
+
+
+def test_newton_first_returns_a_stable_lock_where_the_relaxation_leaves_the_region():
+    # the RK4 relaxation from theta0 leaves the region at t = 2.223 s; Newton
+    # from theta0 finds a stable lock inside it, which the lock finder returns
+    w, a, theta0 = signed_network(6, 29)
+    r = math.pi / 3
+    with pytest.raises(RuntimeError, match="left the PD region at t = 2.223 s"):
+        rk4_oracle.lock_search(w, a, r, theta0)
+    lock = phase_locked_equilibrium(w, a, r, theta0)
+    th = lock.rep_phases
+    assert lock.lock_time == 0.0 and th.max() - th.min() <= r
+    rate = rk4_oracle.kuramoto_rhs(th, w, a)
+    assert rate.max() - rate.min() < 1e-10
+    modes = np.sort(np.linalg.eigvals(_jacobian(a, th)[0]).real)
+    assert abs(modes[-1]) <= 1e-12 and modes[-2] < -0.1
+    phases = simulate(th, ConstantSignal(w), ConstantSignal(a), 20.0, 1e-3).phases
+    assert np.abs(phases - phases[:, :1] - th).max() <= 1e-10
 
 
 def _lock(m, seed):

@@ -79,9 +79,21 @@ def test_lock_averaged_fast_schedule():
 
 
 def test_lock_timeout():
-    with pytest.raises(NoLockError):
-        phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, math.pi / 3,
-                                 np.zeros(2), t_max=1.0)
+    # |omega_1 - omega_2| = 0.2 exceeds a_12 + a_21 = 0.1, so no lock exists;
+    # the phase spread grows only to 0.52 < r by t_max while Newton tries at
+    # t = 0, 1 and 2 s
+    weak = 0.05 * TWO_NODE
+    with pytest.raises(NoLockError, match="no phase lock within 3.0 s"):
+        phase_locked_equilibrium(np.array([1.2, 1.0]), weak, math.pi / 3, np.zeros(2),
+                                 t_max=3.0)
+
+
+def test_lock_within_a_short_horizon_comes_at_time_zero():
+    # Newton from theta0 needs no relaxation time, so a one-second horizon suffices
+    lock = phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, math.pi / 3,
+                                    np.zeros(2), t_max=1.0)
+    assert lock.lock_time == 0.0
+    assert lock.pd[0] == pytest.approx(-math.asin(0.1), abs=1e-12)
 
 
 def test_lock_region_exit():
@@ -90,8 +102,7 @@ def test_lock_region_exit():
 
 
 def test_lock_rejects_a_newton_lock_outside_the_region():
-    # the relaxation hands over at a phase spread of 0.10010, inside r; Newton
-    # then reaches the lock asin(0.1) = 0.10017, outside it
+    # Newton from theta0 reaches the stable lock asin(0.1) = 0.10017, outside r
     with pytest.raises(NoLockError, match="Newton lock leaves the PD region"):
         phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, 0.1001, np.zeros(2))
 
