@@ -160,13 +160,19 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: fl
 
     The spanning-tree criteria need nonnegative couplings. The entries are
     probed at the given times, at every breakpoint in [s, t] and at 101 even
-    points of [s, t].
+    points of [s, t]; a piecewise-constant coupling returns its stored piece
+    matrices, and each is probed once.
     """
     worst = None
+    probed = set()  # ids of stored pieces, which the coupling keeps alive
     for u in np.unique(np.concatenate([
         times, coupling.breakpoints_in(s, t), np.linspace(s, t, 101),
     ])):
         a = coupling.evaluate(float(u))
+        if id(a) in probed:
+            continue
+        if coupling.is_piecewise_constant:
+            probed.add(id(a))
         k = int(np.argmin(a))
         value = float(a.flat[k])
         if value < -1e-12 and (worst is None or value < worst["value"]):
@@ -178,6 +184,14 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: fl
                              witnesses={"negative_coupling_at": worst}, parameters=params)
 
 
+def _has_spanning_tree(g: np.ndarray, verdicts: dict) -> bool:
+    """graph.has_spanning_tree(g), computed once per distinct g and kept in verdicts."""
+    key = g.tobytes()
+    if key not in verdicts:
+        verdicts[key] = graph.has_spanning_tree(g)
+    return verdicts[key]
+
+
 def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
                              bins: "int | None" = None) -> CertificateReport:
     """Aggregated-connectivity test for nonnegative couplings.
@@ -185,7 +199,10 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     Each partition interval is split into equal bins; the integrated coupling
     over every bin, thresholded at that interval's eta, must contain a
     spanning tree. The divergence of sum(eta_n) over an infinite horizon is
-    the caller's asymptotic claim; the report echoes the finite sum.
+    the caller's asymptotic claim; the report echoes the finite sum. An
+    interval's bins are integrated in one call, and the closure runs once per
+    distinct thresholded graph, so a periodic schedule costs a few closures
+    for any number of periods.
     """
     m = graph.check_coupling(coupling)
     partition = np.asarray(partition, dtype=float)
@@ -209,20 +226,19 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     if bad is not None:
         return bad
 
-    windows = []
+    verdicts = {}
     first_fail = None
     for n in range(n_intervals):
         edges = np.linspace(partition[n], partition[n + 1], nbins + 1)
+        # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
+        graphs = graph.threshold_graph(-coupling.integrate_window(edges[:-1], edges[1:]),
+                                       float(etas[n]))
         for k in range(nbins):
-            z = graph.laplacian_from_adjacency(
-                coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
-            ok = graph.has_spanning_tree(graph.threshold_graph(z, float(etas[n])))
-            windows.append({"interval": n + 1, "bin": k + 1, "spanning_tree": ok})
-            if not ok and first_fail is None:
+            if not _has_spanning_tree(graphs[k], verdicts) and first_fail is None:
                 first_fail = {"interval": n + 1, "bin": k + 1,
                               "window": [float(edges[k]), float(edges[k + 1])]}
     verdict = PASS if first_fail is None else FAIL
-    wit = {"eta_sum": float(etas.sum()), "windows_checked": len(windows),
+    wit = {"eta_sum": float(etas.sum()), "windows_checked": n_intervals * nbins,
            "eta_sum_divergence": "asserted by caller for periodic setups"}
     if first_fail is not None:
         wit["first_failing_window"] = first_fail
@@ -242,7 +258,8 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
 
     The length-T aggregated coupling starting at every sampled t, thresholded
     at eta, must contain a spanning tree. For periodic couplings one period of
-    window starts suffices and is the default.
+    window starts suffices and is the default. The check stops at the first
+    failing start, and the closure runs once per distinct thresholded graph.
     """
     graph.check_coupling(coupling)
     if window <= 0 or eta <= 0:
@@ -253,9 +270,10 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
                                     0.0, float(starts.max() + window), params)
     if bad is not None:
         return bad
+    verdicts = {}
     for t in starts:
-        z = graph.laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
-        if not graph.has_spanning_tree(graph.threshold_graph(z, eta)):
+        z = coupling.integrate_window(float(t), float(t) + window)
+        if not _has_spanning_tree(graph.threshold_graph(-z, eta), verdicts):
             return CertificateReport(
                 "cor1-sliding-window", FAIL,
                 witnesses={"first_failing_start": float(t)},
@@ -336,12 +354,11 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
             starts = np.unique(np.concatenate([starts, np.maximum(kinks, 0.0)]))
     starts = _nonempty_starts(starts)
     if coupling.is_piecewise_constant:
-        steps = _xi_steps(coupling, r)
-        integrals = [steps.integrate_window(float(t), float(t) + window) for t in starts]
+        integrals = _xi_steps(coupling, r).integrate_window(starts, starts + window)
     else:
-        integrals = [_xi_window_integral(coupling, r, float(t), float(t) + window)
-                     for t in starts]
-    averages = np.array(integrals) / window
+        integrals = np.array([_xi_window_integral(coupling, r, float(t), float(t) + window)
+                              for t in starts])
+    averages = integrals / window
     worst_idx = int(np.argmax(averages))
     ok = bool(averages[worst_idx] <= -eta)
     return CertificateReport(

@@ -223,7 +223,7 @@ def _cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    traj = dynamics.simulate(theta0, omega, coupling, t_end, dt)
+    traj = _run_scenario(dynamics.simulate, theta0, omega, coupling, t_end, dt)
     _write_run_csvs(outdir, traj, chash)
     results = {"steps": len(traj.times) - 1, "final_phases": traj.final().tolist()}
     if r is not None:

@@ -53,13 +53,13 @@ def laplacian_from_adjacency(a) -> np.ndarray:
 def threshold_graph(lap: np.ndarray, eta: float) -> np.ndarray:
     """Boolean digraph of the directed edges (i, j), i != j, with l_ij strictly below -eta.
 
-    edges[i, j] True means the link j -> i is kept.
+    edges[i, j] True means the link j -> i is kept. A stack of Laplacians
+    (..., m, m) gives the stack of their graphs.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    edges = np.asarray(lap, dtype=float) < -eta
-    np.fill_diagonal(edges, False)
-    return edges
+    lap = np.asarray(lap, dtype=float)
+    return (lap < -eta) & ~np.eye(lap.shape[-1], dtype=bool)
 
 
 def has_spanning_tree(g) -> bool:

@@ -111,7 +111,7 @@ def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
     basis = linalg._ones_complement_basis(theta0.size)
     lock = None
 
-    def handed_over(t, x, dx):
+    def handed_over(t, x):
         nonlocal lock
         if round(t / dt) % every == 0:
             th, rate, steps = _newton_lock(w, a, x, min(deriv_tol, _HANDOVER_SPREAD))
@@ -125,9 +125,11 @@ def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
             raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
         return False
 
-    nsteps = int(round(t_max / dt))
-    th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt, nsteps,
-                          stop=handed_over)
+    th, k = theta0, 0
+    if not handed_over(0.0, theta0):  # Newton from theta0 even when RK4 takes no step
+        th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt,
+                              int(round(t_max / dt)),
+                              stop=lambda t, x, _: t > 0.0 and handed_over(t, x))
     if lock is None:
         rate = dynamics._rhs(th, w, a)
         raise NoLockError(

@@ -76,8 +76,13 @@ class TimeSignal:
         """
         raise NotImplementedError
 
-    def integrate_window(self, s: float, t: float):
-        """Exact integral over [s, t], 0 <= s <= t."""
+    def integrate_window(self, s, t):
+        """Exact integral over [s, t], 0 <= s <= t.
+
+        s and t may be arrays of one shape: the result holds one integral per
+        (s, t) pair, its value axes after theirs, each equal bit for bit to the
+        scalar call.
+        """
         raise NotImplementedError
 
     def time_compress(self, epsilon: float) -> "TimeSignal":
@@ -105,9 +110,17 @@ class TimeSignal:
             base = (cycles[:, None] * self.period + base).ravel()
         return base[(base >= s) & (base <= t)]
 
-    def _check_window(self, s, t):
-        if s < 0 or t < s:
+    def _window(self, s, t):
+        """[s, t] as one float array x (x[0] = s, x[1] = t), with a unit axis per value axis."""
+        x = np.array([s, t], dtype=float)
+        if ((x[0] < 0) | (x[1] < x[0])).any():
             raise ValueError(f"bad integration window: need 0 <= s <= t, got s={s}, t={t}")
+        return x.reshape(x.shape + (1,) * len(self.shape))
+
+
+def _window_value(out):
+    """A window integral as the scalar calls return it: float for a scalar value."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class ConstantSignal(TimeSignal):
@@ -129,8 +142,8 @@ class ConstantSignal(TimeSignal):
         return self.value
 
     def integrate_window(self, s, t):
-        self._check_window(s, t)
-        return self.value * (t - s)
+        x = self._window(s, t)
+        return _window_value(self.value * (x[1] - x[0]))
 
     def time_compress(self, epsilon):
         if epsilon <= 0:
@@ -182,14 +195,13 @@ class SinusoidSignal(TimeSignal):
         return out if self._shape else float(out)
 
     def integrate_window(self, s, t):
-        self._check_window(s, t)
+        x = self._window(s, t)
         a = self.time_scale
         if self.trig == "cos":  # d/dt [a sin(t/a + p)] = cos(t/a + p)
-            prim = lambda x: a * np.sin(x / a + self.phase)
+            prim = a * np.sin(x / a + self.phase)
         else:
-            prim = lambda x: -a * np.cos(x / a + self.phase)
-        out = self.base * (t - s) + self.amplitude * (prim(t) - prim(s))
-        return out if self._shape else float(out)
+            prim = -a * np.cos(x / a + self.phase)
+        return _window_value(self.base * (x[1] - x[0]) + self.amplitude * (prim[1] - prim[0]))
 
     def time_compress(self, epsilon):
         if epsilon <= 0:
@@ -232,11 +244,13 @@ class TableSignal(TimeSignal):
         span = self.period if self.period is not None else self.times[-1] + 1.0
         self._snap = _BREAK_SNAP * span
         # integral over [0, times[k]], summed piece by piece in time order
-        self._cum = [_zeros_like_value(self.values[0])]
+        cum = [_zeros_like_value(self.values[0])]
         for v, lo, hi in zip(self.values, self.times, self.times[1:]):
-            self._cum.append(self._cum[-1] + v * (hi - lo))
+            cum.append(cum[-1] + v * (hi - lo))
+        self._cum, self._stack = np.array(cum), np.array(self.values)
+        self._starts = self.times.reshape((-1,) + (1,) * len(self.shape))
         if self.period is not None:
-            self._full = self._partial_integral(self.period)
+            self._full = self._partial_integral(np.full(self._starts.shape[1:], self.period))
 
     @property
     def shape(self):
@@ -258,24 +272,33 @@ class TableSignal(TimeSignal):
         return self.values[int(np.searchsorted(self.times, tau + self._snap, side="right")) - 1]
 
     def _partial_integral(self, x):
-        """Integral over [0, x], x >= 0 (and x <= period for a periodic table)."""
-        k = int(np.searchsorted(self.times, x)) - 1  # last piece starting before x
-        if k < 0:
-            return self._cum[0]
-        return self._cum[k] + self.values[k] * (x - self.times[k])
+        """Integral over [0, x], x >= 0 (and x <= period for a periodic table).
+
+        x carries a unit axis per value axis, as TimeSignal._window gives it.
+        """
+        # the last piece starting before x; piece 0 at x = 0, where it adds v * 0 to a zero
+        k = np.searchsorted(self.times[1:], x[(...,) + (0,) * len(self.shape)])
+        # in place, as a batch holds two matrices per window; np.take copies even for a 0-d k
+        out = np.take(self._stack, k, axis=0)
+        out *= x - self._starts[k]
+        out += self._cum[k]
+        return out
 
     def _antiderivative(self, x):
         if self.period is None:  # step function extended by its last value
             return self._partial_integral(x)
-        n = math.floor(x / self.period)
-        rem = x - n * self.period
-        if rem >= self.period:
-            n, rem = n + 1, 0.0
-        return self._full * n + self._partial_integral(rem)
+        n = np.floor(x / self.period)
+        rem = np.maximum(x - n * self.period, 0.0)  # rounding can leave rem an ulp below 0
+        wrap = rem >= self.period  # or on the period itself
+        if wrap.any():
+            n, rem = n + wrap, np.where(wrap, 0.0, rem)
+        out = self._partial_integral(rem)
+        out += self._full * n
+        return out
 
     def integrate_window(self, s, t):
-        self._check_window(s, t)
-        return self._antiderivative(t) - self._antiderivative(s)
+        antiderivative = self._antiderivative(self._window(s, t))
+        return _window_value(antiderivative[1] - antiderivative[0])
 
     def time_compress(self, epsilon):
         if epsilon <= 0:

@@ -1,0 +1,51 @@
+"""Reference loops for the spanning-tree criteria, one window at a time.
+
+Each window gets its own scalar integral, Laplacian, threshold graph and
+spanning-tree closure, and the negative-coupling probe reads every probe
+time, as thm1 and cor1 did before they cached a verdict per distinct graph.
+The fast paths in tvkuramoto.certificates must return what these return.
+"""
+
+import numpy as np
+
+from tvkuramoto.graph import has_spanning_tree, laplacian_from_adjacency, threshold_graph
+
+
+def thm1_windows(coupling, partition, eta, bins):
+    """(passed, first failing window or None, windows checked) over every bin."""
+    partition = np.asarray(partition, dtype=float)
+    etas = np.broadcast_to(np.asarray(eta, dtype=float), (partition.size - 1,))
+    checked, first_fail = 0, None
+    for n in range(partition.size - 1):
+        edges = np.linspace(partition[n], partition[n + 1], bins + 1)
+        for k in range(bins):
+            z = laplacian_from_adjacency(
+                coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
+            checked += 1
+            if not has_spanning_tree(threshold_graph(z, float(etas[n]))) and first_fail is None:
+                first_fail = {"interval": n + 1, "bin": k + 1,
+                              "window": [float(edges[k]), float(edges[k + 1])]}
+    return first_fail is None, first_fail, checked
+
+
+def cor1_starts(coupling, window, eta, starts):
+    """(passed, first failing start or None) over the starts in order."""
+    for t in np.asarray(starts, dtype=float):
+        z = laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
+        if not has_spanning_tree(threshold_graph(z, eta)):
+            return False, float(t)
+    return True, None
+
+
+def most_negative_entry(coupling, times, s, t):
+    """{"t", "pair", "value"} of the first most negative entry below -1e-12, or None."""
+    worst = None
+    for u in np.unique(np.concatenate([times, coupling.breakpoints_in(s, t),
+                                       np.linspace(s, t, 101)])):
+        a = coupling.evaluate(float(u))
+        k = int(np.argmin(a))
+        value = float(a.flat[k])
+        if value < -1e-12 and (worst is None or value < worst["value"]):
+            i, j = divmod(k, a.shape[0])
+            worst = {"t": float(u), "pair": [i + 1, j + 1], "value": value}
+    return worst

@@ -17,13 +17,15 @@ from tvkuramoto.certificates import (
     tilde_laplacian,
     xi_index,
 )
+from tvkuramoto import graph
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.dynamics import PhaseTrajectory, invariance_monitor, pd_divergence, simulate
 from tvkuramoto.graph import laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
 from tvkuramoto.signals import (
-    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, signal_from_json,
+    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid, signal_from_json,
 )
+import spanning_oracle
 from xi_oracle import xi_vertex_oracle
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -293,6 +295,154 @@ def test_cor1_eta_above_every_weight_fails():
     a = connected_nonneg_coupling(rng, 3)
     rep = cor1_sliding_window_check(ConstantSignal(a), window=1.0, eta=100.0)
     assert rep.verdict == "fail"
+
+
+SCHEDULE_KINDS = ["switching", "periodic-table", "aperiodic-table"]
+
+
+def random_schedule(rng, kind, low=0.0):
+    """2 to 8 nodes, 1 to 4 sparse pieces with weights in [low, 1.5), switching or table."""
+    m = int(rng.integers(2, 9))
+    count = int(rng.integers(1, 5))
+    pieces = []
+    for _ in range(count):
+        a = rng.uniform(low, 1.5, (m, m)) * (rng.random((m, m)) < 0.6)
+        np.fill_diagonal(a, 0.0)
+        pieces.append(a)
+    durations = rng.uniform(0.2, 1.0, count)
+    if kind == "switching":
+        return SwitchingSignal(durations, pieces)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    if kind == "periodic-table":
+        return TableSignal(times, pieces, period=float(durations.sum()))
+    return TableSignal(times, pieces)
+
+
+def span_of(sig):
+    """Length over which a schedule shows every piece: its period, or past its last switch."""
+    return sig.period if sig.period is not None else sig.breakpoints().max(initial=0.0) + 0.5
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_thm1_matches_the_per_window_loop(kind):
+    rng = np.random.default_rng([71, SCHEDULE_KINDS.index(kind)])
+    verdicts = set()
+    for case in range(30):
+        sig = random_schedule(rng, kind)
+        m = sig.shape[0]
+        if case % 3 == 0:  # whole periods, so every interval repeats the same bins
+            partition = span_of(sig) * np.arange(int(rng.integers(2, 12)))
+        else:
+            partition = np.cumsum(np.concatenate([[rng.uniform(0.0, 2.0)],
+                                                  rng.uniform(0.3, 3.0, int(rng.integers(1, 8)))]))
+        bins = int(rng.integers(1, m + 1))
+        widths = np.diff(partition) / bins
+        eta = rng.uniform(0.1, 0.9) * 0.75 * (widths if case % 2 else widths.min())
+        rep = thm1_spanning_tree_check(sig, partition, eta, bins)
+        passed, first_fail, checked = spanning_oracle.thm1_windows(sig, partition, eta, bins)
+        assert rep.verdict == ("pass" if passed else "fail")
+        assert rep.witnesses.get("first_failing_window") == first_fail
+        assert rep.witnesses["windows_checked"] == checked
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_cor1_matches_the_per_window_loop(kind):
+    rng = np.random.default_rng([72, SCHEDULE_KINDS.index(kind)])
+    verdicts = set()
+    for case in range(30):
+        sig = random_schedule(rng, kind)
+        window = rng.uniform(0.2, 2.5) * span_of(sig)
+        eta = rng.uniform(0.1, 0.9) * 0.75 * window
+        default = case % 2 == 1
+        starts = (sample_grid(sig, num=128) if default
+                  else rng.uniform(0.0, 3.0 * span_of(sig), int(rng.integers(1, 60))))
+        rep = cor1_sliding_window_check(sig, window, eta, None if default else starts)
+        passed, first_fail = spanning_oracle.cor1_starts(sig, window, eta, starts)
+        assert rep.verdict == ("pass" if passed else "fail")
+        assert rep.witnesses.get("first_failing_start") == first_fail
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+def directed_ring_schedule(m, blocks=1):
+    """Four pieces of 0.5 s, each a directed ring in every block, weights in [0.5, 1.5]."""
+    rng = np.random.default_rng([73, blocks])
+    size = m // blocks
+    pieces = []
+    for _ in range(4):
+        a = np.zeros((m, m))
+        for b in range(blocks):
+            for i in range(size):
+                a[b * size + (i + 1) % size, b * size + i] = rng.uniform(0.5, 1.5)
+        pieces.append(a)
+    return SwitchingSignal([0.5] * 4, pieces)
+
+
+@pytest.mark.parametrize("blocks, verdict", [(1, "pass"), (2, "fail")], ids=["ring", "split"])
+def test_thm1_closes_each_distinct_graph_once(monkeypatch, blocks, verdict):
+    # 40 periods of a 4-piece schedule, one period per interval: each interval
+    # repeats the same bins, so at most `bins` distinct graphs need a closure
+    sig = directed_ring_schedule(8, blocks)
+    partition = 2.0 * np.arange(41)
+    calls = []
+    closure = graph.has_spanning_tree
+    monkeypatch.setattr(graph, "has_spanning_tree", lambda g: calls.append(1) or closure(g))
+    rep = thm1_spanning_tree_check(sig, partition, 0.02, bins=7)
+    assert rep.verdict == verdict and rep.witnesses["windows_checked"] == 280
+    assert 1 <= len(calls) <= 7
+    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, partition, 0.02, 7)
+    assert (verdict == "pass") == passed
+    assert rep.witnesses.get("first_failing_window") == first_fail
+
+
+def test_thm1_tells_apart_graphs_with_as_many_edges():
+    # the path 1 -> 2 -> 3 has a spanning tree; 1 -> 2 <- 3, with as many
+    # edges, has none, so the second bin fails
+    path, meet = np.zeros((3, 3)), np.zeros((3, 3))
+    path[1, 0] = path[2, 1] = meet[1, 0] = meet[1, 2] = 1.0
+    rep = thm1_spanning_tree_check(SwitchingSignal([1.0, 1.0], [path, meet]), [0.0, 2.0], 0.5,
+                                   bins=2)
+    assert rep.verdict == "fail"
+    assert rep.witnesses["first_failing_window"] == {"interval": 1, "bin": 2,
+                                                     "window": [1.0, 2.0]}
+
+
+PROBE_KINDS = SCHEDULE_KINDS + ["constant", "sinusoid"]
+
+
+@pytest.mark.parametrize("kind", PROBE_KINDS)
+def test_negative_coupling_witness_matches_the_probe_loop(kind):
+    # pieces probed once each must give the witness every probe time gives:
+    # the first time of the most negative entry, ties included; a sinusoid
+    # returns a new matrix at every probe, and every one is probed
+    rng = np.random.default_rng([74, PROBE_KINDS.index(kind)])
+    found = 0
+    for case in range(20):
+        sig = random_schedule(rng, kind if kind in SCHEDULE_KINDS else "switching", low=-0.4)
+        if kind == "constant":
+            sig = ConstantSignal(sig.values[0])
+        elif kind == "sinusoid":
+            sig = SinusoidSignal(sig.values[0], 0.5 * sig.values[-1], rng.uniform(-3.0, 3.0))
+        elif case % 4 == 0:  # the same object twice and an equal copy: ties in time order
+            values = sig.values + [sig.values[0], sig.values[0].copy()]
+            period = 0.3 * len(values) if kind == "periodic-table" else None
+            sig = (SwitchingSignal([0.3] * len(values), values) if kind == "switching"
+                   else TableSignal(0.3 * np.arange(len(values)), values, period))
+        partition = np.linspace(0.0, 3.0 * span_of(sig), 4)
+        starts = rng.uniform(0.0, span_of(sig), 8)
+        for rep, probe in [
+            (thm1_spanning_tree_check(sig, partition, 0.1),
+             (partition, partition[0], partition[-1])),
+            (cor1_sliding_window_check(sig, 1.0, 0.1, starts),
+             (starts, 0.0, float(starts.max() + 1.0))),
+        ]:
+            worst = spanning_oracle.most_negative_entry(sig, *probe)
+            assert rep.witnesses.get("negative_coupling_at") == worst
+            assert (rep.verdict == "inconclusive") == (worst is not None)
+            found += worst is not None
+    assert found > 0
 
 
 # --- xi and the signed-coupling window criterion ------------------------------

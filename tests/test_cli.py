@@ -76,6 +76,16 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     assert "parameters.dt" in capsys.readouterr().err
 
 
+def test_simulate_step_that_does_not_divide_the_span_exits_2(tmp_path, capsys):
+    cfg = small_simulate_config()
+    cfg["parameters"].update(t_end=1.0, dt=0.3)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'parameters':" in err and "does not divide" in err
+    assert "Traceback" not in err
+
+
 def test_certify_pass_fail_inconclusive(tmp_path):
     base = {
         "signals": {

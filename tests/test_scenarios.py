@@ -70,6 +70,16 @@ def test_lock_two_node_closed_form():
     assert lock.verified
 
 
+def test_lock_within_a_zero_horizon_comes_from_newton_at_time_zero():
+    # t_max = 0 leaves RK4 no step; Newton from theta0 still finds the lock
+    lock = phase_locked_equilibrium(np.array([1.2, 1.0]), TWO_NODE, math.pi / 3, np.zeros(2),
+                                    t_max=0.0)
+    assert lock.lock_time == 0.0
+    assert lock.pd[0] == pytest.approx(-math.asin(0.1), abs=1e-8)
+    assert lock.collective_rate == pytest.approx(1.1, abs=1e-10)
+    assert lock.residual < 1e-8
+
+
 def test_lock_averaged_fast_schedule():
     omega, coupling = bundled_signals("fast")
     w_bar = omega.window_average(0.0, omega.period)

@@ -402,3 +402,66 @@ def test_table_integral_lookup_equals_the_piece_loop_bit_for_bit(periodic, shape
         for _ in range(30):
             s, t = sorted(float(x) for x in rng.choice(ends, 2))
             assert np.array_equal(sig.integrate_window(s, t), _table_integral_loop(sig, s, t))
+
+
+# a period and a time at which the fold's remainder x - floor(x / P) * P rounds
+# up to P itself, so the antiderivative takes its n + 1, rem = 0 branch
+WRAP_PERIOD, WRAP_TIME = 2.1470955966345375, 68281.93416417156
+# and one at which it rounds below 0, where the integral up to it is 0
+BELOW_PERIOD, BELOW_TIME = 0.1, 1.7
+
+
+def _signals_of_every_kind():
+    rng = np.random.default_rng(83)
+
+    def value(shape):
+        return float(rng.normal()) if shape == () else rng.normal(size=shape)
+
+    for shape in [(), (3, 3)]:
+        yield ConstantSignal(value(shape))
+        yield SinusoidSignal(value(shape), value(shape), value(shape), trig="sin")
+        yield SinusoidSignal(value(shape), value(shape), value(shape), trig="cos",
+                             time_scale=0.7)
+        yield SwitchingSignal([0.3, 0.1, 0.7], [value(shape) for _ in range(3)])
+        yield TableSignal([0.0, 0.4, 1.5], [value(shape) for _ in range(3)], period=1.9)
+        yield TableSignal([0.0, 0.4, 1.5], [value(shape) for _ in range(3)])
+        yield TableSignal([0.0, 1.0], [value(shape) for _ in range(2)], period=WRAP_PERIOD)
+        yield TableSignal([0.0, 0.04], [value(shape) for _ in range(2)], period=BELOW_PERIOD)
+
+
+def _sinusoid_integral(sig, s, t):
+    """Window integral of a SinusoidSignal from scalar antiderivatives at s and t."""
+    a = sig.time_scale
+    if sig.trig == "cos":
+        prim = lambda x: a * np.sin(x / a + sig.phase)
+    else:
+        prim = lambda x: -a * np.cos(x / a + sig.phase)
+    return sig.base * (t - s) + sig.amplitude * (prim(t) - prim(s))
+
+
+def test_array_window_integral_equals_the_scalar_calls_bit_for_bit():
+    assert WRAP_TIME - math.floor(WRAP_TIME / WRAP_PERIOD) * WRAP_PERIOD >= WRAP_PERIOD
+    assert BELOW_TIME - math.floor(BELOW_TIME / BELOW_PERIOD) * BELOW_PERIOD < 0.0
+    rng = np.random.default_rng(84)
+    for sig in _signals_of_every_kind():
+        span = sig.period or 3.0  # past the last switch of the aperiodic table
+        whole = span * np.arange(1, 6)
+        s = np.concatenate([[0.0, 0.0, 0.0, WRAP_TIME, BELOW_TIME],
+                            rng.uniform(0.0, 20.0 * span, 30),
+                            whole - rng.uniform(0.0, span, 5), np.nextafter(whole, 0.0)])
+        t = np.concatenate([[0.0, span, 7.0 * span, WRAP_TIME + 1.0, BELOW_TIME + 0.05],
+                            s[5:35] + rng.uniform(0.0, 5.0 * span, 30), whole,
+                            np.nextafter(whole, 0.0) + span])
+        batch = sig.integrate_window(s, t)
+        assert batch.shape == s.shape + sig.shape
+        for i in range(s.size):
+            scalar = sig.integrate_window(float(s[i]), float(t[i]))
+            assert isinstance(scalar, float) == (sig.shape == ())
+            assert np.asarray(scalar).tobytes() == batch[i].tobytes()
+            if isinstance(sig, TableSignal):
+                reference = _table_integral_loop(sig, float(s[i]), float(t[i]))
+            elif isinstance(sig, SinusoidSignal):
+                reference = _sinusoid_integral(sig, float(s[i]), float(t[i]))
+            else:
+                reference = sig.value * (float(t[i]) - float(s[i]))
+            assert np.asarray(scalar).tobytes() == np.asarray(reference).tobytes()
