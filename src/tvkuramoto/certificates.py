@@ -202,7 +202,8 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     the caller's asymptotic claim; the report echoes the finite sum. An
     interval's bins are integrated in one call, and the closure runs once per
     distinct thresholded graph, so a periodic schedule costs a few closures
-    for any number of periods.
+    for any number of periods. The check stops at the first failing window;
+    windows_checked counts the partition's windows (intervals x bins) all the same.
     """
     m = graph.check_coupling(coupling)
     partition = np.asarray(partition, dtype=float)
@@ -233,10 +234,11 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
         # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
         graphs = graph.threshold_graph(-coupling.integrate_window(edges[:-1], edges[1:]),
                                        float(etas[n]))
-        for k in range(nbins):
-            if not _has_spanning_tree(graphs[k], verdicts) and first_fail is None:
-                first_fail = {"interval": n + 1, "bin": k + 1,
-                              "window": [float(edges[k]), float(edges[k + 1])]}
+        k = next((k for k in range(nbins) if not _has_spanning_tree(graphs[k], verdicts)), None)
+        if k is not None:
+            first_fail = {"interval": n + 1, "bin": k + 1,
+                          "window": [float(edges[k]), float(edges[k + 1])]}
+            break
     verdict = PASS if first_fail is None else FAIL
     wit = {"eta_sum": float(etas.sum()), "windows_checked": n_intervals * nbins,
            "eta_sum_divergence": "asserted by caller for periodic setups"}
@@ -247,8 +249,9 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
 
 def _nonempty_starts(starts) -> np.ndarray:
     starts = np.asarray(starts, dtype=float)
-    if starts.size == 0:
-        raise ValueError("starts must hold at least one window start")
+    if starts.ndim != 1 or starts.size == 0:
+        raise ValueError(f"starts must be a nonempty list of window starts, got shape "
+                         f"{starts.shape}")
     return starts
 
 

@@ -10,7 +10,8 @@ Subcommands:
                             bundled switching examples and compare
 
 Exit codes: 0 success (certify: pass), 1 certify fail, 2 config/schema errors
-(certify: also inconclusive), 3 runtime failures (blow-up, no lock).
+and parameter values a criterion or scenario rejects (certify: also
+inconclusive), 3 runtime failures (blow-up, no lock).
 
 All outputs are deterministic for a fixed config; the only volatile field is
 wall_time_s in summary.json. CSV headers carry units and the config hash.
@@ -53,7 +54,6 @@ class ConfigError(Exception):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
-        self.field = field
 
 
 def bundled_config_path(name: str) -> Path:
@@ -73,10 +73,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return cfg
-
-
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _get(cfg: dict, field: str, kind, required: bool = True, default=None):
@@ -140,10 +136,11 @@ def _signals(cfg: dict, joint: bool = False):
 
 
 def _run_scenario(fn, *args, **kwargs):
-    """fn(*args, **kwargs), its ValueError a config error of signals or parameters."""
+    """fn(*args, **kwargs), each value or type it rejects a config error: of signals
+    for a PeriodError, of parameters otherwise."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError("signals" if isinstance(exc, PeriodError) else "parameters",
                           str(exc)) from exc
 
@@ -158,6 +155,7 @@ def _write_csv(path: Path, header_cols, rows, config_hash: str, units: str, form
     rows to the lines' values, so a derived array never exists whole."""
     line = ",".join(["%.12g"] * len(header_cols)) + "\n"
     step = max(1, _CSV_BLOCK_VALUES // len(header_cols))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash} units: {units}\n")
         fh.write(",".join(header_cols) + "\n")
@@ -187,99 +185,94 @@ def _write_two_column(path, times, values, name, config_hash):
                "t=s value=rad")
 
 
-def _write_summary(outdir: Path, cfg: dict, config_hash: str, results: dict,
-                   started: float):
-    summary = {
+def _write_adjacent_pds(outdir: Path, traj, config_hash, tag):
+    """plotdata/<tag>_pd_<i>_<i+1>.csv of each adjacent pair theta_i - theta_{i+1}."""
+    adjacent = traj.phases[:, :-1] - traj.phases[:, 1:]
+    for i in range(traj.m - 1):
+        _write_two_column(outdir / "plotdata" / f"{tag}_pd_{i + 1}_{i + 2}.csv",
+                          traj.times, adjacent[:, i], f"pd_{i + 1}_{i + 2}", config_hash)
+
+
+def _write_json(path: Path, obj) -> str:
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    return text
+
+
+def _run(args, command) -> int:
+    """Load the config, apply --seed and --dt, run command(cfg, config_hash, outdir)
+    for its (results, exit code) and write summary.json."""
+    started = time.monotonic()
+    cfg = _load_config(args.config)
+    for key in ("seed", "dt"):
+        if getattr(args, key) is not None:
+            cfg["parameters"] = {**_get(cfg, "parameters", dict, False, {}),
+                                 key: getattr(args, key)}
+    config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    outdir = Path(args.out)
+    results, code = command(cfg, config_hash, outdir)
+    _write_json(outdir / "summary.json", {
         "version": __version__,
         "config_hash": config_hash,
         "config": cfg,
         "results": results,
         "wall_time_s": round(time.monotonic() - started, 3),
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("parameters", {})["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        cfg.setdefault("parameters", {})["dt"] = args.dt
-    return cfg
+    })
+    return code
 
 
 # ----------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (cfg, config_hash, outdir) to (results, exit code)
 
 
-def _cmd_simulate(args) -> int:
-    started = time.monotonic()
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _simulate(cfg: dict, config_hash: str, outdir: Path):
     omega, coupling = _signals(cfg)
-    theta0 = np.asarray(_get(cfg, "parameters.theta0", list), dtype=float)
+    theta0 = _get(cfg, "parameters.theta0", list)
+    try:
+        theta0 = np.asarray(theta0, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("parameters.theta0", str(exc)) from exc
+    if theta0.ndim != 1:
+        raise ConfigError("parameters.theta0",
+                          f"expected one start, a list of phases; got shape {theta0.shape}")
     t_end = _get(cfg, "parameters.t_end", float)
     dt = _get(cfg, "parameters.dt", float)
     r = _get_r(cfg, required=False)
-    chash = _config_hash(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     traj = _run_scenario(dynamics.simulate, theta0, omega, coupling, t_end, dt)
-    _write_run_csvs(outdir, traj, chash)
+    _write_run_csvs(outdir, traj, config_hash)
     results = {"steps": len(traj.times) - 1, "final_phases": traj.final().tolist()}
     if r is not None:
         exit_time = dynamics.invariance_monitor(traj, r)
         results["invariance"] = "invariant" if exit_time is None else {"exit_time": exit_time}
-    _write_summary(outdir, cfg, chash, results, started)
-    return 0
+    return results, 0
 
 
-def _cmd_certify(args) -> int:
-    started = time.monotonic()
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _certify(cfg: dict, config_hash: str, outdir: Path):
     criterion = _get(cfg, "criterion", str)
     if criterion not in certificates.CRITERIA:
         raise ConfigError("criterion", f"unknown {criterion!r}; "
                           f"known: {', '.join(certificates.CRITERIA)}")
     omega, coupling = _signals(cfg, joint=criterion == "invariance-pointwise")
-    params = _get(cfg, "parameters", dict)
-    chash = _config_hash(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        report = certificates.run_check(criterion, omega, coupling, params)
-    except ValueError as exc:
-        raise ConfigError("parameters", str(exc)) from exc
-    payload = report.to_json()
-    payload["config_hash"] = chash
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    (outdir / "certificate.json").write_text(text + "\n")
-    _write_summary(outdir, cfg, chash, {"verdict": report.verdict}, started)
-    return {"pass": 0, "fail": 1, "inconclusive": 2}[report.verdict]
+    report = _run_scenario(certificates.run_check, criterion, omega, coupling,
+                           _get(cfg, "parameters", dict))
+    print(_write_json(outdir / "certificate.json",
+                      dict(report.to_json(), config_hash=config_hash)))
+    return {"verdict": report.verdict}, {"pass": 0, "fail": 1, "inconclusive": 2}[report.verdict]
 
 
-def _cmd_experiment_ap(args) -> int:
-    started = time.monotonic()
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _experiment_ap(cfg: dict, config_hash: str, outdir: Path):
     omega, coupling = _signals(cfg, joint=True)
-    r = _get_r(cfg)
-    result = _run_scenario(scenarios.ap_experiment, omega, coupling, r, **_keywords(
+    result = _run_scenario(scenarios.ap_experiment, omega, coupling, _get_r(cfg), **_keywords(
         cfg, scenarios.ap_experiment, "num_runs", "ic_low", "ic_high", "seed", "t_end", "dt",
         "divergence_from", "eta", "orbit_tol", "orbit_max_iter"))
-    chash = _config_hash(cfg)
-    outdir = Path(args.out)
-    (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
-    m = result.runs[0].m
     for k, traj in enumerate(result.runs):
-        _write_run_csvs(outdir, traj, chash, f"_run{k}")
-        adjacent = traj.phases[:, :-1] - traj.phases[:, 1:]
-        for i in range(m - 1):
-            _write_two_column(outdir / "plotdata" / f"run{k}_pd_{i + 1}_{i + 2}.csv",
-                              traj.times, adjacent[:, i], f"pd_{i + 1}_{i + 2}", chash)
-    _write_csv(outdir / "orbit.csv", _pd_header(m),
-               np.column_stack([result.orbit.times, result.orbit.pd_samples]), chash,
+        _write_run_csvs(outdir, traj, config_hash, f"_run{k}")
+        _write_adjacent_pds(outdir, traj, config_hash, f"run{k}")
+    _write_csv(outdir / "orbit.csv", _pd_header(result.runs[0].m),
+               np.column_stack([result.orbit.times, result.orbit.pd_samples]), config_hash,
                "t=s pd=rad")
-    results = {
+    return {
         "invariant": [e is None for e in result.exit_times],
         "max_pairwise_divergence_after_t": {
             "t": result.divergence_from, "value": result.max_divergence_after},
@@ -287,38 +280,30 @@ def _cmd_experiment_ap(args) -> int:
         "orbit_iterations": result.orbit.iterations,
         "max_distance_to_orbit_at_end": result.max_distance_to_orbit_end,
         "certificate": result.certificate.to_json(),
-    }
-    _write_summary(outdir, cfg, chash, results, started)
-    return 0
+    }, 0
 
 
-def _cmd_experiment_perturb(args) -> int:
-    started = time.monotonic()
-    cfg = _apply_overrides(_load_config(args.config), args)
-    r = _get_r(cfg)
-    result = _run_scenario(scenarios.perturbation_experiment, r=r, **_keywords(
+def _experiment_perturb(cfg: dict, config_hash: str, outdir: Path):
+    result = _run_scenario(scenarios.perturbation_experiment, r=_get_r(cfg), **_keywords(
         cfg, scenarios.perturbation_experiment, "m", "p", "seed", "epsilon", "omega_low",
         "omega_high", "t_end", "dt"))
-    chash = _config_hash(cfg)
-    outdir = Path(args.out)
-    (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
     full = result.full_run
-    _write_run_csvs(outdir, full, chash)
+    _write_run_csvs(outdir, full, config_hash)
     approx = result.expansion.approx_phases()
     _write_two_column(outdir / "plotdata" / "theta_1.csv", full.times,
-                      full.phases[:, 0], "theta_1", chash)
+                      full.phases[:, 0], "theta_1", config_hash)
     _write_two_column(outdir / "plotdata" / "theta_1_approx.csv",
-                      result.expansion.times, approx[:, 0], "theta_1_approx", chash)
+                      result.expansion.times, approx[:, 0], "theta_1_approx", config_hash)
     for i, j in ((0, 3), (2, 6), (16, 10)):
         if max(i, j) < full.m:
             _write_two_column(outdir / "plotdata" / f"pd_{i + 1}_{j + 1}.csv", full.times,
                               full.phases[:, i] - full.phases[:, j],
-                              f"pd_{i + 1}_{j + 1}", chash)
+                              f"pd_{i + 1}_{j + 1}", config_hash)
             static = result.base.rep_phases[i] - result.base.rep_phases[j]
             _write_two_column(outdir / "plotdata" / f"pd_{i + 1}_{j + 1}_static.csv",
                               full.times, np.full(len(full.times), static),
-                              f"pd_{i + 1}_{j + 1}_static", chash)
-    results = {
+                              f"pd_{i + 1}_{j + 1}_static", config_hash)
+    return {
         "approx_error": result.approx_error,
         "approx_error_half_eps": result.approx_error_half,
         "error_ratio": result.error_ratio,
@@ -330,32 +315,21 @@ def _cmd_experiment_perturb(args) -> int:
         "lock_residual": result.base.residual,
         "expansion_bound": result.expansion.bound,
         "certificate": result.certificate.to_json(),
-    }
-    _write_summary(outdir, cfg, chash, results, started)
-    return 0
+    }, 0
 
 
-def _cmd_experiment_fast(args) -> int:
-    started = time.monotonic()
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _experiment_fast(cfg: dict, config_hash: str, outdir: Path):
     omega, coupling = _signals(cfg)
     r = _get_r(cfg)
-    freqs = _get(cfg, "parameters.frequencies", list)
     report = _run_scenario(scenarios.fast_switching_sweep, omega, coupling,
-                           [float(f) for f in freqs], r, **_keywords(
+                           _get(cfg, "parameters.frequencies", list), r, **_keywords(
                                cfg, scenarios.fast_switching_sweep, "t_end", "tail_fraction",
                                dt_target="dt"))
-    chash = _config_hash(cfg)
-    outdir = Path(args.out)
-    (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
-    for h, (times, dev), (_, adj_pd) in zip(report.frequencies, report.deviation_series,
-                                            report.adjacent_pd_series):
-        tag = f"{h:g}Hz"
-        _write_two_column(outdir / f"deviation_{tag}.csv", times, dev, "pd_deviation", chash)
-        for i in range(adj_pd.shape[1]):
-            _write_two_column(outdir / "plotdata" / f"{tag}_pd_{i + 1}_{i + 2}.csv",
-                              times, adj_pd[:, i], f"pd_{i + 1}_{i + 2}", chash)
-    results = {
+    for h, traj, (times, dev) in zip(report.frequencies, report.runs, report.deviation_series):
+        _write_two_column(outdir / f"deviation_{h:g}Hz.csv", times, dev, "pd_deviation",
+                          config_hash)
+        _write_adjacent_pds(outdir, traj, config_hash, f"{h:g}Hz")
+    return {
         "frequencies_hz": report.frequencies.tolist(),
         "epsilons": report.epsilons.tolist(),
         "tail_deviations": report.tails.tolist(),
@@ -371,9 +345,11 @@ def _cmd_experiment_fast(args) -> int:
             "verified": report.base.verified,
             "certificate": report.base.certificate,
         },
-    }
-    _write_summary(outdir, cfg, chash, results, started)
-    return 0
+    }, 0
+
+
+_COMMANDS = {"simulate": _simulate, "certify": _certify, "ap": _experiment_ap,
+             "perturb": _experiment_perturb, "fast": _experiment_fast}
 
 
 def verify_reference_values(quiet: bool = False) -> dict:
@@ -413,11 +389,6 @@ def verify_reference_values(quiet: bool = False) -> dict:
     return table
 
 
-def _cmd_verify(args) -> int:
-    table = verify_reference_values()
-    return 0 if table["all_match"] else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tvkuramoto",
@@ -425,8 +396,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override parameters.seed")
         p.add_argument("--dt", type=float, default=None, help="override parameters.dt (s)")
@@ -440,23 +411,16 @@ def main(argv=None) -> int:
                    help="recompute published reference values for the bundled examples")
 
     args = parser.parse_args(argv)
+    if args.command == "verify-paper-values":
+        return 0 if verify_reference_values()["all_match"] else 1
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "experiment":
-            return {"ap": _cmd_experiment_ap, "perturb": _cmd_experiment_perturb,
-                    "fast": _cmd_experiment_fast}[args.scenario](args)
-        if args.command == "verify-paper-values":
-            return _cmd_verify(args)
+        return _run(args, _COMMANDS[getattr(args, "scenario", args.command)])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (scenarios.NoLockError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ and Newton tried again from its state once a second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -390,7 +390,7 @@ class FastSwitchReport:
     base: PhaseLockedState    # lock of the averaged system
     invariant: np.ndarray     # bool per frequency: PDs stayed in the region
     deviation_series: list    # per frequency: (times, deviations)
-    adjacent_pd_series: list  # per frequency: (times, theta_i - theta_{i+1} columns)
+    runs: list                # per frequency: its dynamics.PhaseTrajectory
     schedule_certified: bool  # every sampled Laplacian symmetric and PSD
     certification_notes: str  # first violation when not certified
 
@@ -409,7 +409,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     """
     if coupling_base.period is None or omega_base.period is None:
         raise PeriodError("fast switching needs periodic base signals")
-    freqs = np.asarray(sorted(frequencies), dtype=float)
+    freqs = np.sort(np.asarray(frequencies, dtype=float))
     if freqs.size == 0 or freqs[0] <= 0:
         raise ValueError("switching frequencies must be positive")
 
@@ -438,7 +438,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
         raise RuntimeError(f"averaged system failed to lock: {exc}") from exc
 
     switches_per_period = max(len(coupling_base.breakpoints()), 1)
-    tails, eps_list, invariant, series, adj_series = [], [], [], [], []
+    tails, eps_list, invariant, series, runs = [], [], [], [], []
     for h in freqs:
         eps = switches_per_period / (float(h) * coupling_base.period)
         omega_h = omega_base.time_compress(eps)
@@ -456,9 +456,9 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
         eps_list.append(eps)
         invariant.append(bool(spread.max() <= r))
         series.append((traj.times, dev))
-        adj_series.append((traj.times, traj.phases[:, :-1] - traj.phases[:, 1:]))
+        runs.append(traj)
     return FastSwitchReport(freqs, np.array(eps_list), np.array(tails), base,
-                            np.array(invariant), series, adj_series,
+                            np.array(invariant), series, runs,
                             not notes, notes)
 
 
@@ -591,9 +591,7 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     full, half = (dynamics.PhaseTrajectory(batch.times, phases) for phases in batch.phases)
     approx = expansion.approx_phases()
     err = float(np.abs(full.phases[:, 0] - approx[:, 0]).max())
-    approx_half = expansion.base.rep_phases[None, :] + \
-        expansion.base.collective_rate * expansion.times[:, None] + \
-        (epsilon / 2) * expansion.phi
+    approx_half = replace(expansion, epsilon=epsilon / 2).approx_phases()
     err_half = float(np.abs(half.phases[:, 0] - approx_half[:, 0]).max())
 
     delta = full.phases - base.rep_phases[None, :]

@@ -397,6 +397,21 @@ def test_thm1_closes_each_distinct_graph_once(monkeypatch, blocks, verdict):
     assert rep.witnesses.get("first_failing_window") == first_fail
 
 
+def test_thm1_stops_at_its_first_failing_window(monkeypatch):
+    # the split schedule fails in the first bin, so only the first of 40 intervals
+    # is integrated; windows_checked still counts the partition's 40 x 7 windows
+    sig = directed_ring_schedule(8, blocks=2)
+    calls = []
+    integrate = TableSignal.integrate_window
+    monkeypatch.setattr(TableSignal, "integrate_window",
+                        lambda self, s, t: calls.append(1) or integrate(self, s, t))
+    rep = thm1_spanning_tree_check(sig, 2.0 * np.arange(41), 0.02, bins=7)
+    assert rep.verdict == "fail" and rep.witnesses["windows_checked"] == 280
+    assert rep.witnesses["first_failing_window"] == {"interval": 1, "bin": 1,
+                                                     "window": [0.0, 2.0 / 7]}
+    assert len(calls) == 1
+
+
 def test_thm1_tells_apart_graphs_with_as_many_edges():
     # the path 1 -> 2 -> 3 has a spanning tree; 1 -> 2 <- 3, with as many
     # edges, has none, so the second bin fails
@@ -516,6 +531,15 @@ def test_thm2_default_starts_reach_the_worst_window():
 def test_window_criteria_reject_empty_starts(check):
     with pytest.raises(ValueError, match="starts"):
         check(ConstantSignal(TWO_NODE), [])
+
+
+@pytest.mark.parametrize("starts", [0.5, [[0.0, 0.5]]], ids=["number", "nested"])
+def test_window_criteria_reject_starts_that_are_not_a_list(starts):
+    # a single number used to fail deep inside both criteria with a TypeError
+    with pytest.raises(ValueError, match="starts"):
+        cor1_sliding_window_check(ConstantSignal(TWO_NODE), 1.0, 0.1, starts=starts)
+    with pytest.raises(ValueError, match="starts"):
+        thm2_window_check(ConstantSignal(TWO_NODE), 1.0, 1.0, 0.1, starts=starts)
 
 
 @pytest.mark.parametrize("bins", [0, -1, 1.5, 2.0, True])

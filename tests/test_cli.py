@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tvkuramoto import dynamics
 from tvkuramoto.cli import (_pd_header, _write_csv, _write_run_csvs, bundled_config_path, main,
                             verify_reference_values)
 from tvkuramoto.dynamics import PhaseTrajectory
@@ -84,6 +85,16 @@ def test_simulate_step_that_does_not_divide_the_span_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: config field 'parameters':" in err and "does not divide" in err
     assert "Traceback" not in err
+
+
+def test_simulate_rejects_a_batch_of_starts_before_integrating(tmp_path, capsys, monkeypatch):
+    cfg = _simulate_with(theta0=[[0.0, 0.2], [0.1, 0.3]])
+    monkeypatch.setattr(dynamics, "simulate", lambda *a, **k: pytest.fail("integrated"))
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'parameters.theta0':" in err and "(2, 2)" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_certify_pass_fail_inconclusive(tmp_path):
@@ -361,6 +372,37 @@ def test_experiment_input_errors_exit_2(tmp_path, capsys, scenario, cfg, field, 
     assert f"config error: config field '{field}':" in err and message in err
 
 
+def _certify_config(criterion, **parameters):
+    ones = (np.ones((3, 3)) - np.eye(3)).tolist()
+    return {"criterion": criterion,
+            "signals": {"omega": {"kind": "constant", "value": [1.0, 1.1, 0.9]},
+                        "coupling": {"kind": "constant", "value": ones}},
+            "parameters": parameters}
+
+
+def _simulate_with(**parameters):
+    cfg = small_simulate_config()
+    cfg["parameters"].update(parameters)
+    return cfg
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["certify"], _certify_config("cor1-sliding-window", T="1", eta=0.1)),
+    (["certify"], _certify_config("invariance-robust", r="1")),
+    (["certify"], _certify_config("thm1-spanning-tree", partition=[0, {"a": 1}], eta=0.1)),
+    (["certify"], _certify_config("thm3-lambda2-series", r=1.0, h=1.0, num_windows=2.5)),
+    (["experiment", "fast"], _bundled("fast", frequencies=[10, "x"])),
+    (["simulate"], _simulate_with(theta0=[0, "a", 0.2])),
+], ids=["cor1-T", "robust-r", "thm1-partition", "thm3-num-windows", "fast-frequencies",
+        "simulate-theta0"])
+def test_parameters_a_command_cannot_read_exit_2(tmp_path, capsys, argv, cfg):
+    # each of these used to crash with a traceback and exit 1, read as a `fail`
+    assert main(argv + ["--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'parameters" in err and "Traceback" not in err
+
+
 def test_lock_numerics_land_in_the_summary(tmp_path):
     perturb = {
         "scenario": "perturb",
@@ -389,6 +431,13 @@ def test_seed_and_dt_overrides_land_in_config(tmp_path):
     assert summary["config"]["parameters"]["dt"] == 0.002
     assert summary["config"]["parameters"]["seed"] == 7
     assert summary["results"]["steps"] == 500
+
+
+def test_override_of_parameters_that_are_not_an_object_exits_2(tmp_path, capsys):
+    cfg = dict(small_simulate_config(), parameters=5)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"), "--seed", "7"]) == 2
+    assert "config field 'parameters': expected dict, got int" in capsys.readouterr().err
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):
