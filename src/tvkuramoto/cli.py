@@ -36,7 +36,7 @@ from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
 from tvkuramoto.graph import check_coupling, laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
-from tvkuramoto.signals import PeriodError, common_period, signal_from_json
+from tvkuramoto.signals import PeriodError, signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -113,7 +113,8 @@ def _keywords(cfg: dict, fn, *fields: str, **renamed: str) -> dict:
             for kw, field in dict(zip(fields, fields), **renamed).items()}
 
 
-def _signals(cfg: dict, joint: bool = False):
+def _signals(cfg: dict):
+    """(omega, coupling) of the config; omega a scalar or one frequency per oscillator."""
     sigs = _get(cfg, "signals", dict)
     loaded = []
     for key in ("omega", "coupling"):
@@ -121,17 +122,11 @@ def _signals(cfg: dict, joint: bool = False):
             raise ConfigError(f"signals.{key}", "missing")
         try:
             loaded.append(signal_from_json(sigs[key]))
+            m = check_coupling(loaded[-1]) if key == "coupling" else None
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"signals.{key}", str(exc)) from exc
-    try:
-        check_coupling(loaded[1])
-    except ValueError as exc:
-        raise ConfigError("signals.coupling", str(exc)) from exc
-    try:
-        if joint:  # read at the same times, the signals need a common period
-            common_period(loaded)
-    except ValueError as exc:
-        raise ConfigError("signals", str(exc)) from exc
+    if loaded[0].shape not in ((), (m,)):
+        raise ConfigError("signals.omega", f"shape {loaded[0].shape} does not match m={m}")
     return tuple(loaded)
 
 
@@ -233,9 +228,9 @@ def _simulate(cfg: dict, config_hash: str, outdir: Path):
         theta0 = np.asarray(theta0, dtype=float)
     except (ValueError, TypeError) as exc:
         raise ConfigError("parameters.theta0", str(exc)) from exc
-    if theta0.ndim != 1:
-        raise ConfigError("parameters.theta0",
-                          f"expected one start, a list of phases; got shape {theta0.shape}")
+    if theta0.shape != coupling.shape[:1]:
+        raise ConfigError("parameters.theta0", f"expected one start of {coupling.shape[0]} "
+                                               f"phases; got shape {theta0.shape}")
     t_end = _get(cfg, "parameters.t_end", float)
     dt = _get(cfg, "parameters.dt", float)
     r = _get_r(cfg, required=False)
@@ -253,7 +248,7 @@ def _certify(cfg: dict, config_hash: str, outdir: Path):
     if criterion not in certificates.CRITERIA:
         raise ConfigError("criterion", f"unknown {criterion!r}; "
                           f"known: {', '.join(certificates.CRITERIA)}")
-    omega, coupling = _signals(cfg, joint=criterion == "invariance-pointwise")
+    omega, coupling = _signals(cfg)
     report = _run_scenario(certificates.run_check, criterion, omega, coupling,
                            _get(cfg, "parameters", dict))
     print(_write_json(outdir / "certificate.json",
@@ -262,7 +257,7 @@ def _certify(cfg: dict, config_hash: str, outdir: Path):
 
 
 def _experiment_ap(cfg: dict, config_hash: str, outdir: Path):
-    omega, coupling = _signals(cfg, joint=True)
+    omega, coupling = _signals(cfg)
     result = _run_scenario(scenarios.ap_experiment, omega, coupling, _get_r(cfg), **_keywords(
         cfg, scenarios.ap_experiment, "num_runs", "ic_low", "ic_high", "seed", "t_end", "dt",
         "divergence_from", "eta", "orbit_tol", "orbit_max_iter"))

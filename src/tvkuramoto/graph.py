@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvkuramoto.signals import SinusoidSignal, TableSignal, TimeSignal
+from tvkuramoto.signals import SinusoidSignal, TableSignal, TimeSignal, distinct_values
 
 
 def _checked_adjacency(a) -> np.ndarray:
@@ -129,20 +129,14 @@ def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
     mu2: grid max of the pairwise minimum of a_ij + a_ji.
 
     Grid extrema stand in for suprema over continuous time; exact for
-    piecewise-constant signals when the grid includes all breakpoints. A grid
-    point whose matrix is the same array as the one before it adds nothing and
-    is skipped, so piecewise-constant signals cost one pass per piece.
+    piecewise-constant signals when the grid includes all breakpoints, which
+    cost one pass per stored piece (signals.distinct_values).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty sampling grid")
     mu0 = mu1 = mu2 = -np.inf
-    prev = None
-    for t in grid:
-        a = np.asarray(coupling.evaluate(float(t)), dtype=float)
-        if a is prev:
-            continue
-        prev = a
+    for _, a in distinct_values(coupling, grid):
         m = a.shape[0]
         if m < 2:
             mu0, mu1, mu2 = max(mu0, 0.0), max(mu1, 0.0), max(mu2, 0.0)

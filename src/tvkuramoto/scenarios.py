@@ -413,18 +413,14 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     if freqs.size == 0 or freqs[0] <= 0:
         raise ValueError("switching frequencies must be positive")
 
-    probe = np.unique(np.concatenate([
+    fault = certificates.first_psd_fault(coupling_base, np.concatenate([
         coupling_base.breakpoints_in(0.0, coupling_base.period),
-        np.linspace(0.0, coupling_base.period, 33, endpoint=False),
-    ]))
+        np.linspace(0.0, coupling_base.period, 33, endpoint=False)]))
     notes = ""
-    for t in probe:
-        fault, low = certificates.psd_fault(
-            graph.laplacian_from_adjacency(coupling_base.evaluate(float(t))))
-        if fault is not None:
-            notes = (f"coupling schedule is not symmetric at t = {t}" if low is None
-                     else f"coupling Laplacian is not PSD at t = {t} (eigenvalue {low:.4g})")
-            break
+    if fault is not None:
+        t, _, low = fault
+        notes = (f"coupling schedule is not symmetric at t = {t}" if low is None
+                 else f"coupling Laplacian is not PSD at t = {t} (eigenvalue {low:.4g})")
 
     a_bar = np.asarray(coupling_base.window_average(0.0, coupling_base.period))
     w_bar = np.asarray(omega_base.window_average(0.0, omega_base.period))

@@ -72,7 +72,7 @@ class TimeSignal:
         """Signal value at time t >= 0 (right-continuous at breakpoints).
 
         Piecewise-constant kinds return the same stored object for every t in
-        one piece, so callers may skip a repeat by identity (``a is prev``).
+        one piece; distinct_values reads each piece once by that identity.
         """
         raise NotImplementedError
 
@@ -336,6 +336,18 @@ class SwitchingSignal(TableSignal):
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         # scale the durations before the running sum: scaled switch times can differ by an ulp
         return SwitchingSignal(self.durations * epsilon, self.values)
+
+
+def distinct_values(sig: TimeSignal, times):
+    """(t, value) at each distinct time in increasing order, but each stored piece of a
+    piecewise-constant signal only at its first time (the signal keeps its pieces
+    alive, so their ids tell them apart)."""
+    seen = set()
+    for t in np.unique(times):
+        value = sig.evaluate(float(t))
+        if not sig.is_piecewise_constant or id(value) not in seen:
+            seen.add(id(value))
+            yield float(t), value
 
 
 def signal_from_json(obj: dict) -> TimeSignal:

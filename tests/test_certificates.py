@@ -17,7 +17,7 @@ from tvkuramoto.certificates import (
     tilde_laplacian,
     xi_index,
 )
-from tvkuramoto import graph
+from tvkuramoto import certificates, graph
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.dynamics import PhaseTrajectory, invariance_monitor, pd_divergence, simulate
 from tvkuramoto.graph import laplacian_from_adjacency
@@ -25,6 +25,7 @@ from tvkuramoto.linalg import lambda2
 from tvkuramoto.signals import (
     ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid, signal_from_json,
 )
+import psd_oracle
 import spanning_oracle
 from xi_oracle import xi_vertex_oracle
 
@@ -412,6 +413,56 @@ def test_thm1_stops_at_its_first_failing_window(monkeypatch):
     assert len(calls) == 1
 
 
+def two_block_schedule(m, until):
+    """Aperiodic table: a directed ring on all m nodes until `until`, then two rings of
+    m/2 nodes with no link between them, which have no spanning tree."""
+    ring, split = np.zeros((m, m)), np.zeros((m, m))
+    half = m // 2
+    for i in range(m):
+        ring[i, (i - 1) % m] = 1.0
+        split[i, (i - 1) % half + (i // half) * half] = 1.0
+    return TableSignal([0.0, until], [ring, split])
+
+
+def _record_integrals(monkeypatch):
+    calls = []
+    integrate = TableSignal.integrate_window
+    monkeypatch.setattr(TableSignal, "integrate_window",
+                        lambda self, s, t: calls.append(np.atleast_1d(s).copy())
+                        or integrate(self, s, t))
+    return calls
+
+
+def test_cor1_integrates_no_block_past_its_first_failing_start(monkeypatch):
+    # the windows of 80 starts 0.5 s apart fail from start 29.5 on, the 60th start;
+    # at m = 20 the starts are integrated in blocks, the last one holding it
+    sig = two_block_schedule(20, 30.0)
+    starts = 0.5 * np.arange(80)
+    calls = _record_integrals(monkeypatch)
+    rep = cor1_sliding_window_check(sig, 1.0, 0.5, starts)
+    monkeypatch.undo()
+    assert rep.verdict == "fail" and rep.witnesses["first_failing_start"] == 29.5
+    assert spanning_oracle.cor1_starts(sig, 1.0, 0.5, starts) == (False, 29.5)
+    assert len(calls) > 1 and 29.5 in calls[-1]
+    assert not any(29.5 in c for c in calls[:-1])
+    assert sum(c.size for c in calls) < starts.size
+
+
+def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
+    # 60 bins of 1 s in one interval; bin 31, [30, 31], is the first without a spanning tree
+    sig = two_block_schedule(20, 30.0)
+    calls = _record_integrals(monkeypatch)
+    rep = thm1_spanning_tree_check(sig, [0.0, 60.0], 0.5, bins=60)
+    monkeypatch.undo()
+    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, [0.0, 60.0], 0.5, 60)
+    assert not passed and rep.verdict == "fail"
+    assert rep.witnesses["first_failing_window"] == first_fail == {
+        "interval": 1, "bin": 31, "window": [30.0, 31.0]}
+    assert len(calls) > 1 and 30.0 in calls[-1]
+    assert not any(30.0 in c for c in calls[:-1])
+    assert sum(c.size for c in calls) < 60
+
+
 def test_thm1_tells_apart_graphs_with_as_many_edges():
     # the path 1 -> 2 -> 3 has a spanning tree; 1 -> 2 <- 3, with as many
     # edges, has none, so the second bin fails
@@ -709,6 +760,59 @@ def test_thm3_asymmetric_schedule_is_inconclusive():
     rep = thm3_series_check(ConstantSignal(a), 0.5, h=1.0, num_windows=1)
     assert rep.verdict == "inconclusive"
     assert "asymmetric_at" in rep.witnesses
+
+
+def psd_probe_schedule(rng, kind):
+    """2 to 5 nodes, 1 to 4 pieces: symmetric nonnegative, symmetric signed (often not
+    PSD) or partly asymmetric, as a schedule, a constant or a sinusoid."""
+    m, count, style = int(rng.integers(2, 6)), int(rng.integers(1, 5)), int(rng.integers(3))
+    pieces = []
+    for _ in range(count):
+        a = rng.uniform(-1.0 if style == 1 else 0.0, 1.5, (m, m))
+        if style != 2 or rng.random() < 0.5:
+            a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        pieces.append(a)
+    if kind == "constant":
+        return ConstantSignal(pieces[0])
+    if kind == "sinusoid":
+        return SinusoidSignal(pieces[0], 0.5 * pieces[-1], rng.uniform(-3.0, 3.0))
+    durations = rng.uniform(0.2, 1.0, count)
+    if kind == "switching":
+        return SwitchingSignal(durations, pieces)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    return TableSignal(times, pieces, float(durations.sum()) if kind == "periodic-table" else None)
+
+
+@pytest.mark.parametrize("kind", PROBE_KINDS)
+def test_psd_probe_matches_the_per_time_loop(kind):
+    # each stored piece eigensolved once must give the witness every probe time gives
+    rng = np.random.default_rng([75, PROBE_KINDS.index(kind)])
+    seen = set()
+    for _ in range(24):
+        sig = psd_probe_schedule(rng, kind)
+        h, num_windows = rng.uniform(0.2, 1.5), int(rng.integers(1, 5))
+        want = psd_oracle.thm3_witness(sig, h, num_windows)
+        for check in (thm3_series_check, cor2_uniform_check):
+            rep = check(sig, math.pi / 3, h, num_windows)
+            assert (rep.verdict == "inconclusive") == (want is not None)
+            if want is not None:
+                assert rep.witnesses == want
+        seen.add("none" if want is None else next(iter(want)))
+    assert seen == {"none", "asymmetric_at", "not_psd_at"}
+
+
+def test_thm3_eigensolves_each_piece_of_a_schedule_once(monkeypatch):
+    # 4 symmetric pieces over 4 windows: the 53 probe times read 4 distinct Laplacians
+    ring = np.roll(np.eye(6), 1, axis=1)
+    pieces = [(k + 1) * (ring + ring.T) for k in range(4)]
+    calls = []
+    spectrum = certificates.restricted_spectrum
+    monkeypatch.setattr(certificates, "restricted_spectrum",
+                        lambda lap: calls.append(1) or spectrum(lap))
+    rep = thm3_series_check(SwitchingSignal([0.5] * 4, pieces), math.pi / 3, 0.5, 4)
+    assert rep.verdict == "pass"
+    assert len(calls) <= 4
 
 
 def test_cor2_uniform_threshold():

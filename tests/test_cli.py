@@ -503,3 +503,80 @@ def test_pd_csv_formed_block_by_block_matches_the_whole_pd_array(tmp_path):
     _write_csv(tmp_path / "whole.csv", _pd_header(7),
                np.column_stack([traj.times, traj.phase_differences()]), "h", "t=s pd=rad")
     assert (tmp_path / "pd_run0.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def _window_config(criterion, coupling, **parameters):
+    return {"criterion": criterion,
+            "signals": {"omega": {"kind": "constant", "value": 0.0}, "coupling": coupling},
+            "parameters": parameters}
+
+
+_RING3 = (np.ones((3, 3)) - np.eye(3)).tolist()
+_TWO_PAIRS = [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+_SWITCHING3 = {"kind": "switching",
+               "pieces": [{"duration": 1.0, "value": _RING3},
+                          {"duration": 1.0, "value": (2 * np.array(_RING3)).tolist()}]}
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+@pytest.mark.parametrize("cfg, name", [
+    # repulsive: every window average of xi is +1.5
+    (_window_config("thm2-xi-window", _constant((-0.5 * np.array(_RING3)).tolist()),
+                    r=1.0, T=1.0, eta=-2.0), "eta"),
+    (_window_config("thm2-xi-window", _constant(np.zeros((3, 3)).tolist()),
+                    r=1.0, T=1.0, eta=0.0), "eta"),
+    (_window_config("thm2-xi-window", _constant(_RING3), r=1.0, T=math.inf, eta=0.1), "T"),
+    (_window_config("cor2-lambda2-uniform", _constant(_TWO_PAIRS), r=1.0, h=1.0,
+                    alpha_hat=-1e-6), "alpha_hat"),
+    (_window_config("thm3-lambda2-series", _constant(_TWO_PAIRS), r=1.0, h=1.0,
+                    alpha_hat=-1e-6), "alpha_hat"),
+    (_window_config("thm3-lambda2-series", _SWITCHING3, r=1.0, h=math.inf), "h"),
+    (_window_config("cor2-lambda2-uniform", _SWITCHING3, r=1.0, h=math.inf), "h"),
+    (_window_config("cor1-sliding-window", _constant(_RING3), T=math.inf, eta=0.1), "T"),
+    (_window_config("cor1-sliding-window", _SWITCHING3, T=math.inf, eta=0.1), "T"),
+    (_window_config("cor1-sliding-window", _SWITCHING3, T=1.0, eta=math.nan), "eta"),
+    (_window_config("thm1-spanning-tree", _constant(_RING3), partition=[0.0, math.nan],
+                    eta=0.1), "partition"),
+    (_window_config("thm1-spanning-tree", _SWITCHING3, partition=[0.0, 1.0, 2.0],
+                    eta=[0.1, math.inf]), "eta"),
+], ids=["thm2-eta-negative", "thm2-eta-zero", "thm2-T-inf", "cor2-alpha-hat-negative",
+        "thm3-alpha-hat-negative", "thm3-h-inf", "cor2-h-inf", "cor1-T-inf-constant",
+        "cor1-T-inf-switching", "cor1-eta-nan", "thm1-partition-nan", "thm1-eta-inf"])
+def test_window_parameters_that_are_not_positive_and_finite_exit_2(tmp_path, capsys, cfg, name):
+    # each of these used to pass, fail, or die with an OverflowError and exit 1
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'parameters':" in err and f"{name} must be" in err
+    assert not (tmp_path / "o" / "certificate.json").exists()
+
+
+def _omega_of_length(cfg, n):
+    cfg["signals"]["omega"] = {"kind": "constant", "value": np.linspace(0.9, 1.1, n).tolist()}
+    return cfg
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["certify"], _omega_of_length(_certify_config("invariance-pointwise", r=1.0), 4)),
+    (["certify"], _omega_of_length(_certify_config("invariance-robust", r=1.0), 2)),
+    (["simulate"], _omega_of_length(small_simulate_config(), 3)),
+    (["experiment", "ap"], _omega_of_length(_bundled("ap", num_runs=1, t_end=4.0), 4)),
+    (["experiment", "fast"], _omega_of_length(_bundled("fast", frequencies=[10.0]), 2)),
+], ids=["pointwise", "robust", "simulate", "ap", "fast"])
+def test_frequencies_that_do_not_match_the_coupling_name_signals_omega(tmp_path, capsys,
+                                                                        argv, cfg):
+    assert main(argv + ["--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+    assert "config field 'signals.omega':" in capsys.readouterr().err
+
+
+def test_simulate_names_theta0_of_the_wrong_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "simulate", lambda *a, **k: pytest.fail("integrated"))
+    assert main(["simulate", "--config", write_config(tmp_path, _simulate_with(theta0=[0.0])),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'parameters.theta0':" in err and "(1,)" in err

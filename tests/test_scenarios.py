@@ -20,7 +20,10 @@ from tvkuramoto.scenarios import (
     phase_locked_equilibrium,
     poincare_map,
 )
-from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, signal_from_json
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal,
+                                signal_from_json)
+
+import psd_oracle
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -345,6 +348,44 @@ def test_fast_sweep_no_variation_has_tiny_tail():
     rep = fast_switching_sweep(omega, coupling, [5.0, 20.0], math.pi / 3, t_end=20.0)
     assert rep.schedule_certified
     assert np.all(rep.tails < 1e-6)
+
+
+def fast_probe_schedule(rng, kind):
+    """Periodic coupling B + D(t) with a symmetric positive B, so the average locks, and
+    D(t) of zero mean: small and symmetric, large and symmetric (often not PSD), or
+    asymmetric. A switching or table schedule has equal pieces, a sinusoid one period."""
+    m, count, style = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(3))
+    b = rng.uniform(0.5, 1.5, (m, m))
+    b = b + b.T
+    np.fill_diagonal(b, 0.0)
+    d = rng.uniform(-1.0, 1.0, (count, m, m)) * (0.2 if style == 0 else 3.0)
+    if style != 2:
+        d = d + d.transpose(0, 2, 1)
+    d -= d.mean(axis=0)
+    for piece in d:
+        np.fill_diagonal(piece, 0.0)
+    if kind == "sinusoid":
+        return SinusoidSignal(b, d[0], rng.uniform(-3.0, 3.0))
+    if kind == "switching":
+        return SwitchingSignal([0.5] * count, list(b + d))
+    return TableSignal(0.5 * np.arange(count), list(b + d), period=0.5 * count)
+
+
+@pytest.mark.parametrize("kind", ["switching", "periodic-table", "sinusoid"])
+def test_fast_sweep_schedule_notes_match_the_per_time_loop(kind):
+    # the sweep needs a periodic coupling, so constant and aperiodic ones are not run
+    rng = np.random.default_rng([76, ["switching", "periodic-table", "sinusoid"].index(kind)])
+    seen = set()
+    for _ in range(8):
+        coupling = fast_probe_schedule(rng, kind)
+        m = coupling.shape[0]
+        omega = SwitchingSignal([coupling.period], [rng.uniform(-0.1, 0.1, m)])
+        rep = fast_switching_sweep(omega, coupling, [1.0], math.pi / 3, t_end=0.05)
+        want = psd_oracle.fast_notes(coupling)
+        assert rep.certification_notes == want
+        assert rep.schedule_certified == (want == "")
+        seen.add(want.split(" at ")[0])
+    assert len(seen) > 1
 
 
 def test_fast_sweep_bundled_schedule_scaling():

@@ -12,6 +12,7 @@ from tvkuramoto.signals import (
     TableSignal,
     check_alignment,
     common_period,
+    distinct_values,
     sample_grid,
     signal_from_json,
 )
@@ -465,3 +466,42 @@ def test_array_window_integral_equals_the_scalar_calls_bit_for_bit():
             else:
                 reference = sig.value * (float(t[i]) - float(s[i]))
             assert np.asarray(scalar).tobytes() == np.asarray(reference).tobytes()
+
+
+def _distinct(sig, times):
+    return [(t, v) for t, v in distinct_values(sig, times)]
+
+
+def test_distinct_values_reads_a_constant_once_at_its_first_time():
+    sig = ConstantSignal([[0.0, 1.0], [2.0, 0.0]])
+    got = _distinct(sig, [3.0, 0.5, 3.0, 7.0])
+    assert len(got) == 1 and got[0][0] == 0.5 and got[0][1] is sig.value
+
+
+def test_distinct_values_reads_each_stored_piece_once():
+    # the first piece is stored twice as one object and once as an equal copy:
+    # the repeat is read once, the copy is a piece of its own
+    a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    sig = SwitchingSignal([1.0] * 4, [a, b, a, a.copy()])
+    got = _distinct(sig, [6.5, 0.0, 2.5, 1.0, 4.2, 3.0, 0.4, 1.0])
+    assert [t for t, _ in got] == [0.0, 1.0, 3.0]
+    assert [v is w for (_, v), w in zip(got, sig.values)] == [True, True, False]
+    assert got[2][1] is sig.values[3]
+
+
+@pytest.mark.parametrize("period", [5.0, None], ids=["periodic", "aperiodic"])
+def test_distinct_values_of_a_table(period):
+    sig = TableSignal([0.0, 1.0, 2.5], [1.0, -1.0, 4.0], period)
+    got = _distinct(sig, [9.0, 0.2, 2.5, 5.5, 1.0, 7.6])
+    # periodic: 5.5 and 7.6 fold onto pieces already read; aperiodic: the last piece holds
+    assert got == [(0.2, 1.0), (1.0, -1.0), (2.5, 4.0)]
+    assert all(v is sig.values[k] for k, (_, v) in enumerate(got))
+
+
+def test_distinct_values_reads_a_smooth_signal_at_every_distinct_time():
+    sig = SinusoidSignal(1.0, 0.5, 0.3)
+    times = [2.0, 0.0, 1.0, 2.0, 0.5]
+    got = _distinct(sig, times)
+    assert [t for t, _ in got] == [0.0, 0.5, 1.0, 2.0]
+    assert all(type(t) is float for t, _ in got)
+    assert [v for _, v in got] == [sig.evaluate(t) for t in (0.0, 0.5, 1.0, 2.0)]
