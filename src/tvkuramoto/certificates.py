@@ -257,6 +257,8 @@ def _nonempty_starts(starts) -> np.ndarray:
     if starts.ndim != 1 or starts.size == 0:
         raise ValueError(f"starts must be a nonempty list of window starts, got shape "
                          f"{starts.shape}")
+    if not np.isfinite(starts).all():
+        raise ValueError(f"starts must be finite, got {starts[~np.isfinite(starts)][0]}")
     return starts
 
 

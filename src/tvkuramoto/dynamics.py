@@ -7,7 +7,8 @@ Every fixed-step integration in the package runs through one classical
 4th-order routine, `_rk4`, on a grid aligned to every signal breakpoint, which
 makes runs bit-for-bit reproducible. Its state may carry a batch axis (R starts
 as one (R, m) array); it evaluates a piecewise-constant signal once per piece
-and a smooth one twice per step. The coupling term takes the product form
+and reads a smooth one a block of steps at a time, at every half and whole step
+of the block in one array call each. The coupling term takes the product form
 cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i: O(m) trig calls.
 """
 
@@ -124,14 +125,17 @@ def _rhs(theta, w, a):
     return w + c * np.dot(s, a.T) - s * np.dot(c, a.T)
 
 
+_BLOCK = 64  # RK4 steps per block: a smooth signal is read once a block
+
+
 def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
     """Classical 4th-order integration of y' = rhs(y, *signal values) for nsteps steps from t0.
 
     The caller has checked the grid with check_alignment, so a piecewise-constant
-    signal is evaluated at the first step of each piece; a smooth one at t + dt/2
-    and t + dt, the latter reused at the next step. out[k], if given, receives
-    y(t0 + k dt). The run ends early where stop(t, y, y') is true. Returns the
-    last state and its step. Raises on non-finite state, naming the time.
+    signal is evaluated at the first step of each piece; a smooth one once per
+    block of _BLOCK steps, at every t + dt/2 and t + dt in it. out[k], if given,
+    receives y(t0 + k dt). The run ends early where stop(t, y, y') is true.
+    Returns the last state and its step. Raises on non-finite state, naming the time.
     """
     t_end = t0 + nsteps * dt
     pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
@@ -141,32 +145,33 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
         steps = np.rint((signals[i].breakpoints_in(t0, t_end) - t0) / dt)
         cuts.update(int(k) for k in steps if 0 < k < nsteps)
     cuts = sorted(cuts)
-    vc = [None if sig.is_piecewise_constant else sig.evaluate(t0) for sig in signals]
-    va, vb = list(vc), list(vc)
+    values = [None] * len(signals)
     half, sixth = 0.5 * dt, dt / 6.0
     y = y0
     if out is not None:
         out[0] = y0
     for lo, hi in zip(cuts, cuts[1:]):
         for i in pieces:
-            va[i] = vb[i] = vc[i] = signals[i].evaluate(t0 + lo * dt)
-        for k in range(lo, hi):
-            t = t0 + k * dt
-            for i in smooth:
-                va[i] = vc[i]
-                vb[i] = signals[i].evaluate(t + half)
-                vc[i] = signals[i].evaluate(t0 + (k + 1) * dt)
-            k1 = rhs(y, *va)
-            if stop is not None and stop(t, y, k1):
-                return y, k
-            k2 = rhs(y + half * k1, *vb)
-            k3 = rhs(y + half * k2, *vb)
-            k4 = rhs(y + dt * k3, *vc)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
-            if out is not None:
-                out[k + 1] = y
+            values[i] = signals[i].evaluate(t0 + lo * dt)
+        for first in range(lo, hi, _BLOCK):
+            ts = t0 + np.arange(first, min(first + _BLOCK, hi) + 1) * dt
+            ends = [signals[i].evaluate(ts) for i in smooth]
+            mids = [signals[i].evaluate(ts[:-1] + half) for i in smooth]
+            va, vb, vc = list(values), list(values), list(values)
+            for j, t in enumerate(ts[:-1].tolist()):
+                for i, end, mid in zip(smooth, ends, mids):
+                    va[i], vb[i], vc[i] = end[j], mid[j], end[j + 1]
+                k1 = rhs(y, *va)
+                if stop is not None and stop(t, y, k1):
+                    return y, first + j
+                k2 = rhs(y + half * k1, *vb)
+                k3 = rhs(y + half * k2, *vb)
+                k4 = rhs(y + dt * k3, *vc)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.isfinite(y).all():
+                    raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
+                if out is not None:
+                    out[first + j + 1] = y
     return y, nsteps
 
 

@@ -188,71 +188,70 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     )
 
 
-def poincare_map(pd0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
-                 period: float, dt: float, r: "float | None" = None) -> np.ndarray:
-    """PD-to-PD map over one forcing period.
-
-    The PD vector is lifted to phases with theta_1 = 0 (any other lift differs
-    by a global shift the dynamics quotient out), integrated for one period,
-    and projected back. With r given, leaving the PD hypercube mid-period is
-    an error since it breaks the contraction argument.
-    """
+def _period_run(pd0: np.ndarray, omega: TimeSignal, coupling: TimeSignal, period: float,
+                dt: float, r: "float | None") -> dynamics.PhaseTrajectory:
+    """One period from the PD vector pd0, lifted to phases with theta_1 = 0 (any
+    other lift differs by a global shift the dynamics quotient out). With r
+    given, leaving the PD hypercube mid-period is an error since it breaks the
+    contraction argument."""
     pd0 = np.asarray(pd0, dtype=float)
     m = int(round((1 + math.sqrt(1 + 8 * pd0.size)) / 2))
-    theta0 = dynamics.phases_from_pd(pd0, m)
-    traj = dynamics.simulate(theta0, omega, coupling, period, dt)
+    traj = dynamics.simulate(dynamics.phases_from_pd(pd0, m), omega, coupling, period, dt)
     if r is not None:
         exit_time = dynamics.invariance_monitor(traj, r)
         if exit_time is not None:
             raise RuntimeError(f"PDs left the half-width-{r:.4g} region at t = {exit_time:.4f} s "
                                "during the period map")
-    return dynamics.phase_differences(traj.final())
+    return traj
+
+
+def poincare_map(pd0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
+                 period: float, dt: float, r: "float | None" = None) -> np.ndarray:
+    """PD-to-PD map over one forcing period, the PDs at the end of _period_run."""
+    return dynamics.phase_differences(_period_run(pd0, omega, coupling, period, dt, r).final())
 
 
 @dataclass(frozen=True)
 class PeriodicPDOrbit:
-    """Fixed point of the period map, resampled over one period."""
+    """Fixed point of the period map and the map's own run over one period from it."""
 
     period: float
     times: np.ndarray        # grid over [0, period]
-    pd_samples: np.ndarray   # (N+1, m(m-1)/2)
-    residual: float          # fixed-point iteration residual ||H(pd) - pd||
+    pd_samples: np.ndarray   # (N+1, m(m-1)/2): x, then H(x) in the last row
+    residual: float          # fixed-point residual ||H(x) - x||, the orbit's endpoint mismatch
     iterations: int
 
     @property
     def fixed_point(self) -> np.ndarray:
-        return self.pd_samples[0].copy()
+        """H(x), the last row: the nearer of x and H(x) to the fixed point."""
+        return self.pd_samples[-1].copy()
 
 
 def find_periodic_pd(omega: TimeSignal, coupling: TimeSignal, period: float,
                      pd_seed, tol: float = 1e-10, max_iter: int = 200,
                      dt: float = 1e-3, r: "float | None" = None) -> PeriodicPDOrbit:
-    """Iterate the period map to its unique fixed point and resample the orbit.
+    """Iterate the period map H to its unique fixed point; the orbit is the PDs of
+    the last map's run, from the last iterate x to H(x).
 
     Convergence is guaranteed when one of the stability certificates for the
     schedule passes (the map is then a contraction after finitely many
     periods); non-convergence suggests a failing certificate or loss of
     invariance.
     """
-    pd = np.asarray(pd_seed, dtype=float).copy()
+    pd = np.asarray(pd_seed, dtype=float)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        pd_next = poincare_map(pd, omega, coupling, period, dt, r=r)
-        residual = float(np.linalg.norm(pd_next - pd))
-        pd = pd_next
+        run = _period_run(pd, omega, coupling, period, dt, r)
+        samples = run.phase_differences()  # row 0 is x as the lift gives it back
+        residual = float(np.linalg.norm(samples[-1] - samples[0]))
         if residual < tol:
             break
+        pd = samples[-1]
     else:
         raise RuntimeError(
             f"period map did not reach a fixed point in {max_iter} iterations "
             f"(residual {residual:.3g}); check the stability certificate")
-    m = int(round((1 + math.sqrt(1 + 8 * pd.size)) / 2))
-    traj = dynamics.simulate(dynamics.phases_from_pd(pd, m), omega, coupling, period, dt)
-    samples = traj.phase_differences()
-    wrap = float(np.linalg.norm(samples[-1] - samples[0]))
-    if wrap > 1e-8:
-        raise RuntimeError(f"orbit endpoint mismatch {wrap:.3g} exceeds 1e-8")
-    return PeriodicPDOrbit(period, traj.times, samples, residual, it)
+    return PeriodicPDOrbit(period, run.times, samples, residual, it)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,9 @@ class TimeSignal:
 
         Piecewise-constant kinds return the same stored object for every t in
         one piece; distinct_values reads each piece once by that identity.
+        Smooth kinds also take an array of times: the result holds one value
+        per time, its value axes after theirs, each equal bit for bit to the
+        scalar call.
         """
         raise NotImplementedError
 
@@ -188,6 +191,15 @@ class SinusoidSignal(TimeSignal):
         return False
 
     def evaluate(self, t):
+        if isinstance(t, np.ndarray):
+            if (t < 0).any():
+                raise ValueError(f"signal domain is t >= 0, got {t.min()}")
+            xs = (t / self.time_scale).ravel().tolist()
+            # math's cos and sin, as the scalar call takes them, so each row matches it
+            axes = t.shape + (1,) * len(self._shape)
+            cos = np.array([math.cos(x) for x in xs]).reshape(axes)
+            sin = np.array([math.sin(x) for x in xs]).reshape(axes)
+            return self.base + self._cos_coef * cos + self._sin_coef * sin
         if t < 0:
             raise ValueError(f"signal domain is t >= 0, got {t}")
         x = t / self.time_scale

@@ -593,6 +593,19 @@ def test_window_criteria_reject_starts_that_are_not_a_list(starts):
         thm2_window_check(ConstantSignal(TWO_NODE), 1.0, 1.0, 0.1, starts=starts)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("coupling", [
+    SwitchingSignal([0.5, 0.5], [np.ones((3, 3)) - np.eye(3), np.eye(3, k=1)]),
+    ConstantSignal(np.ones((3, 3)) - np.eye(3)),
+], ids=["switching", "constant"])
+def test_window_criteria_reject_non_finite_starts(coupling, bad):
+    # inf used to crash cor1 with an OverflowError, and NaN to give a fail or NaN averages
+    for check in (lambda starts: cor1_sliding_window_check(coupling, 1.0, 0.1, starts=starts),
+                  lambda starts: thm2_window_check(coupling, 1.0, 1.0, 0.1, starts=starts)):
+        with pytest.raises(ValueError, match="starts must be finite"):
+            check([0.0, bad, 0.5])
+
+
 @pytest.mark.parametrize("bins", [0, -1, 1.5, 2.0, True])
 def test_thm1_rejects_bins_that_are_not_positive_integers(bins):
     with pytest.raises(ValueError, match="bins"):

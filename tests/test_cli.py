@@ -164,6 +164,23 @@ def test_certify_unknown_criterion(tmp_path, capsys):
     assert "criterion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("criterion", ["cor1-sliding-window", "thm2-xi-window"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_certify_rejects_non_finite_window_starts(tmp_path, capsys, criterion, bad):
+    cfg = {
+        "criterion": criterion,
+        "signals": {"omega": {"kind": "constant", "value": 0.0},
+                    "coupling": {"kind": "switching", "pieces": [
+                        {"duration": 0.5, "value": a.tolist()} for a in _ring_pieces(3, 2)]}},
+        "parameters": {"r": math.pi / 3, "T": 1.0, "eta": 0.1, "starts": [0.0, bad]},
+    }
+    code = main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "starts" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "certificate.json").exists()
+
+
 def _ring_pieces(m, count):
     """Nonnegative switching pieces, each holding a directed ring."""
     rng = np.random.default_rng(3)

@@ -4,6 +4,8 @@ and the exact lock, correction and transition paths against independent oracles.
 import json
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from scipy.linalg import expm
 
 import rk4_oracle
 from tvkuramoto.cli import bundled_config_path
+from tvkuramoto import dynamics
 from tvkuramoto.dynamics import simulate
 from tvkuramoto.linalg import state_transition
 from tvkuramoto.scenarios import (_jacobian, _newton_lock, _relax, er_random_network,
@@ -91,6 +94,59 @@ def test_blow_up_in_one_row_names_the_time():
     blow_up = float(re.search(r"t = ([0-9.]+)", str(batch_err.value)).group(1))
     assert 0.5 < blow_up <= 0.52
     assert simulate(starts[[0, 2]], omega, coupling, 1.0, 1e-2).phases.shape == (2, 101, 2)
+
+
+B = dynamics._BLOCK
+
+
+def drifting_to_overflow(blow_step):
+    """(omega, coupling, dt) of an uncoupled pair whose first phase is finite after
+    blow_step steps of dt = 1 and overflows in the next one, at t = blow_step + 1:
+    a blow-up that no breakpoint starts, so it can fall anywhere in a block."""
+    w = sys.float_info.max / (blow_step + 0.5)
+    return ConstantSignal([w, w / 3.0]), ConstantSignal(np.zeros((2, 2))), 1.0
+
+
+def reference_blow_up(omega, coupling, t_end, dt):
+    with pytest.raises(RuntimeError, match="blew up") as err, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rk4_oracle.simulate(np.zeros(2), omega, coupling, t_end, dt)
+    return str(err.value)
+
+
+def raised(run):
+    """The RuntimeError run() raises, and every warning it surfaced."""
+    with pytest.raises(RuntimeError) as err, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return str(err.value), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("blow_step", [B, 2 * B - 1, 70],
+                         ids=["first-of-block", "last-of-block", "mid-block"])
+def test_blow_up_at_block_edges_names_the_reference_time(blow_step):
+    omega, coupling, dt = drifting_to_overflow(blow_step)
+    expected = reference_blow_up(omega, coupling, 3.0 * B, dt)
+    assert expected == f"state blew up at t = {blow_step + 1:.6f} s"
+    # a run past the blow-up surfaces what the run that ends at it does: no later step
+    run = lambda t_end: raised(lambda: simulate(np.zeros(2), omega, coupling, t_end, dt))
+    message, caught = run(3.0 * B)
+    assert message == expected
+    assert run(blow_step + 1.0) == (message, caught)
+
+
+@pytest.mark.parametrize("blow_step", [B, 2 * B - 1, 70],
+                         ids=["first-of-block", "last-of-block", "mid-block"])
+def test_blow_up_without_out_names_the_reference_time(blow_step):
+    # as _relax runs it: no out, and a stop callback read at every step
+    omega, coupling, dt = drifting_to_overflow(blow_step)
+    expected = reference_blow_up(omega, coupling, 3.0 * B, dt)
+    run = lambda nsteps: raised(lambda: dynamics._rk4(
+        dynamics._rhs, np.zeros(2), 0.0, dt, nsteps, (omega, coupling),
+        stop=lambda t, y, k1: False))
+    message, caught = run(3 * B)
+    assert message == expected
+    assert run(blow_step + 1) == (message, caught)
 
 
 def assert_relaxed_lock(lock, w, a, r, theta0):

@@ -201,6 +201,38 @@ def test_find_periodic_pd_seed_independent():
         assert np.abs(other.fixed_point - orbits[0].fixed_point).max() < 1e-8
 
 
+def assert_orbit_is_the_maps_own_run(orbit, seed, omega, coupling, r, dt=1e-3):
+    samples, period = orbit.pd_samples, orbit.period
+    assert samples.shape[0] == int(round(period / dt)) + 1
+    # the last row is the period map of the first, and its mismatch is the residual
+    assert samples[-1].tobytes() == poincare_map(samples[0], omega, coupling, period,
+                                                 dt).tobytes()
+    assert float(np.linalg.norm(samples[-1] - samples[0])) == orbit.residual < 1e-10
+    assert orbit.fixed_point.tobytes() == samples[-1].tobytes()
+    # the orbit as it was resampled: one more period from the map's image
+    m = coupling.shape[0]
+    resampled = simulate(phases_from_pd(samples[-1], m), omega, coupling, period, dt)
+    assert np.abs(resampled.phase_differences() - samples).max() <= 1e-12
+    # the iterations of x -> H(x) until ||H(x) - x|| < tol
+    x, iterations = seed, 0
+    while True:
+        iterations += 1
+        nxt = poincare_map(x, omega, coupling, period, dt, r=r)
+        if np.linalg.norm(nxt - x) < 1e-10:
+            break
+        x = nxt
+    assert orbit.iterations == iterations
+
+
+def test_orbit_is_the_converged_period_maps_own_run():
+    omega, coupling = bundled_signals("ap")
+    r = json.loads(bundled_config_path("ap").read_text())["parameters"]["r"]
+    seed = phase_differences(np.random.default_rng(5).uniform(-0.3, 0.3, 5))
+    orbit = find_periodic_pd(omega, coupling, 4.0, seed, r=r)
+    assert orbit.iterations > 1
+    assert_orbit_is_the_maps_own_run(orbit, seed, omega, coupling, r)
+
+
 # --- perturbation expansion -----------------------------------------------------
 
 
@@ -446,6 +478,8 @@ def test_ap_orbit_runs_over_the_common_period():
     assert res.orbit.period == 12.0
     assert res.orbit.residual < 1e-10
     assert res.max_distance_to_orbit_end < 1e-9
+    assert_orbit_is_the_maps_own_run(res.orbit, phase_differences(res.runs[0].final()),
+                                     omega, coupling, cfg["parameters"]["r"])
 
 
 # --- random networks --------------------------------------------------------------

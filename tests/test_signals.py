@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvkuramoto.signals import (
     ConstantSignal,
@@ -505,3 +507,37 @@ def test_distinct_values_reads_a_smooth_signal_at_every_distinct_time():
     assert [t for t, _ in got] == [0.0, 0.5, 1.0, 2.0]
     assert all(type(t) is float for t, _ in got)
     assert [v for _, v in got] == [sig.evaluate(t) for t in (0.0, 0.5, 1.0, 2.0)]
+
+
+@st.composite
+def sinusoids_and_times(draw):
+    """A sinusoid whose value has one of the shapes the integrator reads, each of
+    base, amplitude and phase a scalar or of that shape, and an array of times."""
+    m, runs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (m,), (m, m), (runs, m), (runs, m, m)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base, amplitude, phase = (rng.uniform(-2.0, 2.0, shape) if draw(st.booleans()) else
+                              float(rng.uniform(-2.0, 2.0)) for _ in range(3))
+    sig = SinusoidSignal(base, amplitude, phase, trig=draw(st.sampled_from(["sin", "cos"])),
+                         time_scale=draw(st.sampled_from([0.2, 1.0, 1.0 / 3.0, 7.5])))
+    times_shape = draw(st.sampled_from([(1,), (9,), (64,), (4, 3)]))
+    times = rng.uniform(0.0, 10.0 ** draw(st.integers(0, 4)), times_shape)
+    times.flat[0] = 0.0
+    return sig, times
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sinusoids_and_times())
+def test_sinusoid_array_evaluate_equals_the_scalar_calls_bit_for_bit(case):
+    sig, times = case
+    batch = sig.evaluate(times)
+    stacked = np.array([sig.evaluate(float(t)) for t in times.ravel()])
+    assert batch.shape == times.shape + sig.shape
+    assert np.array_equal(batch, stacked.reshape(batch.shape))
+    assert batch.tobytes() == stacked.tobytes()
+
+
+def test_sinusoid_array_evaluate_rejects_a_negative_time():
+    sig = SinusoidSignal(np.zeros(3), 1.0, 0.2)
+    with pytest.raises(ValueError, match="t >= 0"):
+        sig.evaluate(np.array([0.0, 1.0, -1e-12, 2.0]))
