@@ -4,10 +4,13 @@ Every check returns a CertificateReport: a verdict (pass / fail / inconclusive)
 plus the witnesses that certify it -- threshold margins, window averages,
 eigenvalue series, or the earliest violating pair/window/time. Quantifiers over
 all t >= 0 are evaluated on signals.sample_grid: up to the last switch of an
-aperiodic table plus one common period (sufficient by periodicity); window
-integrals of the coupling are exact for piecewise-constant signals and midpoint
-quadrature otherwise. Each criterion checks its coupling once, with
-graph.check_coupling, before any evaluation.
+aperiodic table plus one common period (sufficient by periodicity). A coupling
+hypothesis (nonnegative entries, symmetric PSD Laplacians) is probed at
+sample_grid(coupling, PROBE_POINTS), over all t and not a criterion's own span;
+that grid plus the window kinks gives thm2's and cor1's default starts
+(_window_starts). Window integrals of the coupling are exact for
+piecewise-constant signals and midpoint quadrature otherwise. Each criterion
+checks its coupling once, with graph.check_coupling, before any evaluation.
 
 Sign convention for matrices quoted from the literature on switched oscillator
 networks: a printed matrix with negative diagonal and zero row sums is
@@ -30,6 +33,7 @@ from tvkuramoto.signals import (ConstantSignal, TableSignal, TimeSignal, distinc
                                  sample_grid)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+PROBE_POINTS = 128  # even times per period of the probe grid and of the default starts
 
 
 @dataclass(frozen=True)
@@ -158,16 +162,12 @@ def _check_positive(**params) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _negative_coupling_report(criterion: str, coupling: TimeSignal, times, s: float,
-                              t: float, params: dict) -> "CertificateReport | None":
-    """INCONCLUSIVE report at the most negative coupling entry, or None if there is none.
-
-    The spanning-tree criteria need nonnegative couplings. The entries are probed at the
-    given times, every breakpoint in [s, t] and 101 even points of [s, t], each piece once.
-    """
+def _negative_coupling_report(criterion: str, coupling: TimeSignal,
+                              params: dict) -> "CertificateReport | None":
+    """INCONCLUSIVE report at the most negative coupling entry at a probe time, or None if
+    there is none. The spanning-tree criteria need nonnegative couplings."""
     worst = None
-    for u, a in distinct_values(coupling, np.concatenate([times, coupling.breakpoints_in(s, t),
-                                                          np.linspace(s, t, 101)])):
+    for u, a in distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)):
         k = int(np.argmin(a))
         value = float(a.flat[k])
         if value < -1e-12 and (worst is None or value < worst["value"]):
@@ -232,8 +232,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     nbins = int(bins)
 
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
-    bad = _negative_coupling_report("thm1-spanning-tree", coupling, partition,
-                                    partition[0], partition[-1], params)
+    bad = _negative_coupling_report("thm1-spanning-tree", coupling, params)
     if bad is not None:
         return bad
 
@@ -252,14 +251,52 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     return CertificateReport("thm1-spanning-tree", verdict, witnesses=wit, parameters=params)
 
 
-def _nonempty_starts(starts) -> np.ndarray:
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 1 or starts.size == 0:
-        raise ValueError(f"starts must be a nonempty list of window starts, got shape "
-                         f"{starts.shape}")
-    if not np.isfinite(starts).all():
-        raise ValueError(f"starts must be finite, got {starts[~np.isfinite(starts)][0]}")
-    return starts
+def _fold(coupling: TimeSignal, *parts) -> np.ndarray:
+    """Window starts, sorted and unique, on one period of a periodic coupling, clipped at 0."""
+    starts = np.concatenate(parts)
+    if coupling.period is not None:
+        starts = np.mod(starts, coupling.period)
+        starts = starts[starts < coupling.period]
+    return np.unique(np.maximum(starts, 0.0))
+
+
+def _eta_starts(coupling: TimeSignal, starts: np.ndarray, window: float,
+                eta: float) -> np.ndarray:
+    """cor1's default starts: the sorted starts, each start where an entry of the window
+    integral z crosses eta between two of them (by linear interpolation, exact as z is
+    linear in between), and one start inside each gap, the wrap of a periodic coupling
+    included. The thresholded graph is constant inside a gap, so every graph is seen."""
+    if coupling.period is not None:
+        starts = np.append(starts, starts[0] + coupling.period)
+    block = max(1, _WINDOW_BLOCK_ENTRIES // coupling.shape[0] ** 2)
+    pts = [starts]
+    for b in range(0, starts.size - 1, block):
+        s = starts[b:b + block + 1]
+        z = coupling.integrate_window(s, s + window) - eta
+        k, i, j = np.nonzero((z[:-1] > 0) != (z[1:] > 0))
+        za, zb = z[k, i, j], z[k + 1, i, j]
+        pts.append(s[k] + za / (za - zb) * (s[k + 1] - s[k]))
+    pts = np.unique(np.concatenate(pts))
+    return _fold(coupling, pts, (pts[:-1] + pts[1:]) / 2)
+
+
+def _window_starts(coupling: TimeSignal, window: float, starts,
+                   eta: "float | None" = None) -> np.ndarray:
+    """The given window starts, checked, or the default ones: the probe grid and every
+    kink, where either window end meets a breakpoint (a window integral is linear in its
+    start between kinks), and with eta, for a piecewise-constant coupling, _eta_starts."""
+    if starts is not None:
+        starts = np.asarray(starts, dtype=float)
+        if starts.ndim != 1 or starts.size == 0:
+            raise ValueError(f"starts must be a nonempty list of window starts, got shape "
+                             f"{starts.shape}")
+        if not np.isfinite(starts).all():
+            raise ValueError(f"starts must be finite, got {starts[~np.isfinite(starts)][0]}")
+        return starts
+    starts = _fold(coupling, sample_grid(coupling, PROBE_POINTS), coupling.breakpoints() - window)
+    if eta is None or not coupling.is_piecewise_constant:
+        return starts
+    return _eta_starts(coupling, starts, window, eta)
 
 
 def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
@@ -267,16 +304,16 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     """Sliding-window spanning-tree test for nonnegative couplings.
 
     The length-T aggregated coupling starting at every sampled t, thresholded
-    at eta, must contain a spanning tree. For periodic couplings one period of
-    window starts suffices and is the default. The check stops at the first
-    failing start, and the closure runs once per distinct thresholded graph.
+    at eta, must contain a spanning tree. For a piecewise-constant coupling the
+    default starts see every graph a window takes, so the default check is
+    exact. The check stops at the first failing start, and the closure runs
+    once per distinct thresholded graph.
     """
     graph.check_coupling(coupling)
     _check_positive(T=window, eta=eta)
-    starts = _nonempty_starts(sample_grid(coupling, num=128) if starts is None else starts)
+    starts = _window_starts(coupling, window, starts, eta)
     params = {"window": window, "eta": eta, "num_starts": int(starts.size)}
-    bad = _negative_coupling_report("cor1-sliding-window", coupling, starts,
-                                    0.0, float(starts.max() + window), params)
+    bad = _negative_coupling_report("cor1-sliding-window", coupling, params)
     if bad is not None:
         return bad
     k = _first_window_without_tree(coupling, starts, starts + window, eta, {})
@@ -327,7 +364,7 @@ _XI_QUAD_POINTS = 256  # midpoint-rule nodes per window of a smooth coupling
 def _xi_window_integral(coupling: TimeSignal, r: float, a: float, b: float) -> float:
     """Integral of xi(L(t), r) over [a, b] for a smooth coupling, by the midpoint rule."""
     mids = a + (np.arange(_XI_QUAD_POINTS) + 0.5) * (b - a) / _XI_QUAD_POINTS
-    return float(np.mean([xi_index(coupling.evaluate(float(t)), r) for t in mids])) * (b - a)
+    return float(np.mean([xi_index(a_t, r) for a_t in coupling.evaluate(mids)])) * (b - a)
 
 
 def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
@@ -343,17 +380,7 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     graph.check_coupling(coupling)
     check_r(r)
     _check_positive(T=window, eta=eta)
-    if starts is None:
-        starts = sample_grid(coupling, num=128)
-        if coupling.is_piecewise_constant:
-            # a window integral is linear in its start between the starts where
-            # either end meets a breakpoint, so its extremes lie on those
-            kinks = coupling.breakpoints() - window
-            if coupling.period is not None:
-                kinks = np.mod(kinks, coupling.period)
-                kinks = kinks[kinks < coupling.period]
-            starts = np.unique(np.concatenate([starts, np.maximum(kinks, 0.0)]))
-    starts = _nonempty_starts(starts)
+    starts = _window_starts(coupling, window, starts)
     if coupling.is_piecewise_constant:
         integrals = _xi_steps(coupling, r).integrate_window(starts, starts + window)
     else:
@@ -396,20 +423,23 @@ def psd_fault(lap: np.ndarray) -> tuple:
     """Symmetric-PSD test of a Laplacian: (fault, lowest eigenvalue orthogonal to 1).
 
     The fault is "asymmetric", with no eigenvalue, when max |L - L^T| exceeds
-    1e-10 * max(1, max |L|); "not_psd" when the eigenvalue is below -1e-9;
-    None when L passes both tests.
+    1e-10 * max(1, max |L|) or the eigensolver's own symmetry test rejects L;
+    "not_psd" when the eigenvalue is below -1e-9; None when L passes both tests.
     """
     scale = max(1.0, float(np.abs(lap).max()))
     if np.abs(lap - lap.T).max() > 1e-10 * scale:
         return "asymmetric", None
-    low = float(restricted_spectrum(lap)[0])
+    try:
+        low = float(restricted_spectrum(lap)[0])
+    except ValueError:  # |L - L^T| >= 1e-10 |L| in the Frobenius norm, for a small L
+        return "asymmetric", None
     return ("not_psd" if low < -1e-9 else None), low
 
 
-def first_psd_fault(coupling: TimeSignal, times) -> "tuple | None":
-    """(t, fault, eigenvalue) at the first of the times whose coupling Laplacian
-    psd_fault flags, or None; each stored piece is tested once."""
-    for t, a in distinct_values(coupling, times):
+def first_psd_fault(coupling: TimeSignal) -> "tuple | None":
+    """(t, fault, eigenvalue) at the first probe time whose coupling Laplacian psd_fault
+    flags, or None; each stored piece is tested once."""
+    for t, a in distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)):
         fault, low = psd_fault(graph.laplacian_from_adjacency(a))
         if fault is not None:
             return t, fault, low
@@ -440,10 +470,8 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     _check_positive(h=h, alpha_hat=alpha_hat)
     if num_windows < 1:
         raise ValueError("need at least one window")
-    horizon = h * num_windows
     params = {"r": r, "h": h, "num_windows": num_windows, "alpha_hat": alpha_hat}
-    fault = first_psd_fault(coupling, np.concatenate([coupling.breakpoints_in(0.0, horizon),
-                                                      np.linspace(0.0, horizon, 51)]))
+    fault = first_psd_fault(coupling)
     if fault is not None:
         t, _, low = fault
         wit = {"asymmetric_at": t} if low is None else {"not_psd_at": t, "min_eigenvalue": low}

@@ -191,20 +191,16 @@ class SinusoidSignal(TimeSignal):
         return False
 
     def evaluate(self, t):
-        if isinstance(t, np.ndarray):
-            if (t < 0).any():
-                raise ValueError(f"signal domain is t >= 0, got {t.min()}")
-            xs = (t / self.time_scale).ravel().tolist()
-            # math's cos and sin, as the scalar call takes them, so each row matches it
-            axes = t.shape + (1,) * len(self._shape)
-            cos = np.array([math.cos(x) for x in xs]).reshape(axes)
-            sin = np.array([math.sin(x) for x in xs]).reshape(axes)
-            return self.base + self._cos_coef * cos + self._sin_coef * sin
-        if t < 0:
-            raise ValueError(f"signal domain is t >= 0, got {t}")
-        x = t / self.time_scale
-        out = self.base + self._cos_coef * math.cos(x) + self._sin_coef * math.sin(x)
-        return out if self._shape else float(out)
+        t = np.asarray(t, dtype=float)  # a scalar time is a 0-d array
+        if (t < 0).any():
+            raise ValueError(f"signal domain is t >= 0, got {t.min()}")
+        xs = (t / self.time_scale).ravel().tolist()
+        # math's cos and sin per time, so a row of an array call equals the scalar call
+        axes = t.shape + (1,) * len(self._shape)
+        cos = np.array([math.cos(x) for x in xs]).reshape(axes)
+        sin = np.array([math.sin(x) for x in xs]).reshape(axes)
+        out = self.base + self._cos_coef * cos + self._sin_coef * sin
+        return out if out.ndim else float(out)
 
     def integrate_window(self, s, t):
         x = self._window(s, t)

@@ -1,29 +1,27 @@
 """Reference PSD probes, one eigensolve per probe time.
 
 These are the loops thm3/cor2 and the fast-switching sweep ran before each
-stored piece was tested once: every distinct probe time, in order, gets its
-own Laplacian and psd_fault call. The package must report what these report.
+stored piece was tested once: every probe time, the 128-point sample grid of
+the coupling, in order, gets its own Laplacian and psd_fault call. The package
+must report what these report.
 """
-
-import numpy as np
 
 from tvkuramoto.certificates import psd_fault
 from tvkuramoto.graph import laplacian_from_adjacency
+from tvkuramoto.signals import sample_grid
 
 
-def _first_fault(coupling, probe):
-    for t in np.unique(probe):
+def _first_fault(coupling):
+    for t in sample_grid(coupling, num=128):
         fault, low = psd_fault(laplacian_from_adjacency(coupling.evaluate(float(t))))
         if fault is not None:
             return t, low
     return None
 
 
-def thm3_witness(coupling, h, num_windows):
-    """The inconclusive witness of thm3 over its 51 even probes and the switches, or None."""
-    horizon = h * num_windows
-    found = _first_fault(coupling, np.concatenate([coupling.breakpoints_in(0.0, horizon),
-                                                   np.linspace(0.0, horizon, 51)]))
+def thm3_witness(coupling):
+    """The inconclusive witness of thm3 over the probe times, or None."""
+    found = _first_fault(coupling)
     if found is None:
         return None
     t, low = found
@@ -32,10 +30,8 @@ def thm3_witness(coupling, h, num_windows):
 
 
 def fast_notes(coupling):
-    """certification_notes of the fast sweep over one period: 33 even probes and the switches."""
-    found = _first_fault(coupling, np.concatenate([
-        coupling.breakpoints_in(0.0, coupling.period),
-        np.linspace(0.0, coupling.period, 33, endpoint=False)]))
+    """certification_notes of the fast sweep over the probe times."""
+    found = _first_fault(coupling)
     if found is None:
         return ""
     t, low = found

@@ -2,13 +2,15 @@
 
 Each window gets its own scalar integral, Laplacian, threshold graph and
 spanning-tree closure, and the negative-coupling probe reads every probe
-time, as thm1 and cor1 did before they cached a verdict per distinct graph.
+time, as thm1 and cor1 did before they cached a verdict per distinct graph and
+read each stored piece once.
 The fast paths in tvkuramoto.certificates must return what these return.
 """
 
 import numpy as np
 
 from tvkuramoto.graph import has_spanning_tree, laplacian_from_adjacency, threshold_graph
+from tvkuramoto.signals import sample_grid
 
 
 def thm1_windows(coupling, partition, eta, bins):
@@ -37,11 +39,11 @@ def cor1_starts(coupling, window, eta, starts):
     return True, None
 
 
-def most_negative_entry(coupling, times, s, t):
-    """{"t", "pair", "value"} of the first most negative entry below -1e-12, or None."""
+def most_negative_entry(coupling):
+    """{"t", "pair", "value"} of the first most negative entry below -1e-12 at any of the
+    probe times, the 128-point sample grid of the coupling, or None."""
     worst = None
-    for u in np.unique(np.concatenate([times, coupling.breakpoints_in(s, t),
-                                       np.linspace(s, t, 101)])):
+    for u in sample_grid(coupling, num=128):
         a = coupling.evaluate(float(u))
         k = int(np.argmin(a))
         value = float(a.flat[k])

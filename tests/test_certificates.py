@@ -27,6 +27,7 @@ from tvkuramoto.signals import (
 )
 import psd_oracle
 import spanning_oracle
+import window_oracle
 from xi_oracle import xi_vertex_oracle
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -260,6 +261,15 @@ def test_thm1_negative_coupling_inconclusive():
     assert rep.witnesses["negative_coupling_at"]["pair"] == [1, 2]
 
 
+def test_thm1_probes_nonnegativity_past_its_partition():
+    # the coupling turns negative at t = 5 and stays so; the hypothesis holds for every
+    # t >= 0, so a partition that ends at 2 does not make the check pass
+    sig = TableSignal([0.0, 5.0], [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]])
+    rep = thm1_spanning_tree_check(sig, [0.0, 1.0, 2.0], 0.1)
+    assert rep.verdict == "inconclusive"
+    assert rep.witnesses["negative_coupling_at"] == {"t": 5.0, "pair": [1, 2], "value": -1.0}
+
+
 def test_cor1_periodic_switching_union_connected():
     g_a = np.zeros((3, 3))
     g_a[0, 1] = g_a[1, 0] = 1.0
@@ -289,6 +299,33 @@ def test_cor1_short_window_misses_bridge():
     rep_off = cor1_sliding_window_check(sig, window=1.0, eta=0.1, starts=[0.6])
     assert rep_off.verdict == "fail"
     assert sig.integrate_window(0.6, 1.6)[0, 1] == pytest.approx(0.0)
+
+
+def test_cor1_default_starts_find_a_window_between_two_crossings():
+    # link 1 <- 2 for 1.007 s, then 2 <- 1 for 0.997 s: a unit window starting in
+    # [0.5069, 0.5071] integrates to at most eta on both links, and no even start nor
+    # switch lies there; the crossings of eta bracket it
+    sig = SwitchingSignal([1.007, 0.997], [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    assert cor1_sliding_window_check(sig, 1.0, 0.5001, starts=[0.507]).verdict == "fail"
+    rep = cor1_sliding_window_check(sig, 1.0, 0.5001)
+    assert rep.verdict == "fail"
+    assert 0.5069 - 1e-12 <= rep.witnesses["first_failing_start"] <= 0.5071 + 1e-12
+    assert not window_oracle.cor1_passes([0.0, 1.007], sig.values, sig.period, 1.0, 0.5001)
+
+
+def test_cor1_default_starts_check_the_gap_that_wraps_round_the_period():
+    # link 1 <- 2 (weight 0.5), both links, then link 2 <- 1; period 2.56. Only windows
+    # across the wrap from the last piece to the first lose both links, on a sliver
+    # round 2.55, between the last even start 2.54 and the period
+    one_from_two = np.array([[0.0, 1.0], [0.0, 0.0]])
+    two_from_one = one_from_two.T
+    sig = SwitchingSignal([1.0, 0.78, 0.78],
+                          [0.5 * one_from_two, one_from_two + two_from_one, two_from_one])
+    eta = 0.01 * (1.0 + 1e-4)
+    rep = cor1_sliding_window_check(sig, 0.03, eta)
+    assert rep.verdict == "fail"
+    assert abs(rep.witnesses["first_failing_start"] - 2.55) <= 1e-5
+    assert not window_oracle.cor1_passes(list(sig.times), sig.values, sig.period, 0.03, eta)
 
 
 def test_cor1_eta_above_every_weight_fails():
@@ -356,15 +393,71 @@ def test_cor1_matches_the_per_window_loop(kind):
         sig = random_schedule(rng, kind)
         window = rng.uniform(0.2, 2.5) * span_of(sig)
         eta = rng.uniform(0.1, 0.9) * 0.75 * window
-        default = case % 2 == 1
-        starts = (sample_grid(sig, num=128) if default
-                  else rng.uniform(0.0, 3.0 * span_of(sig), int(rng.integers(1, 60))))
-        rep = cor1_sliding_window_check(sig, window, eta, None if default else starts)
+        # given starts; the default ones are held to the brute-force oracle below
+        starts = rng.uniform(0.0, 3.0 * span_of(sig), int(rng.integers(1, 60)))
+        rep = cor1_sliding_window_check(sig, window, eta, starts)
         passed, first_fail = spanning_oracle.cor1_starts(sig, window, eta, starts)
         assert rep.verdict == ("pass" if passed else "fail")
         assert rep.witnesses.get("first_failing_start") == first_fail
         verdicts.add(rep.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+def swapping_links(rng, kind):
+    """m nodes; pieces that alternate link 1 <- 2 and link 2 <- 1 (weight w each), every
+    other node fed by both, each piece longer than the window T. A window across a switch
+    between the two links holds both at w1 w2 T / (w1 + w2) where they cross; eta a hair
+    above the least of these fails only on a sliver of starts there."""
+    m, count = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    window = rng.uniform(0.2, 0.9) * 0.3
+    weights = rng.uniform(0.5, 2.0, count)
+    pieces = []
+    for k, w in enumerate(weights):
+        a = np.zeros((m, m))
+        a[2:, :2] = rng.uniform(1.0, 2.0, (m - 2, 2))
+        a[(0, 1) if k % 2 == 0 else (1, 0)] = w
+        pieces.append(a)
+    pairs = list(zip(weights, weights[1:]))
+    if kind != "aperiodic-table" and count % 2 == 0:  # the wrap switches links too
+        pairs.append((weights[-1], weights[0]))
+    eta = min(w1 * w2 * window / (w1 + w2) for w1, w2 in pairs) * (1.0 + 1e-4)
+    durations = rng.uniform(0.3, 1.5, count)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    if kind == "switching":
+        sig = SwitchingSignal(durations, pieces)
+    else:
+        sig = TableSignal(times, pieces, float(durations.sum()) if kind == "periodic-table"
+                          else None)
+    return sig, window, eta
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_cor1_default_starts_agree_with_a_brute_force_oracle(kind):
+    # random schedules, and schedules whose failing windows are slivers between two
+    # crossings of eta, which the even starts alone pass
+    rng = np.random.default_rng([77, SCHEDULE_KINDS.index(kind)])
+    verdicts, slivers = set(), 0
+    for case in range(24):
+        if case % 2:
+            sig = random_schedule(rng, kind)
+            window = rng.uniform(0.2, 2.5) * span_of(sig)
+            eta = rng.uniform(0.1, 0.9) * 0.75 * window
+        else:
+            sig, window, eta = swapping_links(rng, kind)
+        rep = cor1_sliding_window_check(sig, window, eta)
+        passed = window_oracle.cor1_passes(list(sig.times), sig.values, sig.period, window, eta)
+        assert rep.verdict == ("pass" if passed else "fail")
+        if not passed:
+            t = rep.witnesses["first_failing_start"]
+            z = window_oracle.window_integral(list(sig.times), sig.values, sig.period, t,
+                                              t + window)
+            # a failing start may be a crossing, where an entry meets eta up to rounding
+            assert not window_oracle.has_root(z, eta * (1.0 + 1e-9))
+            even = cor1_sliding_window_check(sig, window, eta, sample_grid(sig, num=128))
+            slivers += even.verdict == "pass"
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
+    assert slivers >= 6
 
 
 def directed_ring_schedule(m, blocks=1):
@@ -498,13 +591,9 @@ def test_negative_coupling_witness_matches_the_probe_loop(kind):
                    else TableSignal(0.3 * np.arange(len(values)), values, period))
         partition = np.linspace(0.0, 3.0 * span_of(sig), 4)
         starts = rng.uniform(0.0, span_of(sig), 8)
-        for rep, probe in [
-            (thm1_spanning_tree_check(sig, partition, 0.1),
-             (partition, partition[0], partition[-1])),
-            (cor1_sliding_window_check(sig, 1.0, 0.1, starts),
-             (starts, 0.0, float(starts.max() + 1.0))),
-        ]:
-            worst = spanning_oracle.most_negative_entry(sig, *probe)
+        worst = spanning_oracle.most_negative_entry(sig)
+        for rep in [thm1_spanning_tree_check(sig, partition, 0.1),
+                    cor1_sliding_window_check(sig, 1.0, 0.1, starts)]:
             assert rep.witnesses.get("negative_coupling_at") == worst
             assert (rep.verdict == "inconclusive") == (worst is not None)
             found += worst is not None
@@ -775,6 +864,25 @@ def test_thm3_asymmetric_schedule_is_inconclusive():
     assert "asymmetric_at" in rep.witnesses
 
 
+@pytest.mark.parametrize("check", [thm3_series_check, cor2_uniform_check])
+def test_small_asymmetric_coupling_is_inconclusive_not_an_error(check):
+    # |L - L^T| = 1e-11 is within 1e-10 max(1, max |L|), but not within 1e-10 |L| in the
+    # Frobenius norm the eigensolver takes: both tests call it asymmetric
+    sig = ConstantSignal([[0.0, 1e-11], [0.0, 0.0]])
+    rep = check(sig, 1.0, 1.0)
+    assert rep.verdict == "inconclusive"
+    assert rep.witnesses == {"asymmetric_at": 0.0}
+    assert certificates.first_psd_fault(sig) == (0.0, "asymmetric", None)
+
+
+def test_psd_probe_reaches_past_the_windows():
+    # symmetric up to t = 5, then not PSD: h * num_windows = 2 does not end the probe
+    j = np.ones((2, 2)) - np.eye(2)
+    rep = thm3_series_check(TableSignal([0.0, 5.0], [j, -j]), 1.0, 1.0, num_windows=2)
+    assert rep.verdict == "inconclusive"
+    assert rep.witnesses == {"not_psd_at": 5.0, "min_eigenvalue": -2.0}
+
+
 def psd_probe_schedule(rng, kind):
     """2 to 5 nodes, 1 to 4 pieces: symmetric nonnegative, symmetric signed (often not
     PSD) or partly asymmetric, as a schedule, a constant or a sinusoid."""
@@ -805,7 +913,7 @@ def test_psd_probe_matches_the_per_time_loop(kind):
     for _ in range(24):
         sig = psd_probe_schedule(rng, kind)
         h, num_windows = rng.uniform(0.2, 1.5), int(rng.integers(1, 5))
-        want = psd_oracle.thm3_witness(sig, h, num_windows)
+        want = psd_oracle.thm3_witness(sig)
         for check in (thm3_series_check, cor2_uniform_check):
             rep = check(sig, math.pi / 3, h, num_windows)
             assert (rep.verdict == "inconclusive") == (want is not None)
@@ -816,7 +924,7 @@ def test_psd_probe_matches_the_per_time_loop(kind):
 
 
 def test_thm3_eigensolves_each_piece_of_a_schedule_once(monkeypatch):
-    # 4 symmetric pieces over 4 windows: the 53 probe times read 4 distinct Laplacians
+    # 4 symmetric pieces: the 128 even probe times and 4 switches read 4 distinct Laplacians
     ring = np.roll(np.eye(6), 1, axis=1)
     pieces = [(k + 1) * (ring + ring.T) for k in range(4)]
     calls = []

@@ -150,6 +150,21 @@ def test_certify_pass_fail_inconclusive(tmp_path):
     assert report["witnesses"]["first_failing_start"] == 0.0
 
 
+def test_certify_small_asymmetric_coupling_is_inconclusive(tmp_path):
+    # within the max-entry symmetry tolerance, outside the eigensolver's Frobenius one
+    cfg = {
+        "criterion": "thm3-lambda2-series",
+        "signals": {"omega": {"kind": "constant", "value": [0.0, 0.0]},
+                    "coupling": {"kind": "constant", "value": [[0.0, 1e-11], [0.0, 0.0]]}},
+        "parameters": {"r": 1.0, "h": 1.0},
+    }
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert report["verdict"] == "inconclusive"
+    assert report["witnesses"] == {"asymmetric_at": 0.0}
+
+
 def test_certify_unknown_criterion(tmp_path, capsys):
     cfg = {
         "criterion": "nope",

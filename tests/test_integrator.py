@@ -366,7 +366,7 @@ def batched_networks(draw):
     return (kind, *draw_arrays(m, seed, num), perm)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(batched_networks())
 def test_batched_runs_equal_per_run_and_commute_with_relabelling(case):
     kind, w, a, phase, starts, perm = case
@@ -391,7 +391,7 @@ def per_run_networks(draw):
             runs[0][2], np.concatenate([run[3] for run in runs]))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(per_run_networks())
 def test_per_run_signals_equal_their_single_runs_bit_for_bit(case):
     kind, w, a, phase, starts = case

@@ -1,5 +1,6 @@
-"""Property tests: graph and certificate quantities do not depend on node labels,
-and the spanning-tree criteria are monotone in their threshold."""
+"""Property tests: graph and certificate quantities do not depend on node labels, the
+spanning-tree criteria are monotone in their threshold, window averages scale and add
+as integrals do, and a certificate's pass implies what the paper's hypotheses need."""
 
 import math
 
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvkuramoto.certificates import (
-    cor1_sliding_window_check, thm1_spanning_tree_check, thm2_window_check,
+    PROBE_POINTS, cor1_sliding_window_check, cor2_uniform_check, thm1_spanning_tree_check,
+    thm2_window_check, thm3_series_check,
 )
 from tvkuramoto.graph import ergodic_quantities, has_spanning_tree, laplacian_from_adjacency
 from tvkuramoto.linalg import restricted_spectrum
-from tvkuramoto.signals import SwitchingSignal, TableSignal, sample_grid
+from tvkuramoto.signals import (
+    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid,
+)
 
 
 @st.composite
@@ -30,7 +34,7 @@ def labelled_schedules(draw):
     return pieces, perm
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(labelled_schedules())
 def test_quantities_invariant_under_node_relabelling(case):
     pieces, perm = case
@@ -87,7 +91,7 @@ def _spanning_reports(sig, eta):
             cor1_sliding_window_check(sig, 2.5, eta).to_json()]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(nonnegative_schedules())
 def test_spanning_tree_criteria_under_relabelling_and_lower_thresholds(case):
     times, pieces, period, perm, eta_low, eta_high = case
@@ -100,3 +104,77 @@ def test_spanning_tree_criteria_under_relabelling_and_lower_thresholds(case):
     for rep_high, rep_low in zip(high, _spanning_reports(sig, eta_low)):
         if rep_high["verdict"] == "pass":
             assert rep_low["verdict"] == "pass"
+
+
+SIGNAL_KINDS = ["constant", "sinusoid", "switching", "periodic-table", "aperiodic-table"]
+
+
+def _signal(kind, rng, shape, low=-1.0, symmetric=False):
+    """A signal of the kind with values of the shape, entries in [low, 1.5), or sums of
+    two such entries in symmetric matrices."""
+    count = int(rng.integers(1, 5))
+    values = [rng.uniform(low, 1.5, shape) for _ in range(count)]
+    if len(shape) == 2:
+        values = [v + v.T if symmetric else v for v in values]
+        for v in values:
+            np.fill_diagonal(v, 0.0)
+    durations = rng.uniform(0.2, 1.0, count)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    if kind == "constant":
+        return ConstantSignal(values[0])
+    if kind == "sinusoid":
+        return SinusoidSignal(values[0], 0.5 * values[-1], rng.uniform(-3.0, 3.0),
+                              trig=str(rng.choice(["sin", "cos"])),
+                              time_scale=float(rng.uniform(0.1, 1.0)))
+    if kind == "switching":
+        return SwitchingSignal(durations, values)
+    return TableSignal(times, values, float(durations.sum()) if kind == "periodic-table"
+                       else None)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SIGNAL_KINDS), st.sampled_from([(), (3,), (3, 3)]),
+       st.integers(0, 2**32 - 1))
+def test_window_averages_scale_with_time_compress_and_add_over_adjacent_windows(
+        kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signal(kind, rng, shape)
+    s, t, u = np.sort(rng.uniform(0.0, 8.0, 3)) + np.array([0.0, 0.05, 0.1])
+    avg = sig.window_average(s, t)
+    scale = max(1.0, float(np.abs(avg).max()))
+    # (u - s) avg(s, u) = (t - s) avg(s, t) + (u - t) avg(t, u)
+    assert np.allclose((u - s) * sig.window_average(s, u),
+                       (t - s) * avg + (u - t) * sig.window_average(t, u),
+                       rtol=0.0, atol=1e-10 * scale * (u - s))
+    if kind == "aperiodic-table":  # only a periodic table has a period to compress
+        return
+    eps = float(rng.uniform(0.01, 3.0))
+    assert np.allclose(sig.time_compress(eps).window_average(eps * s, eps * t), avg,
+                       rtol=0.0, atol=1e-9 * scale)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(SIGNAL_KINDS), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_cor2_pass_implies_thm3_pass_on_the_same_windows(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    # symmetric couplings, most of them PSD
+    sig = _signal(kind, rng, (m, m), low=-0.3 if seed % 3 == 0 else 0.0, symmetric=True)
+    r, h, n = float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.2, 2.0)), int(rng.integers(1, 6))
+    alpha_hat = float(rng.choice([1e-6, 0.1]))
+    if cor2_uniform_check(sig, r, h, n, alpha_hat).verdict == "pass":
+        assert thm3_series_check(sig, r, h, n, alpha_hat).verdict == "pass"
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(SIGNAL_KINDS), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_spanning_tree_pass_implies_no_negative_coupling_at_any_probe_time(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    sig = _signal(kind, rng, (m, m), low=-0.05 if seed % 2 else 0.0)
+    window = float(rng.uniform(0.2, 2.0))
+    reports = [thm1_spanning_tree_check(sig, np.linspace(0.0, 3.0, 4), 0.05),
+               cor1_sliding_window_check(sig, window, 0.05 * window)]
+    if any(rep.verdict == "pass" for rep in reports):
+        for t in sample_grid(sig, PROBE_POINTS):
+            assert sig.evaluate(float(t)).min() >= -1e-12
+        if isinstance(sig, TableSignal):  # the probe times read every piece
+            assert min(v.min() for v in sig.values) >= -1e-12

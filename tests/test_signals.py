@@ -526,7 +526,7 @@ def sinusoids_and_times(draw):
     return sig, times
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(sinusoids_and_times())
 def test_sinusoid_array_evaluate_equals_the_scalar_calls_bit_for_bit(case):
     sig, times = case
