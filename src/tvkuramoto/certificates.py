@@ -100,20 +100,21 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> C
     worst = -math.inf
     worst_loc = None
     prev = None
-    for t in grid:
-        a = coupling.evaluate(float(t))
+    # a smooth signal is read in one array call over the grid, whose rows equal scalar calls
+    omegas, couplings = ([sig.evaluate(t) for t in grid.tolist()] if sig.is_piecewise_constant
+                         else sig.evaluate(grid) for sig in (omega, coupling))
+    for t, w, a in zip(grid.tolist(), omegas, couplings):
         if a is not prev:  # piecewise-constant signals return one array per piece
             prev = a
             common_min, neg_sum = _pair_sums(a)
             mixing = ((a + a.T) + neg_sum + common_min) * sin_r
-        w = omega.evaluate(float(t))
         lhs = np.subtract.outer(w, w) - mixing
         np.fill_diagonal(lhs, -math.inf)
         k = int(np.argmax(lhs))
         i, j = divmod(k, m)
         if lhs[i, j] > worst:
             worst = float(lhs[i, j])
-            worst_loc = (float(t), i + 1, j + 1)
+            worst_loc = (t, i + 1, j + 1)
     verdict = PASS if worst < 0.0 else FAIL
     return CertificateReport(
         "invariance-pointwise", verdict,

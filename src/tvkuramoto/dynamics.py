@@ -5,11 +5,14 @@ phases unwrapped on the real line (the analysis lives in phase differences
 confined to |theta_ij| <= r < pi/2, so no modular wrapping is wanted).
 Every fixed-step integration in the package runs through one classical
 4th-order routine, `_rk4`, on a grid aligned to every signal breakpoint, which
-makes runs bit-for-bit reproducible. Its state may carry a batch axis (R starts
-as one (R, m) array); it evaluates a piecewise-constant signal once per piece
-and reads a smooth one a block of steps at a time, at every half and whole step
-of the block in one array call each. The coupling term takes the product form
-cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i: O(m) trig calls.
+makes runs bit-for-bit reproducible. It takes no callback and returns the last
+state. Its state may carry a batch axis (R starts as one (R, m) array); it
+evaluates a piecewise-constant signal once per piece and reads a smooth one a
+block of steps at a time, at every half and whole step of the block in one
+array call each. The coupling term takes the product form cos(theta_i)
+(A sin theta)_i - sin(theta_i) (A cos theta)_i: O(m) trig calls. Every phase
+spread is `hajnal_diameter`, max - min over the last axis, so the monitors
+read a batch one run at a time.
 """
 
 from __future__ import annotations
@@ -42,15 +45,16 @@ def phase_differences(theta: np.ndarray) -> np.ndarray:
     return theta[..., ii] - theta[..., jj]
 
 
-def phases_from_pd(pd: np.ndarray, m: int) -> np.ndarray:
-    """Lift a PD vector to phases with theta_1 = 0 (representative choice).
+def phases_from_pd(pd: np.ndarray) -> np.ndarray:
+    """Lift a PD vector of m(m-1)/2 entries to m phases with theta_1 = 0.
 
     Any other lift differs by a global shift, which the dynamics quotient out.
-    Rejects internally inconsistent PD vectors.
+    Rejects a size that is no m(m-1)/2 and internally inconsistent PD vectors.
     """
     pd = np.asarray(pd, dtype=float)
+    m = int(round((1 + math.sqrt(1 + 8 * pd.size)) / 2))
     if pd.size != m * (m - 1) // 2:
-        raise ValueError(f"PD vector has {pd.size} entries, expected {m * (m - 1) // 2}")
+        raise ValueError(f"PD vector has {pd.size} entries, not m(m-1)/2 for any m")
     theta = np.zeros(m)
     for i in range(1, m):
         theta[i] = pd[i * (i - 1) // 2]  # entry (i, 0)
@@ -73,10 +77,13 @@ def region_membership(pd: np.ndarray, r: float) -> bool:
     return bool(pd.size == 0 or np.max(np.abs(pd)) <= r)
 
 
-def hajnal_diameter(delta) -> float:
-    """max_i delta_i - min_j delta_j, the contraction functional of the delta-system."""
+def hajnal_diameter(delta):
+    """max_i delta_i - min_j delta_j over the last axis, the contraction functional of
+    the delta-system: a float for one vector, an array for a stack of them."""
     values = np.asarray(delta, dtype=float)
-    return float(values.max() - values.min())
+    spread = values.max(axis=-1)
+    spread -= values.min(axis=-1)  # in place: a batch's spread takes one (R, N+1) array, not two
+    return spread
 
 
 @dataclass(frozen=True)
@@ -128,14 +135,14 @@ def _rhs(theta, w, a):
 _BLOCK = 64  # RK4 steps per block: a smooth signal is read once a block
 
 
-def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
+def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
     """Classical 4th-order integration of y' = rhs(y, *signal values) for nsteps steps from t0.
 
     The caller has checked the grid with check_alignment, so a piecewise-constant
     signal is evaluated at the first step of each piece; a smooth one once per
     block of _BLOCK steps, at every t + dt/2 and t + dt in it. out[k], if given,
-    receives y(t0 + k dt). The run ends early where stop(t, y, y') is true.
-    Returns the last state and its step. Raises on non-finite state, naming the time.
+    receives y(t0 + k dt). Returns the last state. Raises on non-finite state,
+    naming the time.
     """
     t_end = t0 + nsteps * dt
     pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
@@ -162,8 +169,6 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
                 for i, end, mid in zip(smooth, ends, mids):
                     va[i], vb[i], vc[i] = end[j], mid[j], end[j + 1]
                 k1 = rhs(y, *va)
-                if stop is not None and stop(t, y, k1):
-                    return y, first + j
                 k2 = rhs(y + half * k1, *vb)
                 k3 = rhs(y + half * k2, *vb)
                 k4 = rhs(y + dt * k3, *vc)
@@ -172,7 +177,7 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None, stop=None):
                     raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
                 if out is not None:
                     out[first + j + 1] = y
-    return y, nsteps
+    return y
 
 
 def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
@@ -204,15 +209,15 @@ def invariance_monitor(traj: PhaseTrajectory, r: float):
     """Earliest grid time at which the PDs leave the half-width-r hypercube.
 
     Returns None when the sampled trajectory never leaves (invariant on the
-    grid); exit times are resolved to the sampling step only.
+    grid); exit times are resolved to the sampling step only. A batch gets a
+    list of one exit time (or None) per run.
     """
     check_r(r)
-    spread_hi = traj.phases.max(axis=1) - traj.phases.min(axis=1)
-    # max_{i>j} |theta_ij| equals the phase spread max theta - min theta
-    bad = np.nonzero(spread_hi > r)[0]
-    if bad.size == 0:
-        return None
-    return float(traj.times[bad[0]])
+    # max_{i>j} |theta_ij| is the phase spread, the Hajnal diameter of theta
+    outside = hajnal_diameter(traj.phases) > r
+    exits = [float(traj.times[row.argmax()]) if row.any() else None
+             for row in np.atleast_2d(outside)]
+    return exits if outside.ndim == 2 else exits[0]
 
 
 def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> np.ndarray:
@@ -220,11 +225,11 @@ def pd_divergence(traj_a: PhaseTrajectory, traj_b: PhaseTrajectory) -> np.ndarra
 
     Computed as the Hajnal diameter of delta(t) = theta_a(t) - theta_b(t),
     which equals the maximum pairwise PD discrepancy and is invariant to
-    global phase shifts of either run.
+    global phase shifts of either run. Two batches give an (R, N+1) array,
+    one row per pair of runs.
     """
     if traj_a.times.shape != traj_b.times.shape or not np.allclose(
         traj_a.times, traj_b.times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectories are sampled on different grids")
-    delta = traj_a.phases - traj_b.phases
-    return delta.max(axis=1) - delta.min(axis=1)
+    return hajnal_diameter(traj_a.phases - traj_b.phases)

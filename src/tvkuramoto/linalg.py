@@ -102,8 +102,7 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarr
                 vals, vecs = np.linalg.eigh(g)
                 u = (vecs * np.exp(-vals * tau)) @ vecs.T @ u
             return u
-    u, _ = dynamics._rk4(lambda u, g: -g @ u, np.eye(m), s, dt, nsteps, (gen,))
-    return u
+    return dynamics._rk4(lambda u, g: -g @ u, np.eye(m), s, dt, nsteps, (gen,))
 
 
 def contraction_factor(trans) -> float:

@@ -3,7 +3,9 @@
 The perturbation and fast-switching experiments start at the static phase
 lock theta_i(t) = Omega*t + rep_i, which Newton's method finds from the given
 start when it is linearly stable; failing that, the static system is integrated
-and Newton tried again from its state once a second.
+one second at a time by the package's one RK4 routine, and Newton is tried
+again from the state at the start of each second. Every phase, velocity and
+deviation spread is `dynamics.hajnal_diameter`.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _newton_lock(w, a, theta, deriv_tol: float):
     omega = float(rate.mean())
     steps, met = 0, False
     while not met and steps < _NEWTON_MAX_ITER:
-        met = float(rate.max() - rate.min()) < deriv_tol
+        met = dynamics.hajnal_diameter(rate) < deriv_tol
         bordered[:m, :m] = _jacobian(a, th)[0]
         try:
             step = np.linalg.solve(bordered, np.append(omega - rate, 0.0))
@@ -98,44 +100,37 @@ def _newton_lock(w, a, theta, deriv_tol: float):
 
 
 def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
-    """RK4 relaxation of the static system, tried by Newton at t = 0, before any
-    step, and at every whole _HANDOVER_WINDOW.
+    """RK4 relaxation of the static system one _HANDOVER_WINDOW at a time, Newton
+    tried from the state at t = 0, before any step, and at each whole window
+    before t_max.
 
     An attempt takes over when it reaches a velocity spread below
     _HANDOVER_SPREAD at a linearly stable lock. Returns the hand-over time, the
     RK4 state there and Newton's (phases, velocities, steps). Raises
-    NoLockError if the phases leave the half-width-r hypercube first or no
-    attempt before t_max takes over.
+    NoLockError if a state before t_max leaves the half-width-r hypercube
+    first, or if no attempt takes over.
     """
     every = max(int(round(_HANDOVER_WINDOW / dt)), 1)
+    nsteps = max(int(round(t_max / dt)), 0)
     basis = linalg._ones_complement_basis(theta0.size)
-    lock = None
-
-    def handed_over(t, x):
-        nonlocal lock
-        if round(t / dt) % every == 0:
-            th, rate, steps = _newton_lock(w, a, x, min(deriv_tol, _HANDOVER_SPREAD))
-            if rate.max() - rate.min() < _HANDOVER_SPREAD:
-                # Y 1 = 0, so Y on the ones-complement has every eigenvalue but the zero mode
-                modes = np.linalg.eigvals(basis.T @ _jacobian(a, th)[0] @ basis)
-                if modes.real.max() < 0:
-                    lock = th, rate, steps
-                    return True
-        if x.max() - x.min() > r:
-            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at t = {t:.3f} s")
-        return False
-
-    th, k = theta0, 0
-    if not handed_over(0.0, theta0):  # Newton from theta0 even when RK4 takes no step
-        th, k = dynamics._rk4(lambda x: dynamics._rhs(x, w, a), theta0, 0.0, dt,
-                              int(round(t_max / dt)),
-                              stop=lambda t, x, _: t > 0.0 and handed_over(t, x))
-    if lock is None:
-        rate = dynamics._rhs(th, w, a)
-        raise NoLockError(
-            f"no phase lock within {t_max} s (derivative spread "
-            f"{float(rate.max() - rate.min()):.3g} at the horizon)")
-    return k * dt, th, lock
+    out = np.empty((every + 1, theta0.size))
+    x = theta0
+    for k in range(0, max(nsteps, 1), every):  # Newton from theta0 even when RK4 takes no step
+        th, rate, steps = _newton_lock(w, a, x, min(deriv_tol, _HANDOVER_SPREAD))
+        if dynamics.hajnal_diameter(rate) < _HANDOVER_SPREAD:
+            # Y 1 = 0, so Y on the ones-complement has every eigenvalue but the zero mode
+            modes = np.linalg.eigvals(basis.T @ _jacobian(a, th)[0] @ basis)
+            if modes.real.max() < 0:
+                return k * dt, x, (th, rate, steps)
+        n = min(every, nsteps - k)
+        x = dynamics._rk4(lambda y: dynamics._rhs(y, w, a), x, k * dt, dt, n, out=out[:n + 1])
+        outside = dynamics.hajnal_diameter(out[:max(n, 1)]) > r  # the states at steps k .. k+n-1
+        if outside.any():
+            raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at "
+                              f"t = {(k + outside.argmax()) * dt:.3f} s")
+    raise NoLockError(
+        f"no phase lock within {t_max} s (derivative spread "
+        f"{dynamics.hajnal_diameter(dynamics._rhs(x, w, a)):.3g} at the horizon)")
 
 
 def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
@@ -164,13 +159,13 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
         raise ValueError("omega_bar / a_bar dimensions do not match theta0")
 
     lock_time, _, (th, rate, steps) = _relax(w, a, r, th, dt, t_max, deriv_tol)
-    spread = float(rate.max() - rate.min())
+    spread = dynamics.hajnal_diameter(rate)
     if not spread < deriv_tol:
         raise NoLockError(f"Newton reached a derivative spread of {spread:.3g} after {steps} "
                           f"steps, not below {deriv_tol:.3g}")
-    if th.max() - th.min() > r:
+    if dynamics.hajnal_diameter(th) > r:
         raise NoLockError(f"the Newton lock leaves the PD region (half-width {r:.4g}): "
-                          f"phase spread {float(th.max() - th.min()):.4g}")
+                          f"phase spread {dynamics.hajnal_diameter(th):.4g}")
 
     omega_lock = float(rate.mean())
     verified, cert = _static_certificate(a, r)
@@ -194,9 +189,7 @@ def _period_run(pd0: np.ndarray, omega: TimeSignal, coupling: TimeSignal, period
     other lift differs by a global shift the dynamics quotient out). With r
     given, leaving the PD hypercube mid-period is an error since it breaks the
     contraction argument."""
-    pd0 = np.asarray(pd0, dtype=float)
-    m = int(round((1 + math.sqrt(1 + 8 * pd0.size)) / 2))
-    traj = dynamics.simulate(dynamics.phases_from_pd(pd0, m), omega, coupling, period, dt)
+    traj = dynamics.simulate(dynamics.phases_from_pd(pd0), omega, coupling, period, dt)
     if r is not None:
         exit_time = dynamics.invariance_monitor(traj, r)
         if exit_time is not None:
@@ -441,13 +434,11 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
         dt_h = piece / nsub
         n_steps = int(round(t_end / dt_h))
         traj = dynamics.simulate(base.rep_phases, omega_h, coupling_h, n_steps * dt_h, dt_h)
-        delta = traj.phases - base.rep_phases[None, :]
-        dev = delta.max(axis=1) - delta.min(axis=1)
-        spread = traj.phases.max(axis=1) - traj.phases.min(axis=1)
+        dev = dynamics.hajnal_diameter(traj.phases - base.rep_phases)
         tail_n = max(int(len(dev) * tail_fraction), 1)
         tails.append(float(dev[-tail_n:].max()))
         eps_list.append(eps)
-        invariant.append(bool(spread.max() <= r))
+        invariant.append(dynamics.invariance_monitor(traj, r) is None)
         series.append((traj.times, dev))
         runs.append(traj)
     return FastSwitchReport(freqs, np.array(eps_list), np.array(tails), base,
@@ -511,7 +502,7 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
                        for k in range(num_runs)])
     batch = dynamics.simulate(theta0, omega, coupling, t_end, dt)
     runs = [dynamics.PhaseTrajectory(batch.times, phases) for phases in batch.phases]
-    exits = [dynamics.invariance_monitor(traj, r) for traj in runs]
+    exits = dynamics.invariance_monitor(batch, r)
 
     worst_div = 0.0
     start_idx = int(round(divergence_from / dt))
@@ -587,8 +578,7 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     approx_half = replace(expansion, epsilon=epsilon / 2).approx_phases()
     err_half = float(np.abs(half.phases[:, 0] - approx_half[:, 0]).max())
 
-    delta = full.phases - base.rep_phases[None, :]
-    max_dev = float((delta.max(axis=1) - delta.min(axis=1)).max())
+    max_dev = float(dynamics.hajnal_diameter(full.phases - base.rep_phases).max())
 
     cert = certificates.cor1_sliding_window_check(
         SinusoidSignal(mask, epsilon * mask, beta, trig="cos"), 2 * math.pi,

@@ -116,7 +116,7 @@ def test_criterion_3_periodic_switching_experiment():
         orbit_tol=p["orbit_tol"], orbit_max_iter=p["orbit_max_iter"])
     # two periods from the orbit's fixed point: the second must repeat the first
     two_period_pd = dynamics.simulate(
-        dynamics.phases_from_pd(res.orbit.fixed_point, coupling.shape[0]),
+        dynamics.phases_from_pd(res.orbit.fixed_point),
         omega, coupling, 2 * res.orbit.period, p["dt"]).phase_differences()
     elapsed = time.monotonic() - started
 

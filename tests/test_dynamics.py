@@ -126,7 +126,8 @@ def test_phases_from_pd_round_trip():
     rng = np.random.default_rng(4)
     theta = rng.uniform(-0.5, 0.5, 5)
     pd = phase_differences(theta)
-    lifted = phases_from_pd(pd, 5)
+    lifted = phases_from_pd(pd)
+    assert lifted.shape == (5,)
     assert lifted[0] == 0.0
     assert np.allclose(phase_differences(lifted), pd, atol=1e-12)
 
@@ -134,7 +135,13 @@ def test_phases_from_pd_round_trip():
 def test_phases_from_pd_rejects_inconsistent():
     bad = np.array([0.1, 0.1, 0.5])  # pd_32 must equal pd_31 - pd_21 = 0
     with pytest.raises(ValueError):
-        phases_from_pd(bad, 3)
+        phases_from_pd(bad)
+
+
+@pytest.mark.parametrize("size", [2, 4, 5, 7])
+def test_phases_from_pd_rejects_a_size_that_is_no_pair_count(size):
+    with pytest.raises(ValueError, match=f"PD vector has {size} entries"):
+        phases_from_pd(np.zeros(size))
 
 
 def test_region_membership():
@@ -179,4 +186,26 @@ def test_pd_divergence_rejects_grid_mismatch():
 
 def test_hajnal_diameter():
     assert hajnal_diameter(np.array([1.0, 2.0, 3.0])) == 2.0
+    assert isinstance(hajnal_diameter(np.array([1.0, 2.0, 3.0])), float)
     assert hajnal_diameter(np.full(5, 0.3)) == 0.0
+    # a stack reduces its last axis, one diameter per vector
+    stack = hajnal_diameter(np.array([[[1.0, 2.0, 3.0], [0.0, 0.5, 0.0]]]))
+    assert stack.shape == (1, 2) and stack.tolist() == [[2.0, 0.5]]
+
+
+def test_monitors_read_a_batch_one_run_at_a_time():
+    omega = ConstantSignal([0.0, 0.5])
+    coupling = ConstantSignal(0.1 * (np.ones((2, 2)) - np.eye(2)))
+    starts = np.array([[0.0, 0.0], [0.0, 0.5]])
+    batch = simulate(starts, omega, coupling, 4.0, 0.01)
+    singles = [simulate(th, omega, coupling, 4.0, 0.01) for th in starts]
+    exits = [invariance_monitor(run, 1.0) for run in singles]
+    assert exits == [pytest.approx(2.49), pytest.approx(1.38)]
+    assert invariance_monitor(batch, 1.0) == exits
+    assert invariance_monitor(batch, 1.5) == [None, pytest.approx(2.98)]
+    # two batches pair their runs row by row: one divergence row per pair
+    swapped = simulate(starts[::-1], omega, coupling, 4.0, 0.01)
+    div = pd_divergence(batch, swapped)
+    assert div.shape == (2, len(batch.times))
+    for row in div:
+        assert np.abs(row - pd_divergence(*singles)).max() <= 1e-12

@@ -17,11 +17,12 @@ from scipy.linalg import expm
 
 import rk4_oracle
 from tvkuramoto.cli import bundled_config_path
-from tvkuramoto import dynamics
+from tvkuramoto import dynamics, scenarios
 from tvkuramoto.dynamics import simulate
 from tvkuramoto.linalg import state_transition
-from tvkuramoto.scenarios import (_jacobian, _newton_lock, _relax, er_random_network,
-                                  linear_correction, phase_locked_equilibrium)
+from tvkuramoto.scenarios import (NoLockError, _jacobian, _newton_lock, _relax,
+                                  er_random_network, linear_correction,
+                                  phase_locked_equilibrium)
 from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal,
                                 signal_from_json)
 
@@ -138,12 +139,11 @@ def test_blow_up_at_block_edges_names_the_reference_time(blow_step):
 @pytest.mark.parametrize("blow_step", [B, 2 * B - 1, 70],
                          ids=["first-of-block", "last-of-block", "mid-block"])
 def test_blow_up_without_out_names_the_reference_time(blow_step):
-    # as _relax runs it: no out, and a stop callback read at every step
+    # as state_transition runs it: no out, only the last state returned
     omega, coupling, dt = drifting_to_overflow(blow_step)
     expected = reference_blow_up(omega, coupling, 3.0 * B, dt)
     run = lambda nsteps: raised(lambda: dynamics._rk4(
-        dynamics._rhs, np.zeros(2), 0.0, dt, nsteps, (omega, coupling),
-        stop=lambda t, y, k1: False))
+        dynamics._rhs, np.zeros(2), 0.0, dt, nsteps, (omega, coupling)))
     message, caught = run(3 * B)
     assert message == expected
     assert run(blow_step + 1) == (message, caught)
@@ -219,6 +219,90 @@ def test_lock_relaxes_where_newton_from_theta0_finds_an_unstable_lock():
     lock = phase_locked_equilibrium(w, a, r, theta0)
     assert lock.lock_time == handover and lock.residual <= 1e-13
     assert_relaxed_lock(lock, w, a, r, theta0)
+
+
+@pytest.mark.parametrize("t_max", [2.0005, 2.5, 500.0])
+def test_lock_relaxes_to_a_later_whole_second(t_max):
+    # Newton from the states at t = 0 and 1 s does not take over, from the state at
+    # 2 s it does, on the lock the reference loop reaches at t = 29.92 s; a horizon
+    # that is no whole number of seconds still tries Newton at each whole second
+    w, a, theta0 = signed_network(6, 93)
+    r = math.pi / 3
+    handover, state, _ = _relax(w, a, r, theta0, 1e-3, t_max, 1e-10)
+    assert handover == 2.0
+    ref = rk4_oracle.simulate(theta0, ConstantSignal(w), ConstantSignal(a), handover, 1e-3)
+    assert np.abs(state - ref[-1]).max() <= 1e-12
+    lock = phase_locked_equilibrium(w, a, r, theta0, t_max=t_max)
+    assert lock.lock_time == handover and lock.residual <= 1e-13
+    if t_max == 500.0:
+        assert_relaxed_lock(lock, w, a, r, theta0)
+
+
+def test_no_newton_attempt_at_the_horizon():
+    # the lock above is handed over at 2 s, so a 2 s horizon, whose last state
+    # Newton never sees, finds none
+    w, a, theta0 = signed_network(6, 93)
+    with pytest.raises(NoLockError) as err:
+        phase_locked_equilibrium(w, a, math.pi / 3, theta0, t_max=2.0)
+    rate = rk4_oracle.kuramoto_rhs(
+        rk4_oracle.simulate(theta0, ConstantSignal(w), ConstantSignal(a), 2.0, 1e-3)[-1], w, a)
+    assert f"{rate.max() - rate.min():.3g}" == "0.231"
+    assert str(err.value) == "no phase lock within 2.0 s (derivative spread 0.231 at the horizon)"
+
+
+# an unlockable pair: |omega_1 - omega_2| = 0.2 exceeds a_12 + a_21 = 0.1, and its
+# phase spread grows monotonically, to 0.443 by 2.5 s
+WEAK_W, WEAK_A = np.array([1.2, 1.0]), np.array([[0.0, 0.05], [0.05, 0.0]])
+
+
+def weak_phases():
+    """The reference loop's phases of the weak pair from rest, per step of 1 ms to 2.5 s."""
+    return rk4_oracle.simulate(np.zeros(2), ConstantSignal(WEAK_W), ConstantSignal(WEAK_A),
+                               2.5, 1e-3)
+
+
+def half_width_first_left_at(phases, step):
+    """A half-width between the phase spreads at step - 1 and step, so that the
+    state at step is the first outside the region."""
+    spread = phases.max(axis=1) - phases.min(axis=1)
+    return 0.5 * float(spread[step - 1] + spread[step])
+
+
+@pytest.mark.parametrize("step", [1000, 2000, 2201],
+                         ids=["window-start", "last-whole-window-start", "partial-window"])
+def test_relaxation_leaves_the_region_at_the_reference_time(step):
+    # the horizon of 2.5 s ends in a partial window
+    r = half_width_first_left_at(weak_phases(), step)
+    with pytest.raises(RuntimeError) as ref:
+        rk4_oracle.lock_search(WEAK_W, WEAK_A, r, np.zeros(2), t_max=2.5)
+    assert str(ref.value) == f"left the PD region at t = {step / 1000:.3f} s"
+    with pytest.raises(NoLockError) as err:
+        phase_locked_equilibrium(WEAK_W, WEAK_A, r, np.zeros(2), t_max=2.5)
+    assert str(err.value) == (f"phases left the PD region (half-width {r:.4g}) "
+                              f"at t = {step / 1000:.3f} s")
+
+
+@pytest.mark.parametrize("at_horizon", [False, True])
+def test_relaxation_without_a_lock_tries_newton_at_each_whole_second(at_horizon, monkeypatch):
+    # over 2.5 s Newton starts from the states at 0, 1 and 2 s only; with
+    # at_horizon the state at 2.5 s alone is outside the region, which is never checked
+    phases = weak_phases()
+    r = half_width_first_left_at(phases, 2500) if at_horizon else math.pi / 3
+    assert rk4_oracle.lock_search(WEAK_W, WEAK_A, r, np.zeros(2), t_max=2.5) is None
+    starts = []
+
+    def recorded_newton(w, a, theta, tol):
+        starts.append(theta)
+        return _newton_lock(w, a, theta, tol)
+
+    monkeypatch.setattr(scenarios, "_newton_lock", recorded_newton)
+    with pytest.raises(NoLockError) as err:
+        phase_locked_equilibrium(WEAK_W, WEAK_A, r, np.zeros(2), t_max=2.5)
+    assert str(err.value) == "no phase lock within 2.5 s (derivative spread 0.157 at the horizon)"
+    rate = rk4_oracle.kuramoto_rhs(phases[-1], WEAK_W, WEAK_A)
+    assert f"{rate.max() - rate.min():.3g}" == "0.157"
+    assert len(starts) == 3
+    assert np.abs(np.array(starts) - phases[[0, 1000, 2000]]).max() <= 1e-12
 
 
 def test_newton_first_returns_a_stable_lock_where_the_relaxation_leaves_the_region():

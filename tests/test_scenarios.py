@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, SwitchingSignal,
                                 signal_from_json)
 
 import psd_oracle
+import rk4_oracle
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -110,8 +112,13 @@ def test_lock_within_a_short_horizon_comes_at_time_zero():
 
 
 def test_lock_region_exit():
-    with pytest.raises(NoLockError, match="left the PD region"):
+    # the uncoupled pair drifts apart at 1 rad/s; the exit time is the reference loop's
+    with pytest.raises(RuntimeError) as ref:
+        rk4_oracle.lock_search(np.array([2.0, 1.0]), np.zeros((2, 2)), 0.5, np.zeros(2))
+    exit_time = re.fullmatch(r"left the PD region at t = ([0-9.]+) s", str(ref.value)).group(1)
+    with pytest.raises(NoLockError) as err:
         phase_locked_equilibrium(np.array([2.0, 1.0]), np.zeros((2, 2)), 0.5, np.zeros(2))
+    assert str(err.value) == f"phases left the PD region (half-width 0.5) at t = {exit_time} s"
 
 
 def test_lock_rejects_a_newton_lock_outside_the_region():
@@ -210,8 +217,7 @@ def assert_orbit_is_the_maps_own_run(orbit, seed, omega, coupling, r, dt=1e-3):
     assert float(np.linalg.norm(samples[-1] - samples[0])) == orbit.residual < 1e-10
     assert orbit.fixed_point.tobytes() == samples[-1].tobytes()
     # the orbit as it was resampled: one more period from the map's image
-    m = coupling.shape[0]
-    resampled = simulate(phases_from_pd(samples[-1], m), omega, coupling, period, dt)
+    resampled = simulate(phases_from_pd(samples[-1]), omega, coupling, period, dt)
     assert np.abs(resampled.phase_differences() - samples).max() <= 1e-12
     # the iterations of x -> H(x) until ||H(x) - x|| < tol
     x, iterations = seed, 0
