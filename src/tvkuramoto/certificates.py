@@ -6,7 +6,8 @@ eigenvalue series, or the earliest violating pair/window/time. Quantifiers over
 all t >= 0 are evaluated on signals.sample_grid: up to the last switch of an
 aperiodic table plus one common period (sufficient by periodicity). A coupling
 hypothesis (nonnegative entries, symmetric PSD Laplacians) is probed at
-sample_grid(coupling, PROBE_POINTS), over all t and not a criterion's own span;
+sample_grid(coupling, PROBE_POINTS), over all t and not a criterion's own span,
+but a sinusoid's entries are nonnegative iff their exact minima are;
 that grid plus the window kinks gives thm2's and cor1's default starts
 (_window_starts). Window integrals of the coupling are exact for
 piecewise-constant signals and midpoint quadrature otherwise. Each criterion
@@ -29,8 +30,8 @@ from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
 from tvkuramoto.linalg import lambda2, restricted_spectrum
-from tvkuramoto.signals import (ConstantSignal, TableSignal, TimeSignal, distinct_values,
-                                 sample_grid)
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal,
+                                 distinct_values, sample_grid)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 PROBE_POINTS = 128  # even times per period of the probe grid and of the default starts
@@ -44,10 +45,6 @@ class CertificateReport:
     verdict: str
     witnesses: dict = field(default_factory=dict)
     parameters: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
 
     def to_json(self) -> dict:
         return {
@@ -165,17 +162,28 @@ def _check_positive(**params) -> None:
 
 def _negative_coupling_report(criterion: str, coupling: TimeSignal,
                               params: dict) -> "CertificateReport | None":
-    """INCONCLUSIVE report at the most negative coupling entry at a probe time, or None if
-    there is none. The spanning-tree criteria need nonnegative couplings."""
-    worst = None
-    for u, a in distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)):
-        k = int(np.argmin(a))
-        value = float(a.flat[k])
-        if value < -1e-12 and (worst is None or value < worst["value"]):
-            i, j = divmod(k, a.shape[0])
-            worst = {"t": u, "pair": [i + 1, j + 1], "value": value}
-    return None if worst is None else CertificateReport(
-        criterion, INCONCLUSIVE, witnesses={"negative_coupling_at": worst}, parameters=params)
+    """INCONCLUSIVE report at the most negative coupling entry (the earliest, then the first
+    in row-major order), or None above -1e-12: the spanning-tree criteria need nonnegative
+    couplings. A sinusoid entry b + c cos(t/tau) + s sin(t/tau) is least, b - hypot(c, s),
+    at t = tau (atan2(-s, -c) mod 2 pi), or t = 0 if c = s = 0; others read the probes."""
+    if isinstance(coupling, SinusoidSignal):
+        c, s = (np.broadcast_to(v, coupling.shape)
+                for v in (coupling._cos_coef, coupling._sin_coef))
+        amp = np.hypot(c, s)
+        turn = np.mod(np.arctan2(-s, -c), 2 * math.pi)  # 2 pi for an angle an ulp below 0
+        times = np.where((amp > 0) & (turn < 2 * math.pi), coupling.time_scale * turn, 0.0)
+        values = coupling.base - amp
+    else:
+        probes = list(distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)))
+        times = np.array([np.full(coupling.shape, u) for u, _ in probes])
+        values = np.array([a for _, a in probes])
+    k = int(np.lexsort((times.ravel(), values.ravel()))[0])
+    if values.flat[k] >= -1e-12:
+        return None
+    i, j = divmod(k % coupling.shape[0] ** 2, coupling.shape[0])  # k runs over probes too
+    worst = {"t": float(times.flat[k]), "pair": [i + 1, j + 1], "value": float(values.flat[k])}
+    return CertificateReport(criterion, INCONCLUSIVE, witnesses={"negative_coupling_at": worst},
+                             parameters=params)
 
 
 # matrix entries per integrate_window call, 5 windows at m = 20: cor1's batch temporaries
@@ -423,16 +431,13 @@ def tilde_laplacian(lap: np.ndarray, r: float) -> np.ndarray:
 def psd_fault(lap: np.ndarray) -> tuple:
     """Symmetric-PSD test of a Laplacian: (fault, lowest eigenvalue orthogonal to 1).
 
-    The fault is "asymmetric", with no eigenvalue, when max |L - L^T| exceeds
-    1e-10 * max(1, max |L|) or the eigensolver's own symmetry test rejects L;
-    "not_psd" when the eigenvalue is below -1e-9; None when L passes both tests.
+    The fault is "asymmetric", with no eigenvalue, when the symmetry rule of
+    linalg.restricted_spectrum rejects L; "not_psd" when the eigenvalue is below
+    -1e-9; None when L passes both tests.
     """
-    scale = max(1.0, float(np.abs(lap).max()))
-    if np.abs(lap - lap.T).max() > 1e-10 * scale:
-        return "asymmetric", None
     try:
         low = float(restricted_spectrum(lap)[0])
-    except ValueError:  # |L - L^T| >= 1e-10 |L| in the Frobenius norm, for a small L
+    except ValueError:
         return "asymmetric", None
     return ("not_psd" if low < -1e-9 else None), low
 

@@ -70,13 +70,6 @@ def check_r(r: float) -> float:
     return r
 
 
-def region_membership(pd: np.ndarray, r: float) -> bool:
-    """True iff every |theta_ij| <= r (the PD hypercube of half-width r)."""
-    check_r(r)
-    pd = np.asarray(pd, dtype=float)
-    return bool(pd.size == 0 or np.max(np.abs(pd)) <= r)
-
-
 def hajnal_diameter(delta):
     """max_i delta_i - min_j delta_j over the last axis, the contraction functional of
     the delta-system: a float for one vector, an array for a stack of them."""

@@ -79,18 +79,6 @@ def has_spanning_tree(g) -> bool:
     return bool(reach.all(axis=1).any())
 
 
-def common_positive_neighbors(a, i: int, j: int) -> set:
-    """Nodes k with a_ik > 0 and a_jk > 0 (positive influencers of both i and j).
-
-    Returns the raw set; callers exclude k = i, j where a formula requires it
-    (the zero diagonal already keeps i and j themselves out).
-    """
-    if i == j:
-        raise ValueError("common_positive_neighbors needs two distinct nodes")
-    a = _checked_adjacency(a)
-    return set(np.nonzero((a[i] > 0) & (a[j] > 0))[0].tolist())
-
-
 def _pair_tensors(a: np.ndarray):
     """Per-pair views ai[i, j, k] = a_ik, aj[i, j, k] = a_jk, and the mask k in {i, j}."""
     m = a.shape[0]
@@ -130,19 +118,16 @@ def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
 
     Grid extrema stand in for suprema over continuous time; exact for
     piecewise-constant signals when the grid includes all breakpoints, which
-    cost one pass per stored piece (signals.distinct_values).
+    cost one pass per stored piece (signals.distinct_values). A pair needs
+    m >= 2, as check_coupling requires; m = 1 raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty sampling grid")
     mu0 = mu1 = mu2 = -np.inf
     for _, a in distinct_values(coupling, grid):
-        m = a.shape[0]
-        if m < 2:
-            mu0, mu1, mu2 = max(mu0, 0.0), max(mu1, 0.0), max(mu2, 0.0)
-            continue
         common_min, neg_sum = _pair_sums(a)
-        off = ~np.eye(m, dtype=bool)
+        off = ~np.eye(a.shape[0], dtype=bool)
         mu0 = max(mu0, float(common_min[off].min()))
         mu1 = max(mu1, float(-neg_sum[off].min()))
         mu2 = max(mu2, float((a + a.T)[off].min()))

@@ -1,15 +1,15 @@
-"""Dense symmetric eigensolver, restricted spectra, and state-transition matrices.
+"""Restricted spectra of symmetric matrices, and state-transition matrices.
 
 Eigenvalues come from LAPACK through numpy.linalg.eigh. Quantities "over the
 eigenspace orthogonal to 1" are computed by restricting to an explicit
 orthonormal basis of that subspace rather than eigensolving a projected
-matrix, which stays correct when the input is indefinite.
+matrix, which stays correct when the input is indefinite. One symmetry rule,
+_check_symmetric, decides which matrices count as symmetric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,31 +17,17 @@ from tvkuramoto import dynamics
 from tvkuramoto.signals import TimeSignal, check_alignment
 
 
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Eigenvalues in ascending order with matching orthonormal eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
-
-
 def _check_symmetric(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """The symmetric part of a square M; ValueError unless |M - M^T| < rtol |M| in the
+    Frobenius norm and max |M - M^T| <= rtol * max(1, max |M|) entrywise."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
-    norm = np.linalg.norm(mat)
-    if norm > 0 and np.linalg.norm(mat - mat.T) >= rtol * norm:
+    norm, skew = np.linalg.norm(mat), mat - mat.T
+    if (norm > 0 and np.linalg.norm(skew) >= rtol * norm) or \
+            np.abs(skew).max() > rtol * max(1.0, float(np.abs(mat).max())):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (mat + mat.T)
-
-
-def symmetric_eigen(mat: np.ndarray) -> SymmetricSpectrum:
-    """Full spectrum of a symmetric matrix (LAPACK through numpy.linalg.eigh).
-
-    Rejects matrices that are not symmetric to 1e-10 relative tolerance.
-    """
-    vals, vecs = np.linalg.eigh(_check_symmetric(mat))
-    return SymmetricSpectrum(vals, vecs)
 
 
 def _ones_complement_basis(m: int) -> np.ndarray:
@@ -60,7 +46,8 @@ def restricted_spectrum(mat: np.ndarray) -> np.ndarray:
     if m == 1:
         return np.array([])
     basis = _ones_complement_basis(m)
-    return symmetric_eigen(basis.T @ sym @ basis).eigenvalues
+    p = basis.T @ sym @ basis
+    return np.linalg.eigh(0.5 * (p + p.T))[0]
 
 
 def lambda2(mat: np.ndarray) -> float:

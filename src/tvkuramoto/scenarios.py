@@ -256,8 +256,6 @@ class PerturbationExpansion:
     times: np.ndarray
     phi: np.ndarray          # (N+1, m) first-order phase correction
     bound: float             # observed sup-norm of phi
-    omega_pert: TimeSignal
-    coupling_pert: TimeSignal
 
     def approx_phases(self) -> np.ndarray:
         """theta_bar(t) + epsilon * phi(t) on the sample grid."""
@@ -345,31 +343,7 @@ def first_order_approx(base: PhaseLockedState, omega_pert: TimeSignal,
     return PerturbationExpansion(
         epsilon=epsilon, base=base, times=times, phi=phi,
         bound=float(np.abs(phi).max()),
-        omega_pert=omega_pert, coupling_pert=coupling_pert,
     )
-
-
-@dataclass(frozen=True)
-class BoundednessResult:
-    bounded: bool
-    bound: float       # max_i sup_t |phi_i(t)| over the horizon
-    tail_slope: float  # linear-fit slope of the running max, second half
-
-
-def boundedness_check(expansion: PerturbationExpansion, horizon: float,
-                      dt: float = 1e-3) -> BoundednessResult:
-    """Recompute phi over the horizon and test the running max for growth.
-
-    Bounded means the running maximum of |phi| grows slower than 1e-4 per
-    second over the second half of the horizon (a drift this slow is
-    indistinguishable from a bounded oscillation at these horizons).
-    """
-    times, phi = linear_correction(expansion.base, expansion.omega_pert,
-                                   expansion.coupling_pert, horizon, dt)
-    running = np.maximum.accumulate(np.abs(phi).max(axis=1))
-    half = len(times) // 2
-    slope = float(np.polyfit(times[half:], running[half:], 1)[0])
-    return BoundednessResult(bounded=slope < 1e-4, bound=float(running[-1]), tail_slope=slope)
 
 
 @dataclass(frozen=True)
@@ -404,6 +378,8 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     freqs = np.sort(np.asarray(frequencies, dtype=float))
     if freqs.size == 0 or freqs[0] <= 0:
         raise ValueError("switching frequencies must be positive")
+    if not 0 < tail_fraction <= 1:
+        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
 
     fault = certificates.first_psd_fault(coupling_base)
     notes = ""
@@ -490,6 +466,10 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
                   divergence_from: float = 40.0, eta: float = 0.01,
                   orbit_tol: float = 1e-10, orbit_max_iter: int = 200) -> ApExperimentResult:
     """Multi-start runs plus the periodic PD orbit over the signals' common period."""
+    if not (math.isfinite(divergence_from) and divergence_from >= 0
+            and (num_runs < 2 or divergence_from <= t_end)):
+        raise ValueError(f"divergence_from must be finite, at least 0 and, with two runs or "
+                         f"more, at most t_end = {t_end}; got {divergence_from}")
     period = common_period([omega, coupling])
     if period is None or any(sig.period is None and sig.kind != "constant"
                              for sig in (omega, coupling)):

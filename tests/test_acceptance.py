@@ -220,7 +220,7 @@ def test_criterion_7_switched_consensus_and_contraction_bound():
         scale = 0.7 / min(betas)
         laps = [lap * scale for lap in laps]
         gen = SwitchingSignal([0.5, 0.5, 0.5, 0.5], laps)
-        norm_bound = max(abs(linalg.symmetric_eigen(lap).eigenvalues).max() for lap in laps)
+        norm_bound = max(abs(np.linalg.eigvalsh(lap)).max() for lap in laps)
 
         total = np.eye(m)
         for k in range(int(horizon / h)):

@@ -575,7 +575,7 @@ PROBE_KINDS = SCHEDULE_KINDS + ["constant", "sinusoid"]
 def test_negative_coupling_witness_matches_the_probe_loop(kind):
     # pieces probed once each must give the witness every probe time gives:
     # the first time of the most negative entry, ties included; a sinusoid
-    # returns a new matrix at every probe, and every one is probed
+    # gives each entry's exact minimum, as its closed form does
     rng = np.random.default_rng([74, PROBE_KINDS.index(kind)])
     found = 0
     for case in range(20):
@@ -583,7 +583,11 @@ def test_negative_coupling_witness_matches_the_probe_loop(kind):
         if kind == "constant":
             sig = ConstantSignal(sig.values[0])
         elif kind == "sinusoid":
-            sig = SinusoidSignal(sig.values[0], 0.5 * sig.values[-1], rng.uniform(-3.0, 3.0))
+            m = sig.shape[0]
+            phase = rng.uniform(-3.0, 3.0, (m, m) if case % 2 else ())
+            sig = SinusoidSignal(sig.values[0], 0.5 * sig.values[-1] * rng.choice([-1, 1]),
+                                 phase, trig=["cos", "sin"][case % 4 // 2],
+                                 time_scale=rng.uniform(0.3, 2.0))
         elif case % 4 == 0:  # the same object twice and an equal copy: ties in time order
             values = sig.values + [sig.values[0], sig.values[0].copy()]
             period = 0.3 * len(values) if kind == "periodic-table" else None
@@ -591,13 +595,47 @@ def test_negative_coupling_witness_matches_the_probe_loop(kind):
                    else TableSignal(0.3 * np.arange(len(values)), values, period))
         partition = np.linspace(0.0, 3.0 * span_of(sig), 4)
         starts = rng.uniform(0.0, span_of(sig), 8)
-        worst = spanning_oracle.most_negative_entry(sig)
+        if kind == "sinusoid":
+            worst = spanning_oracle.sinusoid_most_negative_entry(sig)
+        else:
+            worst = spanning_oracle.most_negative_entry(sig)
         for rep in [thm1_spanning_tree_check(sig, partition, 0.1),
                     cor1_sliding_window_check(sig, 1.0, 0.1, starts)]:
-            assert rep.witnesses.get("negative_coupling_at") == worst
+            got = rep.witnesses.get("negative_coupling_at")
+            if kind == "sinusoid" and worst is not None:  # the two forms round apart
+                assert got["pair"] == worst["pair"]
+                assert got["t"] == pytest.approx(worst["t"], rel=1e-12, abs=1e-12)
+                assert got["value"] == pytest.approx(worst["value"], rel=1e-12, abs=1e-15)
+            else:
+                assert got == worst
             assert (rep.verdict == "inconclusive") == (worst is not None)
             found += worst is not None
     assert found > 0
+
+
+@pytest.mark.parametrize("trig, shift", [("cos", math.pi), ("sin", 1.5 * math.pi)],
+                         ids=["cos", "sin"])
+def test_spanning_tree_criteria_see_a_sinusoid_dip_between_probe_times(trig, shift):
+    # 1 + 1.000001 trig(t + phase) dips to -1e-6 halfway between probe times 40 and 41 of
+    # 128 a period, where both probes read about +3e-4; pass and fail were false verdicts
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dip = 40.5 * 2 * math.pi / 128
+    sig = SinusoidSignal(a, 1.000001 * a, shift - dip, trig=trig)
+    for rep in [thm1_spanning_tree_check(sig, [0.0, 1.0, 2.0], 0.1),
+                cor1_sliding_window_check(sig, 1.0, 0.1)]:
+        assert rep.verdict == "inconclusive"
+        worst = rep.witnesses["negative_coupling_at"]
+        assert worst["pair"] == [1, 2]
+        assert worst["t"] == pytest.approx(dip, rel=1e-12)
+        assert worst["value"] == pytest.approx(-1e-6, rel=1e-6)
+
+
+def test_sinusoid_minimum_a_whole_turn_on_is_taken_at_zero():
+    # 0.5 + cos(t - pi) is least at t = 0; the angle of that minimum, an ulp below 0,
+    # must not fold to a whole period
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rep = thm1_spanning_tree_check(SinusoidSignal(0.5 * a, a, -math.pi), [0.0, 1.0], 0.1)
+    assert rep.witnesses["negative_coupling_at"] == {"t": 0.0, "pair": [1, 2], "value": -0.5}
 
 
 # --- xi and the signed-coupling window criterion ------------------------------
@@ -867,7 +905,7 @@ def test_thm3_asymmetric_schedule_is_inconclusive():
 @pytest.mark.parametrize("check", [thm3_series_check, cor2_uniform_check])
 def test_small_asymmetric_coupling_is_inconclusive_not_an_error(check):
     # |L - L^T| = 1e-11 is within 1e-10 max(1, max |L|), but not within 1e-10 |L| in the
-    # Frobenius norm the eigensolver takes: both tests call it asymmetric
+    # Frobenius norm: the one symmetry rule, which rejects on either, calls it asymmetric
     sig = ConstantSignal([[0.0, 1e-11], [0.0, 0.0]])
     rep = check(sig, 1.0, 1.0)
     assert rep.verdict == "inconclusive"
@@ -972,7 +1010,7 @@ def test_certified_instances_have_stable_pds():
         omega, coupling = ConstantSignal(w), ConstantSignal(a)
         cert_inv = invariance_pointwise(omega, coupling, r)
         cert_tree = cor1_sliding_window_check(coupling, 1.0, 0.5 * a[a > 0].min())
-        if not (cert_inv.passed and cert_tree.passed):
+        if not (cert_inv.verdict == cert_tree.verdict == "pass"):
             continue
         starts = [rng.uniform(-r / 4, r / 4, m) for _ in range(2)]
         batch = simulate(np.array(starts), omega, coupling, 100.0, 5e-3)
@@ -990,7 +1028,7 @@ def test_certified_instances_have_stable_pds():
 def test_run_check_dispatch_and_unknown():
     rep = run_check("invariance-robust", ConstantSignal([1.0, 1.0]),
                     ConstantSignal(TWO_NODE), {"r": 0.5})
-    assert rep.passed
+    assert rep.verdict == "pass"
     with pytest.raises(ValueError):
         run_check("nonsense", None, ConstantSignal(TWO_NODE), {})
     with pytest.raises(ValueError):

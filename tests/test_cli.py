@@ -612,3 +612,22 @@ def test_simulate_names_theta0_of_the_wrong_length(tmp_path, capsys, monkeypatch
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config field 'parameters.theta0':" in err and "(1,)" in err
+
+
+@pytest.mark.parametrize("scenario, field, value", [
+    ("ap", "divergence_from", -5.0),     # a negative index would read only the last 5 s
+    ("ap", "divergence_from", 20.0),     # past t_end = 12: no sample left to read
+    ("ap", "divergence_from", math.nan),
+    ("fast", "tail_fraction", 0.0),      # would read one sample
+    ("fast", "tail_fraction", 1.5),      # would read the whole run
+], ids=["ap-negative", "ap-past-end", "ap-nan", "fast-zero", "fast-above-one"])
+def test_experiment_rejects_an_array_index_parameter_out_of_range(tmp_path, capsys, scenario,
+                                                                   field, value):
+    cfg = json.loads(bundled_config_path(scenario).read_text())
+    if scenario == "ap":
+        cfg["parameters"].update(num_runs=3, t_end=12.0)
+    cfg["parameters"][field] = value
+    code = main(["experiment", scenario, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert field in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvkuramoto.dynamics import (
+    PhaseTrajectory,
     hajnal_diameter,
     invariance_monitor,
     kuramoto_rhs,
@@ -11,7 +12,6 @@ from tvkuramoto.dynamics import (
     pd_pairs,
     phase_differences,
     phases_from_pd,
-    region_membership,
     simulate,
 )
 from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal
@@ -145,12 +145,15 @@ def test_phases_from_pd_rejects_a_size_that_is_no_pair_count(size):
 
 
 def test_region_membership():
-    assert region_membership(np.zeros(3), 0.0)
-    r = 0.5
-    assert not region_membership(np.array([r + 1e-9]), r)
-    assert region_membership(np.array([r]), r)
+    # the PD hypercube of half-width r is closed: a spread of r stays inside, r + 1e-9
+    # leaves it; r = pi/2 is no half-width
+    r, times = 0.5, np.array([0.0, 1.0])
+    assert invariance_monitor(PhaseTrajectory(times, np.zeros((2, 3))), 0.0) is None
+    assert invariance_monitor(PhaseTrajectory(times, np.array([[0.0, r], [r, 0.0]])), r) is None
+    outside = PhaseTrajectory(times, np.array([[0.0, r], [0.0, r + 1e-9]]))
+    assert invariance_monitor(outside, r) == 1.0
     with pytest.raises(ValueError):
-        region_membership(np.zeros(3), math.pi / 2)
+        invariance_monitor(PhaseTrajectory(times, np.zeros((2, 3))), math.pi / 2)
 
 
 def test_invariance_monitor_invariant_run():

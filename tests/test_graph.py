@@ -5,7 +5,7 @@ import pytest
 
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.graph import (
-    common_positive_neighbors,
+    _pair_sums,
     ergodic_quantities,
     has_spanning_tree,
     laplacian_from_adjacency,
@@ -52,8 +52,6 @@ def loop_ergodic_quantities(coupling, grid):
                 best0 = s0 if best0 is None else min(best0, s0)
                 best1 = s1 if best1 is None else max(best1, s1)
                 best2 = s2 if best2 is None else min(best2, s2)
-        if best0 is None:  # m < 2
-            best0 = best1 = best2 = 0.0
         mu0s.append(best0)
         mu1s.append(best1)
         mu2s.append(best2)
@@ -178,31 +176,39 @@ def test_spanning_tree_random_m6():
 
 
 def test_common_positive_neighbors_star():
+    # node 2, the hub, is the one positive influencer of both 0 and 1
     a = np.zeros((3, 3))
-    a[0, 2] = a[2, 0] = a[1, 2] = a[2, 1] = 1.0  # node 2 is the hub
-    assert common_positive_neighbors(a, 0, 1) == {2}
+    a[0, 2] = a[2, 0] = a[2, 1] = 1.0
+    a[1, 2] = 0.5
+    common_min, neg_sum = _pair_sums(a)
+    assert common_min[0, 1] == common_min[1, 0] == 0.5
+    assert np.all(neg_sum == 0.0)
 
 
 def test_common_positive_neighbors_all_negative():
+    # no positive influencer anywhere: each of the two other nodes adds -1 - 1 to a pair
     a = -np.ones((4, 4)) + np.eye(4)
-    assert common_positive_neighbors(a, 0, 1) == set()
-
-
-def test_common_positive_neighbors_rejects_equal_nodes():
-    with pytest.raises(ValueError):
-        common_positive_neighbors(np.zeros((3, 3)), 1, 1)
+    common_min, neg_sum = _pair_sums(a)
+    assert np.all(common_min == 0.0)
+    off = ~np.eye(4, dtype=bool)
+    assert np.all(neg_sum[off] == -4.0)
 
 
 def test_common_positive_neighbors_matches_set_builder():
+    # per pair, the sums over the common positive neighborhood and over the rest
     rng = np.random.default_rng(6)
     a = rng.normal(size=(5, 5))
     np.fill_diagonal(a, 0.0)
+    common_min, neg_sum = _pair_sums(a)
     for i in range(5):
         for j in range(5):
             if i == j:
                 continue
-            expect = {k for k in range(5) if a[i, k] > 0 and a[j, k] > 0}
-            assert common_positive_neighbors(a, i, j) == expect
+            common = {k for k in range(5) if a[i, k] > 0 and a[j, k] > 0}
+            rest = set(range(5)) - common - {i, j}
+            assert common_min[i, j] == pytest.approx(sum(min(a[i, k], a[j, k]) for k in common))
+            assert neg_sum[i, j] == pytest.approx(
+                sum(min(a[i, k], 0.0) + min(a[j, k], 0.0) for k in rest))
 
 
 def test_ergodic_quantities_two_node():
@@ -259,6 +265,10 @@ def test_ergodic_quantities_match_loop_oracle():
             sig = SwitchingSignal(rng.uniform(0.2, 1.0, len(pieces)), pieces)
             grid = np.sort(np.concatenate([sample_grid(sig, num=7),
                                            rng.uniform(0.0, 2 * sig.period, 5)]))
+            if m == 1:  # no pair to take a quantity over, as check_coupling also says
+                with pytest.raises(ValueError):
+                    ergodic_quantities(sig, grid)
+                continue
             got = ergodic_quantities(sig, grid)
             want = loop_ergodic_quantities(sig, grid)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, trial, got, want)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tvkuramoto.certificates import tilde_laplacian
+from tvkuramoto.certificates import psd_fault, tilde_laplacian
 from tvkuramoto.graph import laplacian_from_adjacency
 from tvkuramoto.linalg import (
     contraction_factor,
     lambda2,
     restricted_spectrum,
     state_transition,
-    symmetric_eigen,
 )
 from tvkuramoto.signals import ConstantSignal, SwitchingSignal
 
@@ -38,40 +37,74 @@ def random_psd_laplacian(rng, m, mixed_sign=False):
 
 
 def test_eigen_identity():
-    spec = symmetric_eigen(np.eye(3))
-    assert np.allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
+    assert np.allclose(restricted_spectrum(np.eye(3)), [1.0, 1.0])
 
 
 def test_eigen_complete_graph_spectrum():
+    # K4's Laplacian has eigenvalue 0 on the ones vector and 4 on its complement
     lap = laplacian_from_adjacency(np.ones((4, 4)) - np.eye(4))
-    spec = symmetric_eigen(lap)
-    assert np.allclose(spec.eigenvalues, [0.0, 4.0, 4.0, 4.0], atol=1e-10)
-
-
-def test_eigen_diagonal_permutation():
-    spec = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(spec.eigenvectors), np.eye(3)[:, [1, 2, 0]])
+    assert np.allclose(restricted_spectrum(lap), [4.0, 4.0, 4.0], atol=1e-10)
 
 
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
-        symmetric_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        restricted_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_eigen_matches_numpy_and_reconstructs():
+def test_restricted_spectrum_matches_any_orthonormal_basis():
+    # the restriction to the complement of the ones vector does not depend on its basis:
+    # a QR basis of the centring projector gives the same eigenvalues as the reflector's
     rng = np.random.default_rng(0)
     for m in (2, 3, 7, 20):
         mat = rng.normal(size=(m, m))
         mat = mat + mat.T
-        spec = symmetric_eigen(mat)
-        assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(mat), atol=1e-9 * m)
-        assert np.allclose(spec.eigenvectors.T @ spec.eigenvectors, np.eye(m), atol=1e-9)
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
-        assert np.linalg.norm(recon - mat) < 1e-8 * max(np.linalg.norm(mat), 1.0)
-        for k in range(m):
-            resid = mat @ spec.eigenvectors[:, k] - spec.eigenvalues[k] * spec.eigenvectors[:, k]
-            assert np.linalg.norm(resid) < 1e-9 * max(np.linalg.norm(mat), 1.0)
+        q = np.linalg.qr(np.eye(m) - 1.0 / m)[0][:, :m - 1]
+        want = np.linalg.eigvalsh(q.T @ mat @ q)
+        assert np.allclose(restricted_spectrum(mat), want, atol=1e-9 * m)
+
+
+def union_of_symmetry_tests(mat):
+    """True iff M fails either symmetry test, written out entry by entry:
+    |M - M^T| >= 1e-10 |M| in the Frobenius norm (for M != 0), or
+    max |M - M^T| > 1e-10 * max(1, max |M|)."""
+    m = len(mat)
+    skew = [mat[i][j] - mat[j][i] for i in range(m) for j in range(m)]
+    entries = [mat[i][j] for i in range(m) for j in range(m)]
+    size = math.hypot(*entries)
+    frobenius = size > 0 and math.hypot(*skew) >= 1e-10 * size
+    largest = max(1.0, max(abs(x) for x in entries))
+    return frobenius or max(abs(x) for x in skew) > 1e-10 * largest
+
+
+def test_one_symmetry_rule_rejects_what_either_test_rejects():
+    # near-symmetric matrices, perturbed in one entry pair or densely, by amounts either
+    # side of both thresholds, with max |M| from 1e-3 to 1e3: restricted_spectrum raises,
+    # psd_fault says "asymmetric" and the union of the two tests says asymmetric together
+    rng = np.random.default_rng(61)
+    seen = set()
+    for trial in range(600):
+        m = int(rng.integers(2, 9))
+        mat = rng.normal(size=(m, m))
+        mat = (mat + mat.T) * 10.0 ** rng.uniform(-3.0, 3.0)
+        size = 10.0 ** rng.uniform(-12.5, -8.5) * max(1.0, np.abs(mat).max())
+        if trial % 2:
+            mat = mat + size * rng.normal(size=(m, m))
+        else:
+            i, j = rng.choice(m, 2, replace=False)
+            mat[i, j] += size
+        want = union_of_symmetry_tests(mat.tolist())
+        try:
+            restricted_spectrum(mat)
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == want
+        assert (psd_fault(mat)[0] == "asymmetric") == want
+        skew = mat - mat.T
+        frobenius = np.linalg.norm(skew) >= 1e-10 * np.linalg.norm(mat)
+        seen.add((want, bool(frobenius)))
+    # accepted, rejected by the Frobenius test, and rejected by the max-entry test alone
+    assert seen == {(False, False), (True, True), (True, False)}
 
 
 def test_lambda2_known_graphs():

@@ -10,9 +10,7 @@ from tvkuramoto.dynamics import phase_differences, phases_from_pd, simulate
 from tvkuramoto.linalg import state_transition
 from tvkuramoto.scenarios import (
     NoLockError,
-    PerturbationExpansion,
     ap_experiment,
-    boundedness_check,
     er_random_network,
     fast_switching_sweep,
     find_periodic_pd,
@@ -250,6 +248,16 @@ def make_base(rng, m=4):
     return phase_locked_equilibrium(w, a, math.pi / 3, np.zeros(m))
 
 
+def correction_growth(base, omega_pert, coupling_pert, horizon, dt=1e-2):
+    """(max |phi| over [0, horizon], slope of its running max over the second half) of the
+    first-order correction. A slope below 1e-4 per second counts as bounded: a drift this
+    slow cannot be told from a bounded oscillation at these horizons."""
+    times, phi = linear_correction(base, omega_pert, coupling_pert, horizon, dt)
+    running = np.maximum.accumulate(np.abs(phi).max(axis=1))
+    half = len(times) // 2
+    return float(running[-1]), float(np.polyfit(times[half:], running[half:], 1)[0])
+
+
 def test_first_order_zero_perturbation_is_zero():
     rng = np.random.default_rng(4)
     base = make_base(rng)
@@ -320,10 +328,9 @@ def test_boundedness_zero_perturbation():
     base = make_base(rng)
     zero_v = SinusoidSignal(np.zeros(4), np.zeros(4), np.zeros(4))
     zero_m = SinusoidSignal(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-    exp = first_order_approx(base, zero_v, zero_m, 0.1, 2.0, 1e-3)
-    res = boundedness_check(exp, 50.0, dt=1e-2)
-    assert res.bounded
-    assert res.bound == 0.0
+    bound, slope = correction_growth(base, zero_v, zero_m, 50.0)
+    assert slope < 1e-4
+    assert bound == 0.0
 
 
 def test_boundedness_flags_secular_drift():
@@ -333,12 +340,8 @@ def test_boundedness_flags_secular_drift():
     base = make_base(rng)
     biased = SinusoidSignal(np.array([0.2, 0.0, 0.0, 0.0]), np.zeros(4), np.zeros(4))
     zero_m = SinusoidSignal(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-    times, phi = linear_correction(base, biased, zero_m, 2.0, 1e-3)
-    exp = PerturbationExpansion(0.1, base, times, phi, float(np.abs(phi).max()),
-                                biased, zero_m)
-    res = boundedness_check(exp, 100.0, dt=1e-2)
-    assert not res.bounded
-    assert res.tail_slope > 1e-3
+    _, slope = correction_growth(base, biased, zero_m, 100.0)
+    assert slope > 1e-3
 
 
 def test_boundedness_full_scale_random_graph():
@@ -353,10 +356,9 @@ def test_boundedness_full_scale_random_graph():
     beta = beta + beta.T
     omega_pert = SinusoidSignal(np.zeros(20), np.ones(20), alpha, trig="sin")
     coupling_pert = SinusoidSignal(np.zeros((20, 20)), mask, beta, trig="cos")
-    exp = first_order_approx(base, omega_pert, coupling_pert, 0.1, 5.0, 1e-3)
-    res = boundedness_check(exp, 200.0, dt=1e-2)
-    assert res.bounded
-    assert res.bound > 0.0
+    bound, slope = correction_growth(base, omega_pert, coupling_pert, 200.0)
+    assert slope < 1e-4
+    assert bound > 0.0
 
 
 def test_linear_jacobian_reaches_consensus():
