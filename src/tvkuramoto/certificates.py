@@ -9,8 +9,9 @@ hypothesis (nonnegative entries, symmetric PSD Laplacians) is probed at
 sample_grid(coupling, PROBE_POINTS), over all t and not a criterion's own span,
 but a sinusoid's entries are nonnegative iff their exact minima are;
 that grid plus the window kinks gives thm2's and cor1's default starts
-(_window_starts). Window integrals of the coupling are exact for
-piecewise-constant signals and midpoint quadrature otherwise. Each criterion
+(_window_starts). Window integrals of the coupling are exact; thm2's window
+integrals of xi are exact for piecewise-constant couplings and a midpoint rule
+on _XI_CELLS cells per period otherwise (_xi_steps). Each criterion
 checks its coupling once, with graph.check_coupling, before any evaluation.
 
 Sign convention for matrices quoted from the literature on switched oscillator
@@ -160,6 +161,13 @@ def _check_positive(**params) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _positive_int(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is a positive integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _negative_coupling_report(criterion: str, coupling: TimeSignal,
                               params: dict) -> "CertificateReport | None":
     """INCONCLUSIVE report at the most negative coupling entry (the earliest, then the first
@@ -234,11 +242,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     if etas.size != n_intervals:
         raise ValueError("need one eta per partition interval")
     _check_positive(eta=etas)
-    if bins is None:
-        bins = m - 1
-    elif isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
-    nbins = int(bins)
+    nbins = m - 1 if bins is None else _positive_int("bins", bins)
 
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
     bad = _negative_coupling_report("thm1-spanning-tree", coupling, params)
@@ -353,27 +357,21 @@ def xi_index(net, r: float) -> float:
     return float(-vals.min())
 
 
+_XI_CELLS = 4096  # equal cells per period of a smooth coupling, xi read at each midpoint
+
+
 def _xi_steps(coupling: TimeSignal, r: float) -> TableSignal:
-    """xi(L(t), r) of a piecewise-constant coupling as a step signal.
-
-    xi is computed once per piece (of one period, when the coupling repeats),
-    and the step signal's exact window integral folds whole periods, so a
-    window costs the same for any number of periods.
-    """
-    starts = coupling.breakpoints()
-    if starts.size == 0:
-        starts = np.array([0.0])
-    xis = [xi_index(coupling.evaluate(float(t)), r) for t in starts]
+    """xi(L(t), r) as a step signal: once per piece of a piecewise-constant coupling (of
+    one period, when it repeats), and at the midpoint of each of _XI_CELLS equal cells of
+    a smooth coupling's period. Its window integral folds whole periods, so a window
+    costs the same for any number of periods."""
+    if coupling.is_piecewise_constant:
+        at = starts = np.union1d(coupling.breakpoints(), 0.0)
+    else:
+        starts = np.arange(_XI_CELLS) * (coupling.period / _XI_CELLS)
+        at = starts + coupling.period / (2 * _XI_CELLS)
+    xis = [xi_index(coupling.evaluate(float(t)), r) for t in at]
     return TableSignal(starts, xis, period=coupling.period)
-
-
-_XI_QUAD_POINTS = 256  # midpoint-rule nodes per window of a smooth coupling
-
-
-def _xi_window_integral(coupling: TimeSignal, r: float, a: float, b: float) -> float:
-    """Integral of xi(L(t), r) over [a, b] for a smooth coupling, by the midpoint rule."""
-    mids = a + (np.arange(_XI_QUAD_POINTS) + 0.5) * (b - a) / _XI_QUAD_POINTS
-    return float(np.mean([xi_index(a_t, r) for a_t in coupling.evaluate(mids)])) * (b - a)
 
 
 def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
@@ -381,21 +379,16 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     """Window-averaged xi test for signed couplings.
 
     Passes iff the average of xi(L(s), r) over [t, t+T] is <= -eta at every
-    sampled window start t. Piecewise-constant couplings integrate the
-    per-piece xi step signal exactly; smooth couplings use midpoint quadrature.
-    For a piecewise-constant coupling the default starts hold every start
-    where a window end meets a breakpoint, so the default check is exact.
+    sampled window start t, integrated on the steps of _xi_steps: exactly for a
+    piecewise-constant coupling, by a midpoint rule for a smooth one. For a
+    piecewise-constant coupling the default starts hold every start where a
+    window end meets a breakpoint, so the default check is exact.
     """
     graph.check_coupling(coupling)
     check_r(r)
     _check_positive(T=window, eta=eta)
     starts = _window_starts(coupling, window, starts)
-    if coupling.is_piecewise_constant:
-        integrals = _xi_steps(coupling, r).integrate_window(starts, starts + window)
-    else:
-        integrals = np.array([_xi_window_integral(coupling, r, float(t), float(t) + window)
-                              for t in starts])
-    averages = integrals / window
+    averages = _xi_steps(coupling, r).integrate_window(starts, starts + window) / window
     worst_idx = int(np.argmax(averages))
     ok = bool(averages[worst_idx] <= -eta)
     return CertificateReport(
@@ -474,8 +467,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     graph.check_coupling(coupling)
     check_r(r)
     _check_positive(h=h, alpha_hat=alpha_hat)
-    if num_windows < 1:
-        raise ValueError("need at least one window")
+    num_windows = _positive_int("num_windows", num_windows)
     params = {"r": r, "h": h, "num_windows": num_windows, "alpha_hat": alpha_hat}
     fault = first_psd_fault(coupling)
     if fault is not None:

@@ -119,8 +119,10 @@ def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
     Grid extrema stand in for suprema over continuous time; exact for
     piecewise-constant signals when the grid includes all breakpoints, which
     cost one pass per stored piece (signals.distinct_values). A pair needs
-    m >= 2, as check_coupling requires; m = 1 raises ValueError.
+    m >= 2, so a coupling that is not m x m with m >= 2 raises ValueError.
     """
+    if len(coupling.shape) != 2 or not 2 <= coupling.shape[0] == coupling.shape[1]:
+        raise ValueError(f"coupling must be an m x m matrix, m >= 2, got shape {coupling.shape}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty sampling grid")

@@ -733,10 +733,22 @@ def test_window_criteria_reject_non_finite_starts(coupling, bad):
             check([0.0, bad, 0.5])
 
 
-@pytest.mark.parametrize("bins", [0, -1, 1.5, 2.0, True])
+@pytest.mark.parametrize("bins", [0, -1, 1.5, 2.0, True, "3"])
 def test_thm1_rejects_bins_that_are_not_positive_integers(bins):
     with pytest.raises(ValueError, match="bins"):
         thm1_spanning_tree_check(ConstantSignal(np.zeros((3, 3))), [0.0, 1.0], 0.1, bins=bins)
+    # num_windows of thm3 and cor2 takes the same rule
+    for check in (thm3_series_check, cor2_uniform_check):
+        with pytest.raises(ValueError, match="num_windows must be a positive integer"):
+            check(ConstantSignal(TWO_NODE), 1.0, 1.0, num_windows=bins)
+
+
+def test_integer_parameters_take_numpy_integers():
+    rep = thm1_spanning_tree_check(ConstantSignal(TWO_NODE), [0.0, 1.0], 0.1, bins=np.int64(3))
+    assert rep.parameters["bins"] == 3 and type(rep.parameters["bins"]) is int
+    for check in (thm3_series_check, cor2_uniform_check):
+        rep = check(ConstantSignal(TWO_NODE), 1.0, 1.0, num_windows=np.int32(2))
+        assert len(rep.witnesses["alpha_series"]) == rep.parameters["num_windows"] == 2
 
 
 def xi_integral_by_pieces(starts, period, xis, a, b):
@@ -810,6 +822,38 @@ def test_thm2_smooth_coupling_quadrature():
     for t, avg in zip(offsets, rep.witnesses["window_averages"]):
         want = xi_index(a, r) * (window + 0.5 * (math.sin(t + window) - math.sin(t)))
         assert avg * window == pytest.approx(want, rel=1e-4), t
+
+
+def simpson_xi_average(base, amp, phase, trig, tau, r, a, b, n=20_000):
+    """Composite Simpson average of xi over [a, b] on n intervals. The coupling
+    base + amp * trig(t / tau + phase) is built here, so only xi_index is shared."""
+    arg = np.linspace(a, b, n + 1)[:, None, None] / tau + phase
+    mats = base + amp * (np.cos(arg) if trig == "cos" else np.sin(arg))
+    weights = np.where(np.arange(n + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(weights @ [xi_index(mat, r) for mat in mats]) / (3 * n)
+
+
+def test_thm2_smooth_windows_match_an_independent_simpson_rule():
+    # a tenth of a period, where a cut cell weighs most, then one longer window per
+    # coupling; xi has kinks, so the oracle's 20,000 intervals, not its order, set its
+    # accuracy
+    rng = np.random.default_rng(36)
+    r = 1.0
+    for m, trig, tau, periods in [(3, "cos", 1.0, 0.5), (4, "sin", 0.37, 1.0),
+                                  (5, "sin", 1.0, 3.7), (6, "cos", 0.37, 10.0)]:
+        base, amp = rng.uniform(-0.5, 1.0, (m, m)), rng.uniform(-1.0, 1.0, (m, m))
+        for x in (base, amp):
+            np.fill_diagonal(x, 0.0)
+        phase = rng.uniform(0.0, 2 * math.pi, (m, m))
+        sig = SinusoidSignal(base, amp, phase, trig=trig, time_scale=tau)
+        for window in (0.1 * sig.period, periods * sig.period):
+            # 0.15 to 0.35 into one of 4096 cells per period: each window end cuts a cell
+            start = (rng.integers(3 * 4096) + rng.uniform(0.15, 0.35)) * sig.period / 4096
+            rep = thm2_window_check(sig, r, window, 0.01, starts=[start])
+            want = simpson_xi_average(base, amp, phase, trig, tau, r, start, start + window)
+            got = rep.witnesses["worst_window_average"]
+            assert got == pytest.approx(want, abs=1e-6), (m, window / sig.period)
 
 
 def test_pairwise_criteria_reject_single_node():

@@ -575,11 +575,26 @@ def _constant(value):
                     eta=0.1), "partition"),
     (_window_config("thm1-spanning-tree", _SWITCHING3, partition=[0.0, 1.0, 2.0],
                     eta=[0.1, math.inf]), "eta"),
+    (_window_config("thm1-spanning-tree", _constant(_RING3), partition=[0.0, 1.0], eta=0.1,
+                    bins=0), "bins"),
+    (_window_config("thm3-lambda2-series", _constant(_RING3), r=1.0, h=1.0, num_windows=0),
+     "num_windows"),
+    (_window_config("thm3-lambda2-series", _constant(_RING3), r=1.0, h=1.0, num_windows=2.5),
+     "num_windows"),
+    (_window_config("thm3-lambda2-series", _constant(_RING3), r=1.0, h=1.0, num_windows="3"),
+     "num_windows"),
+    (_window_config("thm3-lambda2-series", _constant(_RING3), r=1.0, h=1.0, num_windows=True),
+     "num_windows"),
+    (_window_config("cor2-lambda2-uniform", _constant(_RING3), r=1.0, h=1.0, num_windows=0),
+     "num_windows"),
 ], ids=["thm2-eta-negative", "thm2-eta-zero", "thm2-T-inf", "cor2-alpha-hat-negative",
         "thm3-alpha-hat-negative", "thm3-h-inf", "cor2-h-inf", "cor1-T-inf-constant",
-        "cor1-T-inf-switching", "cor1-eta-nan", "thm1-partition-nan", "thm1-eta-inf"])
+        "cor1-T-inf-switching", "cor1-eta-nan", "thm1-partition-nan", "thm1-eta-inf",
+        "thm1-bins-zero", "thm3-num-windows-zero", "thm3-num-windows-float",
+        "thm3-num-windows-string", "thm3-num-windows-true", "cor2-num-windows-zero"])
 def test_window_parameters_that_are_not_positive_and_finite_exit_2(tmp_path, capsys, cfg, name):
-    # each of these used to pass, fail, or die with an OverflowError and exit 1
+    # each of these used to pass, fail, die with an OverflowError and exit 1, or exit 2
+    # with a message that did not name the field
     assert main(["certify", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

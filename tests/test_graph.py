@@ -227,6 +227,13 @@ def test_ergodic_quantities_rejects_empty_grid():
         ergodic_quantities(ConstantSignal(np.zeros((2, 2))), np.array([]))
 
 
+@pytest.mark.parametrize("value", [[[0.0]], 1.0, [0.0, 1.0]], ids=["1x1", "scalar", "vector"])
+def test_ergodic_quantities_reject_couplings_without_a_pair(value):
+    # a 1 x 1 coupling used to raise numpy's zero-size reduction error, naming no input
+    with pytest.raises(ValueError, match=r"coupling must be an m x m matrix, m >= 2"):
+        ergodic_quantities(ConstantSignal(value), np.array([0.0]))
+
+
 def test_ergodic_quantities_matches_formula_oracle():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(5, 5))
