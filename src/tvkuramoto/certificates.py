@@ -30,7 +30,7 @@ import numpy as np
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
-from tvkuramoto.linalg import lambda2, restricted_spectrum
+from tvkuramoto.linalg import _check_zero_row_sums, lambda2, restricted_spectrum
 from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal,
                                  distinct_values, sample_grid)
 
@@ -48,6 +48,7 @@ class CertificateReport:
     parameters: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """The report as strict JSON values: a non-finite witness (inf, NaN) becomes None."""
         return {
             "criterion": self.criterion,
             "verdict": self.verdict,
@@ -62,11 +63,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
@@ -410,11 +411,7 @@ def tilde_laplacian(lap: np.ndarray, r: float) -> np.ndarray:
     eigenvalue of the result is the conservative rate used by the
     symmetric-PSD criteria.
     """
-    lap = np.asarray(lap, dtype=float)
-    scale = max(1.0, float(np.abs(lap).max()))
-    rowsum = np.abs(lap.sum(axis=1)).max()
-    if rowsum > 1e-9 * scale:
-        raise ValueError(f"Laplacian row sums are not zero (max |row sum| = {rowsum:.3g})")
+    lap = _check_zero_row_sums(lap)
     out = np.where(lap <= 0, lap * math.cos(r), lap)
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
@@ -481,7 +478,7 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     partial_sum = float(alphas.sum())
     cor2_pass = min_alpha > alpha_hat
 
-    if coupling.kind == "constant":
+    if coupling.is_constant:
         scope, period_sum = "constant", float(alphas[0])
     elif coupling.period is not None and abs(coupling.period / h - round(coupling.period / h)) < 1e-9 \
             and round(coupling.period / h) <= num_windows:

@@ -14,8 +14,9 @@ and parameter values a criterion or scenario rejects (certify: also
 inconclusive), 3 runtime failures (blow-up, no lock).
 
 All outputs are deterministic for a fixed config; the only volatile field is
-wall_time_s in summary.json. CSV headers carry units and the config hash.
-Node indices in file headers are 1-based.
+wall_time_s in summary.json. JSON output is strict (RFC 8259): a non-finite
+number, such as an infinite witness or error ratio, is written as null. CSV
+headers carry units and the config hash. Node indices in file headers are 1-based.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ def _write_adjacent_pds(outdir: Path, traj, config_hash, tag):
 
 
 def _write_json(path: Path, obj) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    try:  # most outputs hold only finite numbers, and walking an echoed config costs ms
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite number: written as null
+        text = json.dumps(certificates._jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     return text

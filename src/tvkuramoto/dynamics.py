@@ -187,8 +187,8 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
     blow-up time.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if theta0.ndim not in (1, 2):
         raise ValueError(f"theta0 must have shape (m,) or (R, m), got {theta0.shape}")
     _check_shapes(theta0.shape, omega, coupling)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvkuramoto.signals import SinusoidSignal, TableSignal, TimeSignal, distinct_values
+from tvkuramoto.signals import SinusoidSignal, TimeSignal, distinct_values
 
 
 def _checked_adjacency(a) -> np.ndarray:
@@ -31,12 +31,7 @@ def check_coupling(sig: TimeSignal) -> int:
         raise ValueError(f"coupling signal must be an m x m matrix, got shape {shape}")
     if shape[0] < 2:
         raise ValueError(f"coupling must couple at least two oscillators, got m={shape[0]}")
-    if isinstance(sig, SinusoidSignal):
-        parts = [sig.base, sig.amplitude]
-    elif isinstance(sig, TableSignal):
-        parts = sig.values
-    else:
-        parts = [sig.evaluate(0.0)]
+    parts = [sig.base, sig.amplitude] if isinstance(sig, SinusoidSignal) else sig.values
     for v in parts:
         _checked_adjacency(np.broadcast_to(v, shape))
     return shape[0]

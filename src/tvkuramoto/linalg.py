@@ -4,7 +4,8 @@ Eigenvalues come from LAPACK through numpy.linalg.eigh. Quantities "over the
 eigenspace orthogonal to 1" are computed by restricting to an explicit
 orthonormal basis of that subspace rather than eigensolving a projected
 matrix, which stays correct when the input is indefinite. One symmetry rule,
-_check_symmetric, decides which matrices count as symmetric.
+_check_symmetric, decides which matrices count as symmetric, and one row-sum
+rule, _check_zero_row_sums, which count as zero-row-sum.
 """
 
 from __future__ import annotations
@@ -17,17 +18,26 @@ from tvkuramoto import dynamics
 from tvkuramoto.signals import TimeSignal, check_alignment
 
 
-def _check_symmetric(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """The symmetric part of a square M; ValueError unless |M - M^T| < rtol |M| in the
-    Frobenius norm and max |M - M^T| <= rtol * max(1, max |M|) entrywise."""
+def _check_symmetric(mat: np.ndarray) -> np.ndarray:
+    """The symmetric part of a square M; ValueError unless |M - M^T| < 1e-10 |M| in the
+    Frobenius norm and max |M - M^T| <= 1e-10 * max(1, max |M|) entrywise."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
     norm, skew = np.linalg.norm(mat), mat - mat.T
-    if (norm > 0 and np.linalg.norm(skew) >= rtol * norm) or \
-            np.abs(skew).max() > rtol * max(1.0, float(np.abs(mat).max())):
+    if (norm > 0 and np.linalg.norm(skew) >= 1e-10 * norm) or \
+            np.abs(skew).max() > 1e-10 * max(1.0, float(np.abs(mat).max())):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (mat + mat.T)
+
+
+def _check_zero_row_sums(mat) -> np.ndarray:
+    """M as a float array; ValueError unless max |row sum| <= 1e-9 * max(1, max |M|)."""
+    mat = np.asarray(mat, dtype=float)
+    rowsum = np.abs(mat.sum(axis=1)).max()
+    if rowsum > 1e-9 * max(1.0, float(np.abs(mat).max())):
+        raise ValueError(f"matrix row sums are not zero (max |row sum| = {rowsum:.3g})")
+    return mat
 
 
 def _ones_complement_basis(m: int) -> np.ndarray:
@@ -56,13 +66,9 @@ def lambda2(mat: np.ndarray) -> float:
     For a positive-semidefinite zero-row-sum matrix with a simple zero
     eigenvalue this is the second-smallest eigenvalue of the full spectrum
     (algebraic connectivity); for indefinite inputs the restriction keeps the
-    value meaningful.
+    value meaningful. M must have zero row sums (_check_zero_row_sums).
     """
-    mat = np.asarray(mat, dtype=float)
-    rowsum = np.max(np.abs(mat.sum(axis=1)))
-    if rowsum > 1e-8 * max(1.0, np.linalg.norm(mat)):
-        raise ValueError(f"matrix row sums are not zero (max |row sum| = {rowsum:.3g})")
-    return float(restricted_spectrum(mat)[0])
+    return float(restricted_spectrum(_check_zero_row_sums(mat))[0])
 
 
 def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarray:

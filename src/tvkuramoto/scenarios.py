@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tvkuramoto import certificates, dynamics, graph, linalg
-from tvkuramoto.signals import (ConstantSignal, PeriodError, SinusoidSignal, TimeSignal,
-                                check_alignment, common_period)
+from tvkuramoto.signals import (PeriodError, SinusoidSignal, TimeSignal, check_alignment,
+                                common_period)
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     or finds no lock by t_max, when the lock leaves the hypercube, or when
     Newton does not reach deriv_tol.
     """
+    certificates._check_positive(dt=dt)
     w = np.asarray(omega_bar, dtype=float)
     a = np.asarray(a_bar, dtype=float)
     th = np.asarray(theta0, dtype=float)
@@ -267,8 +268,8 @@ class PerturbationExpansion:
 def _harmonic_parts(sig: TimeSignal):
     """(time_scale, base, cos coefficient, sin coefficient) of a constant or
     sinusoid signal, time_scale None for a constant; None for any other kind."""
-    if isinstance(sig, ConstantSignal):
-        return None, sig.value, 0.0, 0.0
+    if sig.is_constant:
+        return None, sig.evaluate(0.0), 0.0, 0.0
     if isinstance(sig, SinusoidSignal):
         return sig.time_scale, sig.base, sig._cos_coef, sig._sin_coef
     return None
@@ -376,8 +377,9 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     if coupling_base.period is None or omega_base.period is None:
         raise PeriodError("fast switching needs periodic base signals")
     freqs = np.sort(np.asarray(frequencies, dtype=float))
-    if freqs.size == 0 or freqs[0] <= 0:
-        raise ValueError("switching frequencies must be positive")
+    if freqs.size == 0:
+        raise ValueError("frequencies must be a nonempty list")
+    certificates._check_positive(frequencies=freqs, t_end=t_end)
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
 
@@ -466,12 +468,15 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
                   divergence_from: float = 40.0, eta: float = 0.01,
                   orbit_tol: float = 1e-10, orbit_max_iter: int = 200) -> ApExperimentResult:
     """Multi-start runs plus the periodic PD orbit over the signals' common period."""
+    num_runs = certificates._positive_int("num_runs", num_runs)
+    orbit_max_iter = certificates._positive_int("orbit_max_iter", orbit_max_iter)
+    certificates._check_positive(orbit_tol=orbit_tol)
     if not (math.isfinite(divergence_from) and divergence_from >= 0
             and (num_runs < 2 or divergence_from <= t_end)):
         raise ValueError(f"divergence_from must be finite, at least 0 and, with two runs or "
                          f"more, at most t_end = {t_end}; got {divergence_from}")
     period = common_period([omega, coupling])
-    if period is None or any(sig.period is None and sig.kind != "constant"
+    if period is None or any(sig.period is None and not sig.is_constant
                              for sig in (omega, coupling)):
         raise PeriodError("the signals must be periodic or constant, and not both constant")
     m = coupling.shape[0]

@@ -1,16 +1,18 @@
 """Time-varying signals: frequencies, coupling matrices, and their window integrals.
 
-A signal maps t >= 0 to a scalar, an m-vector, or an m x m matrix. Four kinds are
-supported: constant, sinusoidal offsets base + amplitude*trig(t/scale + phase),
-sampled step tables, and periodic switching schedules, which are periodic tables
-built from piece durations. Step functions are right-continuous at their
-breakpoints. Window integrals use exact antiderivatives for every kind (a step
-function keeps its integral up to each breakpoint), so downstream eigenvalue
-certificates see no quadrature noise.
+A signal maps t >= 0 to a scalar, an m-vector, or an m x m matrix. Two classes
+carry every kind: SinusoidSignal, sinusoidal offsets base + amplitude*trig(t/scale
++ phase), and TableSignal, step tables. ConstantSignal and SwitchingSignal build
+tables: a constant is one piece at t = 0 with no period, a switching schedule
+the periodic table of its cumulative piece durations. Step functions are
+right-continuous at their breakpoints. Window integrals use exact
+antiderivatives for every kind (a step function keeps its integral up to each
+breakpoint), so downstream eigenvalue certificates see no quadrature noise.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -27,14 +29,6 @@ def _as_value(v):
     if not np.isfinite(arr).all():
         raise ValueError("signal values must be finite (no NaN or inf)")
     return float(arr) if arr.ndim == 0 else arr
-
-
-def _value_shape(v) -> tuple:
-    return () if isinstance(v, float) else v.shape
-
-
-def _zeros_like_value(v):
-    return 0.0 if isinstance(v, float) else np.zeros_like(v)
 
 
 _BREAK_SNAP = 1e-9  # relative half-width for snapping a query onto a breakpoint
@@ -57,16 +51,14 @@ def _fold_periodic(t: float, period: float) -> float:
 class TimeSignal:
     """Base class; concrete kinds implement evaluate and exact integration."""
 
-    kind: str = ""
     period: "float | None" = None
+    shape: tuple                 # of a value: () for a scalar, (m,) or (m, m)
+    is_piecewise_constant: bool  # True for a step table, False for a smooth signal
 
     @property
-    def shape(self) -> tuple:
-        raise NotImplementedError
-
-    @property
-    def is_piecewise_constant(self) -> bool:
-        raise NotImplementedError
+    def is_constant(self) -> bool:
+        """One piece and no period: the value at t = 0 holds for all t."""
+        return self.is_piecewise_constant and self.period is None and self.breakpoints().size == 1
 
     def evaluate(self, t: float):
         """Signal value at time t >= 0 (right-continuous at breakpoints).
@@ -126,34 +118,6 @@ def _window_value(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-class ConstantSignal(TimeSignal):
-    kind = "constant"
-
-    def __init__(self, value):
-        self.value = _as_value(value)
-        self.period = None
-
-    @property
-    def shape(self):
-        return _value_shape(self.value)
-
-    @property
-    def is_piecewise_constant(self):
-        return True
-
-    def evaluate(self, t):
-        return self.value
-
-    def integrate_window(self, s, t):
-        x = self._window(s, t)
-        return _window_value(self.value * (x[1] - x[0]))
-
-    def time_compress(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        return self
-
-
 class SinusoidSignal(TimeSignal):
     """base + amplitude * trig(t/time_scale + phase), trig in {sin, cos}.
 
@@ -161,7 +125,7 @@ class SinusoidSignal(TimeSignal):
     2*pi*time_scale. A zero base with any full-period window integrates to zero.
     """
 
-    kind = "sinusoid"
+    is_piecewise_constant = False
 
     def __init__(self, base, amplitude, phase, trig: str = "cos", time_scale: float = 1.0):
         if trig not in ("sin", "cos"):
@@ -174,21 +138,11 @@ class SinusoidSignal(TimeSignal):
         self.trig = trig
         self.time_scale = float(time_scale)
         self.period = 2.0 * math.pi * self.time_scale
-        shape = np.broadcast_shapes(
-            _value_shape(self.base), _value_shape(self.amplitude), _value_shape(self.phase)
-        )
-        self._shape = shape
+        self.shape = np.broadcast_shapes(
+            np.shape(self.base), np.shape(self.amplitude), np.shape(self.phase))
         # amplitude * trig(x + phase) = c cos(x) + s sin(x): two scalar trig calls per evaluate
         ac, as_ = self.amplitude * np.cos(self.phase), self.amplitude * np.sin(self.phase)
         self._cos_coef, self._sin_coef = (as_, ac) if trig == "sin" else (ac, -as_)
-
-    @property
-    def shape(self):
-        return self._shape
-
-    @property
-    def is_piecewise_constant(self):
-        return False
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)  # a scalar time is a 0-d array
@@ -196,7 +150,7 @@ class SinusoidSignal(TimeSignal):
             raise ValueError(f"signal domain is t >= 0, got {t.min()}")
         xs = (t / self.time_scale).ravel().tolist()
         # math's cos and sin per time, so a row of an array call equals the scalar call
-        axes = t.shape + (1,) * len(self._shape)
+        axes = t.shape + (1,) * len(self.shape)
         cos = np.array([math.cos(x) for x in xs]).reshape(axes)
         sin = np.array([math.sin(x) for x in xs]).reshape(axes)
         out = self.base + self._cos_coef * cos + self._sin_coef * sin
@@ -225,7 +179,7 @@ class TableSignal(TimeSignal):
     end); otherwise the last value holds for all later times. No interpolation.
     """
 
-    kind = "table"
+    is_piecewise_constant = True
 
     def __init__(self, times: Sequence[float], values: Sequence, period: "float | None" = None):
         self.times = np.asarray(times, dtype=float)
@@ -246,13 +200,15 @@ class TableSignal(TimeSignal):
             self.period = float(period)
         else:
             self.period = None
-        shapes = {_value_shape(v) for v in self.values}
+        shapes = {np.shape(v) for v in self.values}
         if len(shapes) != 1:
             raise ValueError(f"values have inconsistent shapes: {shapes}")
+        self.shape = shapes.pop()
         span = self.period if self.period is not None else self.times[-1] + 1.0
-        self._snap = _BREAK_SNAP * span
+        self._snap = float(_BREAK_SNAP * span)
+        self._time_list = self.times.tolist()  # evaluate bisects a list: a scalar search is cheaper
         # integral over [0, times[k]], summed piece by piece in time order
-        cum = [_zeros_like_value(self.values[0])]
+        cum = [np.zeros(self.shape)]
         for v, lo, hi in zip(self.values, self.times, self.times[1:]):
             cum.append(cum[-1] + v * (hi - lo))
         self._cum, self._stack = np.array(cum), np.array(self.values)
@@ -260,24 +216,17 @@ class TableSignal(TimeSignal):
         if self.period is not None:
             self._full = self._partial_integral(np.full(self._starts.shape[1:], self.period))
 
-    @property
-    def shape(self):
-        return _value_shape(self.values[0])
-
-    @property
-    def is_piecewise_constant(self):
-        return True
-
     def breakpoints(self):
         return self.times.copy()
 
     def evaluate(self, t):
         if t < 0:
             raise ValueError(f"signal domain is t >= 0, got {t}")
-        tau = min(t, self.times[-1]) if self.period is None else _fold_periodic(t, self.period)
-        # side='right' keeps right-continuity at piece starts, and the snap
+        times = self._time_list
+        tau = min(t, times[-1]) if self.period is None else _fold_periodic(t, self.period)
+        # bisect_right keeps right-continuity at piece starts, and the snap
         # pulls queries a few ulps below a start onto it
-        return self.values[int(np.searchsorted(self.times, tau + self._snap, side="right")) - 1]
+        return self.values[bisect.bisect_right(times, tau + self._snap) - 1]
 
     def _partial_integral(self, x):
         """Integral over [0, x], x >= 0 (and x <= period for a periodic table).
@@ -311,39 +260,33 @@ class TableSignal(TimeSignal):
     def time_compress(self, epsilon):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if self.period is None:
-            raise ValueError("time_compress requires a periodic signal")
-        return TableSignal(self.times * epsilon, self.values, self.period * epsilon)
+        period = None if self.period is None else self.period * epsilon
+        return TableSignal(self.times * epsilon, self.values, period)
 
 
-class SwitchingSignal(TableSignal):
-    """Periodic schedule of constant pieces: a periodic table built from durations.
+def ConstantSignal(value) -> TableSignal:
+    """value for all t >= 0: a table of one piece at t = 0 with no period."""
+    return TableSignal([0.0], [value])
+
+
+def SwitchingSignal(durations: Sequence[float], values: Sequence,
+                    period: "float | None" = None) -> TableSignal:
+    """Periodic schedule of constant pieces: the periodic table of the cumulative durations.
 
     Piece k holds on [b_k, b_{k+1}) with b_0 = 0 and b_{k+1} - b_k = durations[k];
-    the pattern repeats with period sum(durations).
+    the pattern repeats with period sum(durations), which a declared period must match.
     """
-
-    kind = "switching"
-
-    def __init__(self, durations: Sequence[float], values: Sequence, period: "float | None" = None):
-        durations = [float(d) for d in durations]
-        if len(durations) == 0 or len(durations) != len(values):
-            raise ValueError("need one duration per piece and at least one piece")
-        if not all(0 < d < math.inf for d in durations):
-            raise ValueError("piece durations must be positive and finite")
-        if period is not None and not math.isfinite(period):
-            raise ValueError(f"declared period must be finite, got {period}")
-        self.durations = np.array(durations)
-        total = float(self.durations.sum())
-        if period is not None and not math.isclose(period, total, rel_tol=1e-12):
-            raise ValueError(f"declared period {period} != sum of durations {total}")
-        super().__init__(np.concatenate([[0.0], np.cumsum(self.durations)[:-1]]), values, total)
-
-    def time_compress(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        # scale the durations before the running sum: scaled switch times can differ by an ulp
-        return SwitchingSignal(self.durations * epsilon, self.values)
+    durations = [float(d) for d in durations]
+    if len(durations) == 0 or len(durations) != len(values):
+        raise ValueError("need one duration per piece and at least one piece")
+    if not all(0 < d < math.inf for d in durations):
+        raise ValueError("piece durations must be positive and finite")
+    if period is not None and not math.isfinite(period):
+        raise ValueError(f"declared period must be finite, got {period}")
+    total = float(np.sum(durations))
+    if period is not None and not math.isclose(period, total, rel_tol=1e-12):
+        raise ValueError(f"declared period {period} != sum of durations {total}")
+    return TableSignal(np.concatenate([[0.0], np.cumsum(durations)[:-1]]), values, total)
 
 
 def distinct_values(sig: TimeSignal, times):
@@ -396,11 +339,13 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
     Fixed-step integrators rely on this so a discontinuity never falls inside
     a step. Returns the step count.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if isinstance(signals, TimeSignal):
         signals = [signals]
     span = t - s
+    if not math.isfinite(span):
+        raise ValueError(f"the span [{s}, {t}] must be finite")
     nsteps = round(span / dt)
     if nsteps == 0 and span > 0:
         raise ValueError(f"dt={dt} exceeds the span {span}")

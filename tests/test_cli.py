@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from tvkuramoto import dynamics
-from tvkuramoto.cli import (_pd_header, _write_csv, _write_run_csvs, bundled_config_path, main,
-                            verify_reference_values)
+from tvkuramoto.cli import (_pd_header, _write_csv, _write_json, _write_run_csvs,
+                            bundled_config_path, main, verify_reference_values)
 from tvkuramoto.dynamics import PhaseTrajectory
 
 
@@ -646,3 +646,50 @@ def test_experiment_rejects_an_array_index_parameter_out_of_range(tmp_path, caps
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, field, value", [
+    ("ap", "num_runs", 0),
+    ("ap", "orbit_tol", -1.0),           # would run every period map, then exit 3
+    ("ap", "orbit_max_iter", 0),         # would exit 3 after no iteration
+    ("fast", "frequencies", [math.nan, 10.0]),
+    ("fast", "frequencies", [math.inf]),  # would compress the schedule by epsilon = 0
+    ("fast", "t_end", math.nan),
+    ("ap", "dt", math.nan),
+    ("perturb", "dt", math.nan),
+    ("fast", "dt", math.nan),
+], ids=["ap-no-runs", "ap-negative-orbit-tol", "ap-no-orbit-iteration", "fast-nan-frequency",
+        "fast-inf-frequency", "fast-nan-t-end", "ap-nan-dt", "perturb-nan-dt", "fast-nan-dt"])
+def test_experiment_rejects_a_parameter_that_breaks_the_run(tmp_path, capsys, scenario, field,
+                                                            value):
+    # each used to run and then fail, or exit 2 naming some other quantity; dt comes
+    # through the --dt option
+    cfg = json.loads(bundled_config_path(scenario).read_text())
+    if scenario == "ap":
+        cfg["parameters"].update(num_runs=3, t_end=12.0, divergence_from=8.0)
+    option = ["--dt", str(value)] if field == "dt" else []
+    if not option:
+        cfg["parameters"][field] = value
+    code = main(["experiment", scenario, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")] + option)
+    assert code == 2
+    assert f"'parameters': {field} must be" in capsys.readouterr().err
+
+
+def test_certificate_json_is_strict_with_a_non_finite_witness(tmp_path):
+    # at r = 0 a nonzero frequency spread makes the robust test's lhs infinite
+    out = tmp_path / "o"
+    cfg = _certify_config("invariance-robust", r=0.0)
+    assert main(["certify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    for name in ("certificate.json", "summary.json"):
+        json.loads((out / name).read_text(), parse_constant=reject)
+    report = json.loads((out / "certificate.json").read_text())
+    assert report["witnesses"]["lhs"] is None and report["witnesses"]["delta_omega"] > 0
+    # the perturb summary's error_ratio is inf when the eps/2 error is 0
+    _write_json(tmp_path / "ratio.json", {"error_ratio": math.inf, "errors": np.array([np.nan])})
+    assert json.loads((tmp_path / "ratio.json").read_text(), parse_constant=reject) == {
+        "error_ratio": None, "errors": [None]}

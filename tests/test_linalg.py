@@ -119,6 +119,47 @@ def test_lambda2_rejects_nonzero_row_sums():
         lambda2(np.eye(3))
 
 
+def union_of_row_sum_tests(mat):
+    """True iff M fails either former zero-row-sum test, written out entry by entry:
+    max |row sum| > 1e-8 * max(1, |M|) in the Frobenius norm (lambda2's), or
+    max |row sum| > 1e-9 * max(1, max |M|) (tilde_laplacian's)."""
+    rowsum = max(abs(sum(row)) for row in mat)
+    entries = [x for row in mat for x in row]
+    frobenius = rowsum > 1e-8 * max(1.0, math.hypot(*entries))
+    return frobenius or rowsum > 1e-9 * max(1.0, max(abs(x) for x in entries))
+
+
+def test_one_row_sum_rule_rejects_what_either_test_rejects():
+    # symmetric zero-row-sum matrices with their diagonal perturbed in one entry or in
+    # every entry, by amounts either side of both thresholds, with max |M| from 1e-3 to
+    # 1e3: lambda2 and tilde_laplacian raise together, iff the union of the two tests
+    # rejects (fewer than 8 columns, so numpy sums a row in Python's order)
+    rng = np.random.default_rng(62)
+    seen = set()
+    for trial in range(600):
+        m = int(rng.integers(2, 8))
+        a = rng.normal(size=(m, m))
+        mat = laplacian_from_adjacency((a + a.T) * (1 - np.eye(m)) * 10.0 ** rng.uniform(-3, 3))
+        size = 10.0 ** rng.uniform(-11.5, -6.5) * max(1.0, np.abs(mat).max())
+        if trial % 2:
+            mat = mat + np.diag(size * rng.normal(size=m))
+        else:
+            k = int(rng.integers(m))
+            mat[k, k] += size
+        want = union_of_row_sum_tests(mat.tolist())
+        for fn in (lambda2, lambda x: tilde_laplacian(x, 0.5)):
+            try:
+                fn(mat)
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == want
+        rowsum = np.abs(mat.sum(axis=1)).max()
+        seen.add((want, bool(rowsum > 1e-8 * max(1.0, np.linalg.norm(mat)))))
+    # accepted, rejected by lambda2's test, and rejected by tilde_laplacian's test alone
+    assert seen == {(False, False), (True, True), (True, False)}
+
+
 def test_state_transition_zero_generator():
     gen = ConstantSignal(np.zeros((3, 3)))
     u = state_transition(gen, 0.0, 2.0, 1e-2)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.signals import (
     ConstantSignal,
     SinusoidSignal,
@@ -477,7 +479,7 @@ def _distinct(sig, times):
 def test_distinct_values_reads_a_constant_once_at_its_first_time():
     sig = ConstantSignal([[0.0, 1.0], [2.0, 0.0]])
     got = _distinct(sig, [3.0, 0.5, 3.0, 7.0])
-    assert len(got) == 1 and got[0][0] == 0.5 and got[0][1] is sig.value
+    assert len(got) == 1 and got[0][0] == 0.5 and got[0][1] is sig.values[0]
 
 
 def test_distinct_values_reads_each_stored_piece_once():
@@ -541,3 +543,78 @@ def test_sinusoid_array_evaluate_rejects_a_negative_time():
     sig = SinusoidSignal(np.zeros(3), 1.0, 0.2)
     with pytest.raises(ValueError, match="t >= 0"):
         sig.evaluate(np.array([0.0, 1.0, -1e-12, 2.0]))
+
+
+@pytest.mark.parametrize("obj, cls, period", [
+    ({"kind": "constant", "value": [[0.0, 1.0], [2.0, 0.0]]}, TableSignal, None),
+    ({"kind": "switching", "pieces": [{"duration": 0.5, "value": 1.0},
+                                      {"duration": 1.5, "value": 2.0}]}, TableSignal, 2.0),
+    ({"kind": "table", "times": [0.0, 1.0], "values": [1.0, 2.0]}, TableSignal, None),
+    ({"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "phase": 0.0}, SinusoidSignal,
+     2 * math.pi),
+], ids=["constant", "switching", "table", "sinusoid"])
+def test_every_json_kind_builds_a_table_or_a_sinusoid(obj, cls, period):
+    sig = signal_from_json(obj)
+    assert type(sig) is cls and sig.period == period
+    assert sig.is_constant == (obj["kind"] == "constant")
+
+
+def test_a_constant_table_integrates_to_value_times_length_within_two_ulps():
+    # the table computes v*t - v*s: three roundings, each at most u = 2^-53 relative, sum
+    # to at most 2u|v|t, less than 2 ulp(|v| t); checked against exact rational arithmetic
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        v = float(rng.normal() * 10.0 ** rng.uniform(-3, 3))
+        s, t = sorted(float(x) for x in rng.uniform(0, 10.0 ** rng.uniform(-2, 4), 2))
+        got = ConstantSignal(v).integrate_window(s, t)
+        exact = Fraction(v) * (Fraction(t) - Fraction(s))
+        assert abs(Fraction(got) - exact) <= 2 * math.ulp(abs(v) * t), (v, s, t)
+    m = rng.normal(size=(3, 3))
+    lo, hi = np.sort(rng.uniform(0, 50, (2, 40)), axis=0)
+    got = ConstantSignal(m).integrate_window(lo, hi)
+    for k in range(lo.size):
+        for x, (i, j) in zip(got[k].ravel(), itertools.product(range(3), repeat=2)):
+            exact = Fraction(float(m[i, j])) * (Fraction(float(hi[k])) - Fraction(float(lo[k])))
+            assert abs(Fraction(float(x)) - exact) <= 2 * math.ulp(abs(m[i, j]) * hi[k])
+
+
+def test_a_compressed_schedule_keeps_its_switch_times_near_the_scaled_running_sum():
+    # time_compress scales the table's times, fl(cumsum(d)) * eps, where the schedule was
+    # once rebuilt from cumsum(d * eps): recursive summation over n pieces and the scaling
+    # differ by at most 3n u P eps, below 3n ulp(P eps) for the compressed period P eps
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        durations = rng.uniform(0.01, 3.0, n)
+        eps = float(10.0 ** rng.uniform(-3, 1))
+        fast = SwitchingSignal(durations, list(range(n))).time_compress(eps)
+        scaled = durations * eps
+        bound = 3 * n * math.ulp(float(scaled.sum()))
+        assert np.abs(fast.times[1:] - np.cumsum(scaled)[:-1]).max(initial=0.0) <= bound
+        assert abs(fast.period - float(scaled.sum())) <= bound
+
+
+def test_the_bundled_fast_schedule_compresses_bit_for_bit_as_from_scaled_durations():
+    cfg = json.loads(bundled_config_path("fast").read_text())
+    for key in ("omega", "coupling"):
+        sig = signal_from_json(cfg["signals"][key])
+        durations = np.array([p["duration"] for p in cfg["signals"][key]["pieces"]])
+        for h in cfg["parameters"]["frequencies"]:
+            eps = len(sig.breakpoints()) / (float(h) * sig.period)  # as fast_switching_sweep
+            fast = sig.time_compress(eps)
+            scaled = durations * eps
+            assert fast.times.tolist() == [0.0] + np.cumsum(scaled)[:-1].tolist()
+            assert fast.period == float(scaled.sum())
+
+
+@pytest.mark.parametrize("value", [2.5, [1.0, -3.0], [[0.0, 1.5], [0.25, 0.0]]])
+def test_a_compressed_constant_evaluates_and_integrates_like_the_constant(value):
+    sig = ConstantSignal(value)
+    lo, hi = np.array([0.0, 0.3, 2.0]), np.array([0.3, 4.1, 1e3])
+    for eps in (1e-3, 0.37, 5.0):
+        fast = sig.time_compress(eps)
+        assert fast.period is None and fast.is_constant
+        for t in (0.0, 1e-4, 0.5, 7.0, 1e6):
+            assert np.array_equal(fast.evaluate(t), sig.evaluate(t))
+        assert np.array_equal(fast.integrate_window(lo, hi), sig.integrate_window(lo, hi))
+        assert np.array_equal(fast.integrate_window(0.3, 4.1), sig.integrate_window(0.3, 4.1))
