@@ -58,17 +58,13 @@ class CertificateReport:
 
 
 def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):  # numpy values as Python values
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    return obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _invariance_inputs(omega: TimeSignal, coupling: TimeSignal, r: float) -> int:
@@ -87,30 +83,30 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> C
 
         w_i - w_j - [(a_ij + a_ji) + sum_neg + sum_common_min] * sin(r)
 
-    must be strictly negative, where sum_neg collects the negative parts
-    [a_ik]^- + [a_jk]^- outside the common positive neighborhood and
-    sum_common_min the pairwise minima inside it, at every time of the joint
-    signals.sample_grid of both signals. A coupling with a nonzero diagonal is
+    must be strictly negative, where sum_neg collects the negative parts [a_ik]^- + [a_jk]^-
+    outside the common positive neighborhood and sum_common_min the pairwise minima inside
+    it, at every time of the joint signals.sample_grid of both signals; the margins of one
+    (omega piece, coupling piece) pair are built once. A coupling with a nonzero diagonal is
     rejected: a self-link would count as a common neighbour.
     """
     m = _invariance_inputs(omega, coupling, r)
     grid = sample_grid([omega, coupling])
-    sin_r = math.sin(r)
-    worst = -math.inf
-    worst_loc = None
-    prev = None
+    worst, worst_loc = -math.inf, None
     # a smooth signal is read in one array call over the grid, whose rows equal scalar calls
     omegas, couplings = ([sig.evaluate(t) for t in grid.tolist()] if sig.is_piecewise_constant
                          else sig.evaluate(grid) for sig in (omega, coupling))
+    # ids name the pieces of a piecewise-constant signal, as in distinct_values; a smooth row
+    # is a new object per time, and pairs keeps every keyed object alive, so no id is reused
+    pairs, mixings = {}, {}
     for t, w, a in zip(grid.tolist(), omegas, couplings):
-        if a is not prev:  # piecewise-constant signals return one array per piece
-            prev = a
+        pairs.setdefault((id(w), id(a)), (t, w, a))
+    for t, w, a in pairs.values():  # in order of first grid time
+        if id(a) not in mixings:
             common_min, neg_sum = _pair_sums(a)
-            mixing = ((a + a.T) + neg_sum + common_min) * sin_r
-        lhs = np.subtract.outer(w, w) - mixing
+            mixings[id(a)] = ((a + a.T) + neg_sum + common_min) * math.sin(r)
+        lhs = np.subtract.outer(w, w) - mixings[id(a)]
         np.fill_diagonal(lhs, -math.inf)
-        k = int(np.argmax(lhs))
-        i, j = divmod(k, m)
+        i, j = divmod(int(np.argmax(lhs)), m)
         if lhs[i, j] > worst:
             worst = float(lhs[i, j])
             worst_loc = (t, i + 1, j + 1)

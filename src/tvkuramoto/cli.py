@@ -189,11 +189,25 @@ def _write_adjacent_pds(outdir: Path, traj, config_hash, tag):
                           traj.times, adjacent[:, i], f"pd_{i + 1}_{i + 2}", config_hash)
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(certificates._jsonable(obj), indent=2, sort_keys=True) writes it."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = (list(map(float.__repr__, obj))  # a row of an echoed matrix, in one pass
+                 if all(type(v) is float and math.isfinite(v) for v in obj)
+                 else [_json_text(v, inner) for v in obj])
+    else:  # a scalar, or a numpy array, which _jsonable turns into lists
+        leaf = certificates._jsonable(obj)
+        return _json_text(leaf, indent) if isinstance(leaf, list) else json.dumps(leaf)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _write_json(path: Path, obj) -> str:
-    try:  # most outputs hold only finite numbers, and walking an echoed config costs ms
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # a non-finite number: written as null
-        text = json.dumps(certificates._jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text(obj)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     return text

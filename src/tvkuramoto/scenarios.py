@@ -450,6 +450,19 @@ def er_random_network(m: int, p: float, seed: int) -> np.ndarray:
 # Experiment drivers (the CLI wraps these with file output)
 
 
+def _check_draws(seed, **bounds) -> None:
+    """ValueError naming the parameter at fault unless seed is a non-negative integer (not
+    a bool) and every bound is finite, the first (a range's low end) at most the second."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    (low_name, low), (high_name, high) = list(bounds.items())[:2]
+    if low > high:
+        raise ValueError(f"{low_name} must be at most {high_name} = {high}, got {low}")
+
+
 @dataclass(frozen=True)
 class ApExperimentResult:
     runs: list                  # PhaseTrajectory per initial condition
@@ -471,6 +484,7 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
     num_runs = certificates._positive_int("num_runs", num_runs)
     orbit_max_iter = certificates._positive_int("orbit_max_iter", orbit_max_iter)
     certificates._check_positive(orbit_tol=orbit_tol)
+    _check_draws(seed, ic_low=ic_low, ic_high=ic_high)
     if not (math.isfinite(divergence_from) and divergence_from >= 0
             and (num_runs < 2 or divergence_from <= t_end)):
         raise ValueError(f"divergence_from must be finite, at least 0 and, with two runs or "
@@ -538,6 +552,7 @@ def perturbation_experiment(m: int = 20, p: float = 0.2, seed: int = 1,
     uniformly from [-r/2, r/2]. The full run starts exactly at the static lock
     so the expansion shares its initial condition.
     """
+    _check_draws(seed, omega_low=omega_low, omega_high=omega_high, epsilon=epsilon)
     mask = er_random_network(m, p, seed)
     rng = np.random.default_rng([int(seed), 90001])
     omega_bar = rng.uniform(omega_low, omega_high, m)

@@ -25,6 +25,7 @@ from tvkuramoto.linalg import lambda2
 from tvkuramoto.signals import (
     ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid, signal_from_json,
 )
+import pointwise_oracle
 import psd_oracle
 import spanning_oracle
 import window_oracle
@@ -80,6 +81,55 @@ def test_pointwise_matches_term_by_term_oracle():
             worst = max(worst, lhs)
     assert rep.witnesses["max_lhs"] == pytest.approx(worst, abs=1e-12)
     assert rep.verdict == ("pass" if worst < 0 else "fail")
+
+
+def _signed_couplings(rng, count, m=5):
+    out = []
+    for _ in range(count):
+        a = rng.normal(0.4, 1.0, (m, m))
+        np.fill_diagonal(a, 0.0)
+        out.append(a)
+    return out
+
+
+def _pointwise_cases(seed):
+    rng = np.random.default_rng([seed, 71])
+    m = 5
+    spread = float(rng.uniform(0.5, 4.0))
+    freqs = [rng.uniform(-spread, spread, m) for _ in range(3)]
+    omega_1s = SwitchingSignal([0.5, 0.5], freqs[:2])
+    a, b, c = _signed_couplings(rng, 3)
+    j = np.ones((m, m)) - np.eye(m)
+    return {
+        # omega's period 1 s against 2 s and 3 s: every (omega, coupling) pair recurs
+        "period-1-vs-2": (omega_1s, SwitchingSignal([0.5, 0.5, 1.0], [a, b, c])),
+        "period-1-vs-3": (omega_1s, SwitchingSignal([1.0, 1.5, 0.5], [a, b, c])),
+        "aperiodic": (TableSignal([0.0, 0.7, 2.2], freqs),
+                      TableSignal([0.0, 1.3, 1.9, 4.0], [a, b, c, 0.1 * j])),
+        "aperiodic-omega": (TableSignal([0.0, 1.1], freqs[:2]),
+                            SwitchingSignal([0.5, 0.5], [a, b])),
+        "scalar-constant-omega": (ConstantSignal(spread), SwitchingSignal([0.4, 0.6], [a, b])),
+        "vector-constant-omega": (ConstantSignal(freqs[0]), SwitchingSignal([0.4, 0.6], [a, b])),
+        # equal values in distinct pieces: the maximum ties across pieces, and the
+        # report keeps its earliest grid time
+        "tied-pieces": (ConstantSignal(freqs[0]),
+                        SwitchingSignal([0.3, 0.5, 0.4, 0.8], [b, a, b.copy(), a.copy()])),
+        "tied-omega-pieces": (SwitchingSignal([0.5, 0.5, 0.5], [freqs[1], freqs[0],
+                                                                freqs[1].copy()]),
+                              SwitchingSignal([0.75, 0.75], [a, a.copy()])),
+        "sinusoid": (SinusoidSignal(freqs[0], 0.3 * freqs[1], freqs[2], trig="sin",
+                                    time_scale=1.0 / math.pi),  # period 2 s
+                     SwitchingSignal([0.5, 0.5], [a, b])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_pointwise_cases(0)))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pointwise_per_piece_pair_matches_the_grid_point_oracle(seed, case):
+    omega, coupling = _pointwise_cases(seed)[case]
+    r = 0.9
+    assert invariance_pointwise(omega, coupling, r).to_json() == \
+        pointwise_oracle.invariance_pointwise_json(omega, coupling, r)
 
 
 def test_xi_matches_vertex_enumeration_oracle():

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tvkuramoto import dynamics
+from tvkuramoto.certificates import _jsonable
 from tvkuramoto.cli import (_pd_header, _write_csv, _write_json, _write_run_csvs,
                             bundled_config_path, main, verify_reference_values)
 from tvkuramoto.dynamics import PhaseTrajectory
@@ -658,8 +662,21 @@ def test_experiment_rejects_an_array_index_parameter_out_of_range(tmp_path, caps
     ("ap", "dt", math.nan),
     ("perturb", "dt", math.nan),
     ("fast", "dt", math.nan),
+    # the draws: numpy's OverflowError (a traceback), or an error naming no field
+    ("ap", "ic_low", math.nan),
+    ("ap", "ic_high", math.inf),
+    ("ap", "ic_low", 1.0),                # above ic_high = pi/6
+    ("ap", "seed", -1),
+    ("perturb", "omega_low", math.nan),
+    ("perturb", "omega_high", -math.inf),
+    ("perturb", "omega_low", 1.2),        # above omega_high = 1.1
+    ("perturb", "seed", -1),
+    ("perturb", "epsilon", math.nan),
 ], ids=["ap-no-runs", "ap-negative-orbit-tol", "ap-no-orbit-iteration", "fast-nan-frequency",
-        "fast-inf-frequency", "fast-nan-t-end", "ap-nan-dt", "perturb-nan-dt", "fast-nan-dt"])
+        "fast-inf-frequency", "fast-nan-t-end", "ap-nan-dt", "perturb-nan-dt", "fast-nan-dt",
+        "ap-nan-ic-low", "ap-inf-ic-high", "ap-reversed-ic-range", "ap-negative-seed",
+        "perturb-nan-omega-low", "perturb-inf-omega-high", "perturb-reversed-omega-range",
+        "perturb-negative-seed", "perturb-nan-epsilon"])
 def test_experiment_rejects_a_parameter_that_breaks_the_run(tmp_path, capsys, scenario, field,
                                                             value):
     # each used to run and then fail, or exit 2 naming some other quantity; dt comes
@@ -693,3 +710,28 @@ def test_certificate_json_is_strict_with_a_non_finite_witness(tmp_path):
     _write_json(tmp_path / "ratio.json", {"error_ratio": math.inf, "errors": np.array([np.nan])})
     assert json.loads((tmp_path / "ratio.json").read_text(), parse_constant=reject) == {
         "error_ratio": None, "errors": [None]}
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, -math.inf])
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, -2**64 - 1])
+    | _JSON_FLOATS | st.text() | st.sampled_from(['"quoted" \\ é', "\x00\x1f\n\t\u2028", "日本 😀"])
+    | _JSON_FLOATS.map(np.float64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))  # a row of plain floats
+    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=200)
+@given(obj=_JSON_VALUES)
+def test_write_json_writes_the_bytes_of_the_standard_encoder(tmp_path_factory, obj):
+    # numpy values as _jsonable converts them, and NaN and inf as null; at the parent
+    # an array of finite floats raised TypeError while one holding NaN was written
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    expected = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    assert _write_json(path, obj) == expected
+    assert path.read_text() == expected + "\n"
