@@ -249,6 +249,8 @@ def _simulate(cfg: dict, config_hash: str, outdir: Path):
     if theta0.shape != coupling.shape[:1]:
         raise ConfigError("parameters.theta0", f"expected one start of {coupling.shape[0]} "
                                                f"phases; got shape {theta0.shape}")
+    if not np.isfinite(theta0).all():
+        raise ConfigError("parameters.theta0", "phases must be finite")
     t_end = _get(cfg, "parameters.t_end", float)
     dt = _get(cfg, "parameters.dt", float)
     r = _get_r(cfg, required=False)

@@ -6,11 +6,12 @@ confined to |theta_ij| <= r < pi/2, so no modular wrapping is wanted).
 Every fixed-step integration in the package runs through one classical
 4th-order routine, `_rk4`, on a grid aligned to every signal breakpoint, which
 makes runs bit-for-bit reproducible. It takes no callback and returns the last
-state. Its state may carry a batch axis (R starts as one (R, m) array); it
+state; each rhs writes into the stage buffer it is passed, rhs(y, *values,
+out). Its state may carry a batch axis (R starts as one (R, m) array); it
 evaluates a piecewise-constant signal once per piece and reads a smooth one a
 block of steps at a time, at every half and whole step of the block in one
-array call each. The coupling term takes the product form cos(theta_i)
-(A sin theta)_i - sin(theta_i) (A cos theta)_i: O(m) trig calls. Every phase
+array call each. The coupling term cos(theta_i) (A sin theta)_i - sin(theta_i)
+(A cos theta)_i takes O(m) trig calls, into buffers `_kuramoto` holds. Every phase
 spread is `hajnal_diameter`, max - min over the last axis, so the monitors
 read a batch one run at a time.
 """
@@ -49,9 +50,11 @@ def phases_from_pd(pd: np.ndarray) -> np.ndarray:
     """Lift a PD vector of m(m-1)/2 entries to m phases with theta_1 = 0.
 
     Any other lift differs by a global shift, which the dynamics quotient out.
-    Rejects a size that is no m(m-1)/2 and internally inconsistent PD vectors.
+    Rejects a size that is no m(m-1)/2, non-finite entries and inconsistent PDs.
     """
     pd = np.asarray(pd, dtype=float)
+    if not np.isfinite(pd).all():
+        raise ValueError("PD vector has non-finite entries")
     m = int(round((1 + math.sqrt(1 + 8 * pd.size)) / 2))
     if pd.size != m * (m - 1) // 2:
         raise ValueError(f"PD vector has {pd.size} entries, not m(m-1)/2 for any m")
@@ -103,7 +106,7 @@ def kuramoto_rhs(theta: np.ndarray, t: float, omega: TimeSignal,
     """Right-hand side omega_i(t) + sum_j a_ij(t) sin(theta_j - theta_i)."""
     theta = np.asarray(theta, dtype=float)
     _check_shapes(theta.shape, omega, coupling)
-    return _rhs(theta, omega.evaluate(t), coupling.evaluate(t))
+    return _rhs(theta, omega.evaluate(t), coupling.evaluate(t), np.empty(theta.shape))
 
 
 def _check_shapes(shape, omega, coupling):
@@ -117,25 +120,43 @@ def _check_shapes(shape, omega, coupling):
                          f"starts of shape {shape}")
 
 
-def _rhs(theta, w, a):
-    # sum_j a_ij sin(theta_j - theta_i) = cos(theta_i) (A sin theta)_i - sin(theta_i) (A cos theta)_i
-    s, c = np.sin(theta), np.cos(theta)
-    if a.ndim == 3:  # one coupling matrix per run
-        return w + c * (a @ s[..., None])[..., 0] - s * (a @ c[..., None])[..., 0]
-    return w + c * np.dot(s, a.T) - s * np.dot(c, a.T)
+def _kuramoto(shape, per_run):
+    """The Kuramoto rhs(theta, w, a, out) for states of this shape, on buffers it holds.
+
+    One call takes A sin theta and A cos theta: one (2R, m) product for a batch
+    sharing A; for one row or per-run A, the two products two calls would make."""
+    sc = np.empty((2,) + shape)
+    prod = np.empty((2,) + shape + (1,) * per_run)  # per run: matmul's (R, m, 1) columns
+    (s, c), (ps, pc), cols = sc, prod[..., 0] if per_run else prod, sc[..., None]
+    flat = (-1, shape[-1]) if len(shape) == 2 and shape[0] != 1 else (2, 1, shape[-1])
+    rows, sums = sc.reshape(flat), prod.reshape(flat)
+    product = np.dot if len(flat) == 2 else np.matmul  # dot: the cheaper call for one gemm
+
+    def rhs(theta, w, a, out):  # out= passed by position: numpy parses keywords slower
+        np.sin(theta, s)
+        np.cos(theta, c)
+        np.matmul(a, cols, prod) if per_run else product(rows, a.T, sums)
+        np.add(w, np.multiply(c, ps, ps), out)
+        return np.subtract(out, np.multiply(s, pc, pc), out)
+    return rhs
+
+
+def _rhs(theta, w, a, out):
+    """The Kuramoto right-hand side into out, on buffers of its own."""
+    return _kuramoto(theta.shape, a.ndim == 3)(theta, w, a, out)
 
 
 _BLOCK = 64  # RK4 steps per block: a smooth signal is read once a block
 
 
 def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
-    """Classical 4th-order integration of y' = rhs(y, *signal values) for nsteps steps from t0.
+    """Classical 4th-order integration of y' = rhs(y, *signal values, out) from t0, nsteps steps.
 
-    The caller has checked the grid with check_alignment, so a piecewise-constant
-    signal is evaluated at the first step of each piece; a smooth one once per
-    block of _BLOCK steps, at every t + dt/2 and t + dt in it. out[k], if given,
-    receives y(t0 + k dt). Returns the last state. Raises on non-finite state,
-    naming the time.
+    rhs writes into out, one of four stages held for the call. The grid has
+    passed check_alignment, so a piecewise-constant signal is evaluated at the
+    first step of each piece; a smooth one once per block of _BLOCK steps, at
+    every t + dt/2 and t + dt in it. out[k], if given, receives y(t0 + k dt).
+    Returns the last state, a new array; raises on non-finite state, naming the time.
     """
     t_end = t0 + nsteps * dt
     pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
@@ -146,8 +167,10 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
         cuts.update(int(k) for k in steps if 0 < k < nsteps)
     cuts = sorted(cuts)
     values = [None] * len(signals)
-    half, sixth = 0.5 * dt, dt / 6.0
-    y = y0
+    half, step, sixth = map(np.array, (0.5 * dt, dt, dt / 6.0))  # 0-d: same bits, less overhead
+    y = np.array(y0, dtype=float)
+    z, k = np.empty_like(y), np.empty((4,) + y.shape)  # z: a stage's input, then their sum
+    (k1, k2, k3, k4), k23 = k, k[1:3]
     if out is not None:
         out[0] = y0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -161,11 +184,13 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
             for j, t in enumerate(ts[:-1].tolist()):
                 for i, end, mid in zip(smooth, ends, mids):
                     va[i], vb[i], vc[i] = end[j], mid[j], end[j + 1]
-                k1 = rhs(y, *va)
-                k2 = rhs(y + half * k1, *vb)
-                k3 = rhs(y + half * k2, *vb)
-                k4 = rhs(y + dt * k3, *vc)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rhs(y, *va, k1)
+                rhs(np.add(y, np.multiply(half, k1, z), z), *vb, k2)
+                rhs(np.add(y, np.multiply(half, k2, z), z), *vb, k3)
+                rhs(np.add(y, np.multiply(step, k3, z), z), *vc, k4)
+                np.add(k23, k23, k23)  # 2 k2 and 2 k3, exactly
+                np.add.reduce(k, 0, None, z)  # ((k1 + 2 k2) + 2 k3) + k4
+                np.add(y, np.multiply(sixth, z, z), y)
                 if not np.isfinite(y).all():
                     raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
                 if out is not None:
@@ -194,7 +219,8 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
     _check_shapes(theta0.shape, omega, coupling)
     nsteps = check_alignment([omega, coupling], 0.0, t_end, dt)
     phases = np.empty(theta0.shape[:-1] + (nsteps + 1, theta0.shape[-1]))
-    _rk4(_rhs, theta0, 0.0, dt, nsteps, (omega, coupling), out=np.moveaxis(phases, -2, 0))
+    rhs = _kuramoto(theta0.shape, len(coupling.shape) == 3)
+    _rk4(rhs, theta0, 0.0, dt, nsteps, (omega, coupling), out=np.moveaxis(phases, -2, 0))
     return PhaseTrajectory(np.arange(nsteps + 1) * dt, phases)
 
 

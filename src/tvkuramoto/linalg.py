@@ -95,7 +95,8 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarr
                 vals, vecs = np.linalg.eigh(g)
                 u = (vecs * np.exp(-vals * tau)) @ vecs.T @ u
             return u
-    return dynamics._rk4(lambda u, g: -g @ u, np.eye(m), s, dt, nsteps, (gen,))
+    return dynamics._rk4(lambda u, g, out: np.matmul(-g, u, out=out), np.eye(m), s, dt, nsteps,
+                         (gen,))
 
 
 def contraction_factor(trans) -> float:

@@ -82,7 +82,7 @@ def _newton_lock(w, a, theta, deriv_tol: float):
     bordered[:m, m] = -1.0
     bordered[m, 0] = 1.0
     th = theta.copy()
-    rate = dynamics._rhs(th, w, a)
+    rate = dynamics._rhs(th, w, a, np.empty(m))
     omega = float(rate.mean())
     steps, met = 0, False
     while not met and steps < _NEWTON_MAX_ITER:
@@ -94,7 +94,7 @@ def _newton_lock(w, a, theta, deriv_tol: float):
             break
         th += step[:m]
         omega += float(step[m])
-        rate = dynamics._rhs(th, w, a)
+        rate = dynamics._rhs(th, w, a, np.empty(m))
         steps += 1
     return th, rate, steps
 
@@ -115,6 +115,7 @@ def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
     basis = linalg._ones_complement_basis(theta0.size)
     out = np.empty((every + 1, theta0.size))
     x = theta0
+    rhs = dynamics._kuramoto(x.shape, False)
     for k in range(0, max(nsteps, 1), every):  # Newton from theta0 even when RK4 takes no step
         th, rate, steps = _newton_lock(w, a, x, min(deriv_tol, _HANDOVER_SPREAD))
         if dynamics.hajnal_diameter(rate) < _HANDOVER_SPREAD:
@@ -123,14 +124,14 @@ def _relax(w, a, r: float, theta0, dt: float, t_max: float, deriv_tol: float):
             if modes.real.max() < 0:
                 return k * dt, x, (th, rate, steps)
         n = min(every, nsteps - k)
-        x = dynamics._rk4(lambda y: dynamics._rhs(y, w, a), x, k * dt, dt, n, out=out[:n + 1])
+        x = dynamics._rk4(lambda y, dy: rhs(y, w, a, dy), x, k * dt, dt, n, out=out[:n + 1])
         outside = dynamics.hajnal_diameter(out[:max(n, 1)]) > r  # the states at steps k .. k+n-1
         if outside.any():
             raise NoLockError(f"phases left the PD region (half-width {r:.4g}) at "
                               f"t = {(k + outside.argmax()) * dt:.3f} s")
     raise NoLockError(
         f"no phase lock within {t_max} s (derivative spread "
-        f"{dynamics.hajnal_diameter(dynamics._rhs(x, w, a)):.3g} at the horizon)")
+        f"{dynamics.hajnal_diameter(rhs(x, w, a, np.empty(x.shape))):.3g} at the horizon)")
 
 
 def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
@@ -297,7 +298,7 @@ def linear_correction(base: PhaseLockedState, omega_pert: TimeSignal,
     scales = {p[0] for p in parts if p is not None and p[0] is not None}
     out = np.empty((nsteps + 1, m))
     if None in parts or len(scales) > 1 or not np.array_equal(y, y.T):
-        dynamics._rk4(lambda phi, w, a: w + (a * sin_lock).sum(axis=1) + y @ phi,
+        dynamics._rk4(lambda phi, w, a, k: np.add(w + (a * sin_lock).sum(axis=1), y @ phi, out=k),
                       np.zeros(m), 0.0, dt, nsteps, (omega_pert, coupling_pert), out=out)
         return times, out
 

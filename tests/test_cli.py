@@ -633,6 +633,17 @@ def test_simulate_names_theta0_of_the_wrong_length(tmp_path, capsys, monkeypatch
     assert "config field 'parameters.theta0':" in err and "(1,)" in err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simulate_rejects_a_non_finite_theta0_before_integrating(tmp_path, capsys, monkeypatch,
+                                                                 bad):
+    monkeypatch.setattr(dynamics, "simulate", lambda *a, **k: pytest.fail("integrated"))
+    assert main(["simulate", "--config", write_config(tmp_path, _simulate_with(theta0=[bad, 0.0])),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'parameters.theta0': phases must be finite" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("scenario, field, value", [
     ("ap", "divergence_from", -5.0),     # a negative index would read only the last 5 s
     ("ap", "divergence_from", 20.0),     # past t_end = 12: no sample left to read

@@ -138,6 +138,14 @@ def test_phases_from_pd_rejects_inconsistent():
         phases_from_pd(bad)
 
 
+@pytest.mark.parametrize("pd", [[math.nan], [1.0, math.inf, 2.0]])
+def test_phases_from_pd_rejects_non_finite_entries(pd):
+    # neither fails the 1e-9 consistency test: a NaN difference compares false, and
+    # the lift takes its inf as theta_3, so theta_3 - theta_2 is inf too
+    with pytest.raises(ValueError, match="PD vector has non-finite entries"):
+        phases_from_pd(np.array(pd))
+
+
 @pytest.mark.parametrize("size", [2, 4, 5, 7])
 def test_phases_from_pd_rejects_a_size_that_is_no_pair_count(size):
     with pytest.raises(ValueError, match=f"PD vector has {size} entries"):
