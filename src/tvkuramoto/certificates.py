@@ -92,19 +92,21 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> C
     m = _invariance_inputs(omega, coupling, r)
     grid = sample_grid([omega, coupling])
     worst, worst_loc = -math.inf, None
-    # a smooth signal is read in one array call over the grid, whose rows equal scalar calls
-    omegas, couplings = ([sig.evaluate(t) for t in grid.tolist()] if sig.is_piecewise_constant
-                         else sig.evaluate(grid) for sig in (omega, coupling))
-    # ids name the pieces of a piecewise-constant signal, as in distinct_values; a smooth row
-    # is a new object per time, and pairs keeps every keyed object alive, so no id is reused
-    pairs, mixings = {}, {}
-    for t, w, a in zip(grid.tolist(), omegas, couplings):
-        pairs.setdefault((id(w), id(a)), (t, w, a))
-    for t, w, a in pairs.values():  # in order of first grid time
-        if id(a) not in mixings:
+    # values[k[n]] at grid[n]: a piecewise-constant signal read by piece_index, a smooth one
+    # in one array call over the grid, whose rows equal scalar calls, a row per time
+    (kw, omegas), (ka, couplings) = (
+        (sig.piece_index(grid), sig.values) if sig.is_piecewise_constant
+        else (np.arange(grid.size), sig.evaluate(grid)) for sig in (omega, coupling))
+    # each (omega, coupling) pair at its first grid time; a piece stored twice gives
+    # equal margins at a later time, which cannot displace the worst
+    first = np.sort(np.unique(kw * (ka.max() + 1) + ka, return_index=True)[1])
+    mixings = {}
+    for t, p, q in zip(grid[first].tolist(), kw[first].tolist(), ka[first].tolist()):
+        w, a = omegas[p], couplings[q]
+        if q not in mixings:
             common_min, neg_sum = _pair_sums(a)
-            mixings[id(a)] = ((a + a.T) + neg_sum + common_min) * math.sin(r)
-        lhs = np.subtract.outer(w, w) - mixings[id(a)]
+            mixings[q] = ((a + a.T) + neg_sum + common_min) * math.sin(r)
+        lhs = np.subtract.outer(w, w) - mixings[q]
         np.fill_diagonal(lhs, -math.inf)
         i, j = divmod(int(np.argmax(lhs)), m)
         if lhs[i, j] > worst:
@@ -221,11 +223,13 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
 
     Each partition interval is split into equal bins; the integrated coupling
     over every bin, thresholded at that interval's eta, must contain a
-    spanning tree. The divergence of sum(eta_n) over an infinite horizon is
-    the caller's asymptotic claim; the report echoes the finite sum. An
-    interval's bins are integrated in one call, and the closure runs once per
-    distinct thresholded graph, so a periodic schedule costs a few closures
-    for any number of periods. The check stops at the first failing window;
+    spanning tree. Only the given partition is checked: the divergence of
+    sum(eta_n) over an infinite horizon is the caller's asymptotic claim, and
+    the report echoes the finite sum. An interval's bins are integrated in
+    blocks of _WINDOW_BLOCK_ENTRIES matrix entries (at m = 20, 19 bins take 4
+    calls of at most 5 windows), and the closure runs once per distinct
+    thresholded graph, so a periodic schedule costs a few closures for any
+    number of periods. The check stops at the first failing window;
     windows_checked counts the partition's windows (intervals x bins) all the same.
     """
     m = graph.check_coupling(coupling)

@@ -22,6 +22,7 @@ headers carry units and the config hash. Node indices in file headers are 1-base
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -196,9 +197,13 @@ def _json_text(obj, indent: str = "\n") -> str:
         items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, inner)}"
                  for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        items = (list(map(float.__repr__, obj))  # a row of an echoed matrix, in one pass
-                 if all(type(v) is float and math.isfinite(v) for v in obj)
-                 else [_json_text(v, inner) for v in obj])
+        try:  # a row of an echoed matrix, in one pass; a value that is no float raises
+            row = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in row:  # of the float reprs, only nan and inf hold an n
+                return f"[{inner}{row}{indent}]" if row else "[]"
+        except TypeError:
+            pass
+        items = [_json_text(v, inner) for v in obj]
     else:  # a scalar, or a numpy array, which _jsonable turns into lists
         leaf = certificates._jsonable(obj)
         return _json_text(leaf, indent) if isinstance(leaf, list) else json.dumps(leaf)
@@ -404,7 +409,10 @@ def verify_reference_values(quiet: bool = False) -> dict:
     return table
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call in a process and reused by
+    every later main call (help text reads the terminal width when it is printed)."""
     parser = argparse.ArgumentParser(
         prog="tvkuramoto",
         description="Simulate and certify Kuramoto networks with time-varying signed couplings",
@@ -424,8 +432,11 @@ def main(argv=None) -> int:
     add_common(exp)
     sub.add_parser("verify-paper-values",
                    help="recompute published reference values for the bundled examples")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "verify-paper-values":
         return 0 if verify_reference_values()["all_match"] else 1
     try:

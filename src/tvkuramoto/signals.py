@@ -228,6 +228,22 @@ class TableSignal(TimeSignal):
         # pulls queries a few ulps below a start onto it
         return self.values[bisect.bisect_right(times, tau + self._snap) - 1]
 
+    def piece_index(self, times) -> np.ndarray:
+        """Index k of the piece values[k] that evaluate reads at each of an array of
+        times: the fold, snap and right bisection of evaluate in one array pass."""
+        t = np.asarray(times, dtype=float)
+        bad = ~((t >= 0) & (t < math.inf))  # NaN included
+        if bad.any():
+            raise ValueError(f"signal domain is finite t >= 0, got {t[bad].flat[0]}")
+        if self.period is None:
+            tau = np.minimum(t, self.times[-1])
+        else:  # _fold_periodic at every time
+            cycles = t / self.period
+            n = np.floor(cycles)
+            n += cycles - n > 1.0 - _BREAK_SNAP
+            tau = np.maximum(t - n * self.period, 0.0)
+        return np.searchsorted(self.times, tau + self._snap, side="right") - 1
+
     def _partial_integral(self, x):
         """Integral over [0, x], x >= 0 (and x <= period for a periodic table).
 
@@ -292,13 +308,20 @@ def SwitchingSignal(durations: Sequence[float], values: Sequence,
 def distinct_values(sig: TimeSignal, times):
     """(t, value) at each distinct time in increasing order, but each stored piece of a
     piecewise-constant signal only at its first time (the signal keeps its pieces
-    alive, so their ids tell them apart)."""
+    alive, so their ids tell them apart); such a signal is read by piece_index."""
+    times = np.unique(times)
+    if not sig.is_piecewise_constant:
+        for t in times.tolist():
+            yield t, sig.evaluate(t)
+        return
+    k = sig.piece_index(times)
+    first = np.sort(np.unique(k, return_index=True)[1])  # each piece's first time
     seen = set()
-    for t in np.unique(times):
-        value = sig.evaluate(float(t))
-        if not sig.is_piecewise_constant or id(value) not in seen:
+    for t, j in zip(times[first].tolist(), k[first].tolist()):
+        value = sig.values[j]
+        if id(value) not in seen:
             seen.add(id(value))
-            yield float(t), value
+            yield t, value
 
 
 def signal_from_json(obj: dict) -> TimeSignal:

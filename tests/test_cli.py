@@ -30,6 +30,33 @@ def small_simulate_config():
     }
 
 
+def test_calls_in_one_process_share_no_options(tmp_path, capsys, monkeypatch):
+    # one parser serves every main call in a process: the first call's --seed and --dt
+    # must not reach the second, a wrong flag still exits 2 through argparse, and help
+    # text is wrapped to the terminal width at the time it prints
+    cfg_path = write_config(tmp_path, small_simulate_config())
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "a"),
+                 "--seed", "7", "--dt", "0.0005"]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
+    first, second = (json.loads((tmp_path / d / "summary.json").read_text())["config"]
+                     for d in "ab")
+    assert first["parameters"] == dict(small_simulate_config()["parameters"], seed=7, dt=0.0005)
+    assert second == small_simulate_config()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg_path, "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    widths = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] <= 40 < widths[1]
+
+
 def test_simulate_writes_outputs(tmp_path):
     cfg_path = write_config(tmp_path, small_simulate_config())
     out = tmp_path / "out"
@@ -724,12 +751,28 @@ def test_certificate_json_is_strict_with_a_non_finite_witness(tmp_path):
 
 
 _JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, -math.inf])
+
+
+@st.composite
+def _mixed_rows(draw):
+    """A row of finite floats with other values in it: each makes the one-pass float row
+    fall back, by a TypeError (int, bool, None) or a repr with an n (NaN, +-inf), or
+    passes it as a float subclass (np.float64)."""
+    row = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    odd = st.sampled_from([0, -3, 2**70, True, False, None, math.nan, math.inf, -math.inf])
+    for value in draw(st.lists(odd | _JSON_FLOATS.map(np.float64), min_size=1, max_size=3)):
+        row.insert(draw(st.integers(0, len(row))), value)
+    return tuple(row) if draw(st.booleans()) else row
+
+
+_MIXED_ROWS = _mixed_rows()
 _JSON_LEAVES = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, -2**64 - 1])
     | _JSON_FLOATS | st.text() | st.sampled_from(['"quoted" \\ é', "\x00\x1f\n\t\u2028", "日本 😀"])
     | _JSON_FLOATS.map(np.float64)
     | st.integers(-2**63, 2**63 - 1).map(np.int64)
     | st.lists(st.floats(allow_nan=False, allow_infinity=False))  # a row of plain floats
+    | _MIXED_ROWS
     | hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
 )
 _JSON_VALUES = st.recursive(_JSON_LEAVES, lambda children: (

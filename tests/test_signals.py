@@ -511,6 +511,67 @@ def test_distinct_values_reads_a_smooth_signal_at_every_distinct_time():
     assert [v for _, v in got] == [sig.evaluate(t) for t in (0.0, 0.5, 1.0, 2.0)]
 
 
+def _distinct_values_loop(sig, times):
+    """The per-time loop distinct_values ran before its piece_index path: one evaluate
+    call per distinct time, each stored piece kept at its first time by its id."""
+    seen = set()
+    for t in np.unique(times):
+        value = sig.evaluate(float(t))
+        if not sig.is_piecewise_constant or id(value) not in seen:
+            seen.add(id(value))
+            yield float(t), value
+
+
+@st.composite
+def tables_and_times(draw):
+    """A periodic or aperiodic table (a one-piece constant among them), its values drawn
+    from a pool so that one stored object can hold several pieces, and times on every
+    switch, one snap width below it, on k * period, past the last switch and a few ulps
+    either side of each."""
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), max_size=5))
+    starts = np.concatenate([[0.0], np.cumsum(gaps)])
+    pool = [np.array([float(v), -1.0]) for v in range(3)]
+    values = [pool[draw(st.integers(0, 2))] if draw(st.booleans()) else float(draw(st.integers(0, 9)))
+              for _ in starts]
+    if any(np.ndim(v) for v in values):  # one shape for every value
+        values = [v if np.ndim(v) else np.array([v, 0.0]) for v in values]
+    period = starts[-1] + draw(st.floats(1e-3, 10.0)) if draw(st.booleans()) else None
+    sig = TableSignal(starts, values, period)
+    marks = [starts, starts - sig._snap,
+             starts[-1] + np.array(draw(st.lists(st.floats(0.0, 1e3), max_size=4)))]
+    if period is not None:
+        k = np.arange(draw(st.integers(1, 40)))
+        marks += [k * period, (k[:, None] * period + starts).ravel()]
+    marks = np.concatenate(marks)
+    ulps = np.arange(-3, 4)
+    times = (marks[:, None] + ulps * np.spacing(marks)[:, None]).ravel()
+    times = np.concatenate([times[times >= 0], draw(st.lists(st.floats(0.0, 1e4), max_size=8))])
+    return sig, draw(st.permutations(times.tolist()))
+
+
+@settings(max_examples=200)
+@given(tables_and_times())
+def test_piece_index_reads_the_piece_evaluate_returns(case):
+    sig, times = case
+    k = sig.piece_index(np.array(times))
+    assert k.shape == (len(times),)
+    for t, j in zip(times, k.tolist()):
+        assert sig.values[j] is sig.evaluate(t), t
+    expected = list(_distinct_values_loop(sig, times))
+    got = list(distinct_values(sig, times))
+    assert [(t, id(v)) for t, v in got] == [(t, id(v)) for t, v in expected]
+    assert all(type(t) is float for t, _ in got)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("period", [3.0, None], ids=["periodic", "aperiodic"])
+def test_piece_index_rejects_a_time_outside_the_domain(bad, period):
+    # an infinite time folds to NaN on a periodic table, which would read the last piece
+    sig = TableSignal([0.0, 1.0], [1.0, 2.0], period)
+    with pytest.raises(ValueError, match="signal domain is finite t >= 0"):
+        sig.piece_index(np.array([0.5, bad]))
+
+
 @st.composite
 def sinusoids_and_times(draw):
     """A sinusoid whose value has one of the shapes the integrator reads, each of
