@@ -362,17 +362,16 @@ _XI_CELLS = 4096  # equal cells per period of a smooth coupling, xi read at each
 
 
 def _xi_steps(coupling: TimeSignal, r: float) -> TableSignal:
-    """xi(L(t), r) as a step signal: once per piece of a piecewise-constant coupling (of
-    one period, when it repeats), and at the midpoint of each of _XI_CELLS equal cells of
-    a smooth coupling's period. Its window integral folds whole periods, so a window
-    costs the same for any number of periods."""
+    """xi(L(t), r) as a step signal: once per stored piece of a piecewise-constant coupling,
+    on its own times and period, and at the midpoint of each of _XI_CELLS equal cells of a
+    smooth coupling's period, one scalar evaluate per cell. Its window integral folds
+    whole periods, so a window costs the same for any number of periods."""
     if coupling.is_piecewise_constant:
-        at = starts = np.union1d(coupling.breakpoints(), 0.0)
+        starts, mats = coupling.times, coupling.values
     else:
         starts = np.arange(_XI_CELLS) * (coupling.period / _XI_CELLS)
-        at = starts + coupling.period / (2 * _XI_CELLS)
-    xis = [xi_index(coupling.evaluate(float(t)), r) for t in at]
-    return TableSignal(starts, xis, period=coupling.period)
+        mats = (coupling.evaluate(float(t)) for t in starts + coupling.period / (2 * _XI_CELLS))
+    return TableSignal(starts, [xi_index(a, r) for a in mats], period=coupling.period)
 
 
 def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,

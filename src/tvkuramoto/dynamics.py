@@ -8,12 +8,12 @@ Every fixed-step integration in the package runs through one classical
 makes runs bit-for-bit reproducible. It takes no callback and returns the last
 state; each rhs writes into the stage buffer it is passed, rhs(y, *values,
 out). Its state may carry a batch axis (R starts as one (R, m) array); it
-evaluates a piecewise-constant signal once per piece and reads a smooth one a
-block of steps at a time, at every half and whole step of the block in one
-array call each. The coupling term cos(theta_i) (A sin theta)_i - sin(theta_i)
-(A cos theta)_i takes O(m) trig calls, into buffers `_kuramoto` holds. Every phase
-spread is `hajnal_diameter`, max - min over the last axis, so the monitors
-read a batch one run at a time.
+reads a table's piece at every step start in one `piece_index` call, and a
+smooth signal a block of steps at a time, at every half and whole step of the
+block in one array call each. The coupling term cos(theta_i) (A sin theta)_i -
+sin(theta_i) (A cos theta)_i takes O(m) trig calls, into buffers `_kuramoto`
+holds. Every phase spread is `hajnal_diameter`, max - min over the last axis,
+so the monitors read a batch one run at a time.
 """
 
 from __future__ import annotations
@@ -152,19 +152,19 @@ _BLOCK = 64  # RK4 steps per block: a smooth signal is read once a block
 def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
     """Classical 4th-order integration of y' = rhs(y, *signal values, out) from t0, nsteps steps.
 
-    rhs writes into out, one of four stages held for the call. The grid has
-    passed check_alignment, so a piecewise-constant signal is evaluated at the
-    first step of each piece; a smooth one once per block of _BLOCK steps, at
+    rhs writes into out, one of four stages held for the call. A piecewise-constant
+    signal's piece_index at the step starts cuts the run where it changes (check_alignment
+    put every switch on one); a smooth signal is read once per block of _BLOCK steps, at
     every t + dt/2 and t + dt in it. out[k], if given, receives y(t0 + k dt).
     Returns the last state, a new array; raises on non-finite state, naming the time.
     """
-    t_end = t0 + nsteps * dt
     pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
     smooth = [i for i, sig in enumerate(signals) if not sig.is_piecewise_constant]
+    step_starts = t0 + np.arange(nsteps) * dt
+    index = {i: signals[i].piece_index(step_starts) for i in pieces}  # piece of each step
     cuts = {0, nsteps}
-    for i in pieces:
-        steps = np.rint((signals[i].breakpoints_in(t0, t_end) - t0) / dt)
-        cuts.update(int(k) for k in steps if 0 < k < nsteps)
+    for at in index.values():
+        cuts.update((np.flatnonzero(np.diff(at)) + 1).tolist())
     cuts = sorted(cuts)
     values = [None] * len(signals)
     half, step, sixth = map(np.array, (0.5 * dt, dt, dt / 6.0))  # 0-d: same bits, less overhead
@@ -175,7 +175,7 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
         out[0] = y0
     for lo, hi in zip(cuts, cuts[1:]):
         for i in pieces:
-            values[i] = signals[i].evaluate(t0 + lo * dt)
+            values[i] = signals[i].values[index[i][lo]]
         for first in range(lo, hi, _BLOCK):
             ts = t0 + np.arange(first, min(first + _BLOCK, hi) + 1) * dt
             ends = [signals[i].evaluate(ts) for i in smooth]

@@ -12,7 +12,6 @@ breakpoint), so downstream eigenvalue certificates see no quadrature noise.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Sequence
 
@@ -32,20 +31,6 @@ def _as_value(v):
 
 
 _BREAK_SNAP = 1e-9  # relative half-width for snapping a query onto a breakpoint
-
-
-def _fold_periodic(t: float, period: float) -> float:
-    """Map t onto [0, period), snapping near-boundary queries to the boundary.
-
-    Fixed-step grids place samples exactly on switch instants up to float
-    rounding; without the snap a sample a few ulps below a boundary would read
-    the old piece and effectively jitter the schedule by one step.
-    """
-    cycles = t / period
-    n = math.floor(cycles)
-    if cycles - n > 1.0 - _BREAK_SNAP:
-        n += 1
-    return max(t - n * period, 0.0)
 
 
 class TimeSignal:
@@ -206,7 +191,6 @@ class TableSignal(TimeSignal):
         self.shape = shapes.pop()
         span = self.period if self.period is not None else self.times[-1] + 1.0
         self._snap = float(_BREAK_SNAP * span)
-        self._time_list = self.times.tolist()  # evaluate bisects a list: a scalar search is cheaper
         # integral over [0, times[k]], summed piece by piece in time order
         cum = [np.zeros(self.shape)]
         for v, lo, hi in zip(self.values, self.times, self.times[1:]):
@@ -220,28 +204,25 @@ class TableSignal(TimeSignal):
         return self.times.copy()
 
     def evaluate(self, t):
-        if t < 0:
-            raise ValueError(f"signal domain is t >= 0, got {t}")
-        times = self._time_list
-        tau = min(t, times[-1]) if self.period is None else _fold_periodic(t, self.period)
-        # bisect_right keeps right-continuity at piece starts, and the snap
-        # pulls queries a few ulps below a start onto it
-        return self.values[bisect.bisect_right(times, tau + self._snap) - 1]
+        return self.values[self.piece_index(t)]
 
     def piece_index(self, times) -> np.ndarray:
-        """Index k of the piece values[k] that evaluate reads at each of an array of
-        times: the fold, snap and right bisection of evaluate in one array pass."""
+        """Index k of the piece values[k] that holds at each time, a scalar for a scalar
+        time: the time folded onto one period or clipped to the last switch, then bisected
+        to the right for right-continuity. Every piece lookup of a table reads this."""
         t = np.asarray(times, dtype=float)
         bad = ~((t >= 0) & (t < math.inf))  # NaN included
         if bad.any():
             raise ValueError(f"signal domain is finite t >= 0, got {t[bad].flat[0]}")
         if self.period is None:
             tau = np.minimum(t, self.times[-1])
-        else:  # _fold_periodic at every time
+        else:  # a time a snap width below a period end wraps into the next period
             cycles = t / self.period
             n = np.floor(cycles)
             n += cycles - n > 1.0 - _BREAK_SNAP
             tau = np.maximum(t - n * self.period, 0.0)
+        # the snap: a fixed-step grid lands on a switch up to a few ulps, and a time
+        # just below one would read the old piece, jittering the schedule by a step
         return np.searchsorted(self.times, tau + self._snap, side="right") - 1
 
     def _partial_integral(self, x):

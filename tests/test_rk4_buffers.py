@@ -13,7 +13,8 @@ from tvkuramoto.linalg import state_transition
 from tvkuramoto.scenarios import _jacobian, _relax, linear_correction, phase_locked_equilibrium
 from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal
 
-KINDS = ("switching", "periodic-table", "aperiodic-table", "constant", "sinusoid")
+KINDS = ("switching", "periodic-table", "short-period-table", "aperiodic-table", "constant",
+         "sinusoid")
 T_END, DT = 1.0, 5e-3  # 200 steps: blocks of 64 start at 0, 64, 128 and 192
 
 
@@ -23,6 +24,8 @@ def signal(kind, base, phase):
         return SwitchingSignal([0.3, 0.2, 0.15], [base, -0.5 * base, 0.8 * base])
     if kind == "periodic-table":
         return TableSignal([0.0, 0.2, 0.55], [base, 0.3 * base, -base], period=0.7)
+    if kind == "short-period-table":  # 7 steps a period: 28 periods, a switch at block edge 128
+        return TableSignal([0.0, 0.01, 0.025], [base, -0.6 * base, 0.9 * base], period=0.035)
     if kind == "aperiodic-table":
         return TableSignal([0.0, 0.45, 0.8], [base, 1.2 * base, -0.4 * base])
     if kind == "constant":

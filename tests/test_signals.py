@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from table_oracle import piece_at
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.signals import (
     ConstantSignal,
@@ -512,12 +513,13 @@ def test_distinct_values_reads_a_smooth_signal_at_every_distinct_time():
 
 
 def _distinct_values_loop(sig, times):
-    """The per-time loop distinct_values ran before its piece_index path: one evaluate
-    call per distinct time, each stored piece kept at its first time by its id."""
+    """The per-time loop distinct_values ran before its piece_index path: one scalar
+    lookup of the table oracle per distinct time, each stored piece kept at its first
+    time by its id."""
     seen = set()
     for t in np.unique(times):
-        value = sig.evaluate(float(t))
-        if not sig.is_piecewise_constant or id(value) not in seen:
+        value = sig.values[piece_at(sig.times, sig.period, float(t))]
+        if id(value) not in seen:
             seen.add(id(value))
             yield float(t), value
 
@@ -552,11 +554,13 @@ def tables_and_times(draw):
 @settings(max_examples=200)
 @given(tables_and_times())
 def test_piece_index_reads_the_piece_evaluate_returns(case):
+    # both readers against the scalar lookup of table_oracle
     sig, times = case
     k = sig.piece_index(np.array(times))
     assert k.shape == (len(times),)
     for t, j in zip(times, k.tolist()):
-        assert sig.values[j] is sig.evaluate(t), t
+        assert j == piece_at(sig.times, sig.period, t), t
+        assert sig.evaluate(t) is sig.values[j], t
     expected = list(_distinct_values_loop(sig, times))
     got = list(distinct_values(sig, times))
     assert [(t, id(v)) for t, v in got] == [(t, id(v)) for t, v in expected]
@@ -570,6 +574,8 @@ def test_piece_index_rejects_a_time_outside_the_domain(bad, period):
     sig = TableSignal([0.0, 1.0], [1.0, 2.0], period)
     with pytest.raises(ValueError, match="signal domain is finite t >= 0"):
         sig.piece_index(np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="signal domain is finite t >= 0"):
+        sig.evaluate(bad)
 
 
 @st.composite
