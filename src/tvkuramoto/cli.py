@@ -16,7 +16,10 @@ inconclusive), 3 runtime failures (blow-up, no lock).
 All outputs are deterministic for a fixed config; the only volatile field is
 wall_time_s in summary.json. JSON output is strict (RFC 8259): a non-finite
 number, such as an infinite witness or error ratio, is written as null. CSV
-headers carry units and the config hash. Node indices in file headers are 1-based.
+headers carry units and the config hash. A CSV value is C's %.12g of the float,
+the bytes Python's % writes; _csv_bytes builds them for a block of rows at once
+from lookup tables, and hands % only the values it cannot round exactly. Node
+indices in file headers are 1-based.
 """
 
 from __future__ import annotations
@@ -142,25 +145,133 @@ def _run_scenario(fn, *args, **kwargs):
                           str(exc)) from exc
 
 
-# values per % operation; one % over the whole array is no faster and holds
-# some 70 bytes of Python floats and text per value at once
+# values per formatted block: _csv_bytes holds some 220 bytes of arrays per value
+# at once (0.9 MB a block), and a larger block buys little speed for more memory
 _CSV_BLOCK_VALUES = 4096
+_CSV_E0 = 13  # the tables' row of a decimal exponent e is e + _CSV_E0, for e in [-13, 19]
+
+
+@functools.cache
+def _csv_tables():
+    """The lookup tables of _csv_bytes, built on its first call.
+
+    digits: 8 modes x 1,000 3-digit chunks, each as 4 bytes padded with zero bytes.
+    Mode 0 is the chunk as it is, mode 1 drops its trailing zeros, modes 2-4 put the
+    point after its first 1-3 digits, and modes 5-7 do so and drop the trailing zeros
+    (the point too, when no digit follows it). head: sign and "0.000" prefix, and
+    tail: exponent and separator, 8 bytes per (exponent, sign or last column).
+    point: the number of digits before the point per exponent, 0 when the prefix holds
+    it. modes: 1,000 x the mode of each chunk per (point, pattern of nonzero chunks
+    1-3). mul and div: the exact power of ten that scales |x| to 12 digits.
+    """
+    def packed(texts, dtype):
+        buf = np.zeros((len(texts), np.dtype(dtype).itemsize), np.uint8)
+        for row, text in zip(buf, texts):
+            row[:len(text)] = list(text)
+        return buf.view(dtype).ravel()
+
+    chunks = [b"%03d" % c for c in range(1000)]
+    digits = packed(chunks + [d.rstrip(b"0") for d in chunks]
+                    + [d[:q] + b"." + d[q:] for q in (1, 2, 3) for d in chunks]
+                    + [d[:q] + (b"." + d[q:]).rstrip(b"0").rstrip(b".")
+                       for q in (1, 2, 3) for d in chunks], np.uint32)
+    exps = range(-_CSV_E0, 20)
+    head = packed([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                   for e in exps for sign in (b"", b"-")], np.uint64)
+    tail = packed([(b"" if -4 <= e < 12 else b"e%+03d" % e) + sep
+                   for e in exps for sep in (b",", b"\n")], np.uint64)
+    point = np.array([e + 1 if 0 <= e < 12 else 0 if -4 <= e < 0 else 1 for e in exps])
+    modes = np.zeros((4, 13, 8), np.intp)  # (chunk, point, nonzero bits of chunks 1-3)
+    for k, bits, i in np.ndindex(13, 8, 4):
+        later = bits >> i != 0  # a nonzero chunk after chunk i
+        holder, q = divmod(k - 1, 3)  # the chunk with the point after its q + 1 digits
+        if k and i < holder:
+            mode = 0
+        elif k and i == holder:
+            mode = 2 + q if later else 5 + q
+        else:
+            mode = 0 if later else 1
+        modes[i, k, bits] = 1000 * mode
+    scale = 11 - np.arange(-_CSV_E0, 20)
+    return (digits, head, tail, point, modes.reshape(4, -1), 10.0 ** np.maximum(scale, 0),
+            10.0 ** np.maximum(-scale, 0))
+
+
+def _csv_bytes(block: np.ndarray) -> bytes:
+    """The rows of a float block as "%.12g" formats each value, with "," between
+    columns and "\\n" after each row: the bytes that % writes.
+
+    A value is 12 digits N = rint(|x| 10^(11-E)), correctly rounded, split into four
+    3-digit chunks. Its 32 bytes (sign and prefix, the chunks with the point, exponent
+    and separator) are read from the tables of _csv_tables and padded with zero bytes,
+    dropped at the end. |x| 10^(11-E) < 2^40 is one correctly rounded product or
+    quotient, so within 2^-14 of the exact one; a value whose scaled |x| lies within
+    2^-12 of a half-integer, and NaN, inf and a nonzero |x| outside [1e-11, 1e17), is
+    formatted by % itself, in one call for all such values of the block.
+    """
+    digits, head, tail, point, modes, mul, div = _csv_tables()
+    rows, cols = block.shape
+    v = np.asarray(block, dtype=float).ravel()
+    a = np.abs(v)
+    zero = a == 0  # read as 1, then written "0" (or "-0") by chunk 0 of digits 000
+    ok = (a >= 1e-11) & (a < 1e17)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += _CSV_E0
+    y = a * mul[e] / div[e]
+    off = (y >= 1e12).astype(np.intp) - (y < 1e11)  # log10 may miss a power of ten by one
+    fix = np.flatnonzero(off)
+    e[fix] += off[fix]
+    y[fix] = a[fix] * mul[e[fix]] / div[e[fix]]
+    n = np.rint(y)
+    ok &= np.abs(y - n) < 0.5 - 2.0 ** -12
+    top = n >= 1e12  # rounded up to 13 digits
+    e += top
+    n[top] = 1e11
+    c = np.empty((4, v.size))  # the 3-digit chunks, exact in float
+    c[0] = np.floor(n / 1e9)
+    n -= c[0] * 1e9
+    c[1] = np.floor(n / 1e6)
+    n -= c[1] * 1e6
+    c[2] = np.floor(n / 1e3)
+    c[3] = n - c[2] * 1e3
+    c[0, zero] = 0
+    ok |= zero
+    nonzero = c[1:] != 0
+    key = point[e] * 8
+    key += nonzero[0]
+    key += nonzero[1] * 2
+    key += nonzero[2] * 4
+    index = c.astype(np.intp)
+    for i in range(4):
+        index[i] += modes[i][key]
+    out = np.empty((v.size, 4), np.uint64)
+    out[:, 0] = head[e * 2 + np.signbit(v)]
+    out.view(np.uint32)[:, 2:6] = np.take(digits, index).T
+    last = np.zeros(cols, np.intp)
+    last[-1] = 1
+    out[:, 3] = tail[(e * 2).reshape(rows, cols) + last].ravel()
+    rest = np.flatnonzero(~ok)  # by % in one call, space-padded to 24 bytes, and a separator
+    if rest.size:
+        text = (b"%-24.12g" * rest.size % tuple(v[rest].tolist())).translate(
+            bytes.maketrans(b" ", b"\0"))
+        out[rest, :3] = np.frombuffer(text, np.uint64).reshape(-1, 3)
+        out[rest, 3] = tail[2 * _CSV_E0 + (rest % cols == cols - 1)]
+    return out.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header_cols, rows, config_hash: str, units: str, form=None):
-    """One %.12g line per row, written in blocks; form, if given, maps a block of
-    rows to the lines' values, so a derived array never exists whole."""
-    line = ",".join(["%.12g"] * len(header_cols)) + "\n"
+    """One %.12g line per row, formatted by _csv_bytes and written in blocks; form, if
+    given, maps a block of rows to the lines' values, so a derived array never exists
+    whole."""
     step = max(1, _CSV_BLOCK_VALUES // len(header_cols))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash} units: {units}\n")
-        fh.write(",".join(header_cols) + "\n")
+    with path.open("wb") as fh:
+        fh.write(f"# config_hash={config_hash} units: {units}\n{','.join(header_cols)}\n"
+                 .encode())
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
-            if form is not None:
-                block = form(block)
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_bytes(block if form is None else form(block)))
 
 
 def _pd_header(m):

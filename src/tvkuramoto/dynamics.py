@@ -157,6 +157,10 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
     put every switch on one); a smooth signal is read once per block of _BLOCK steps, at
     every t + dt/2 and t + dt in it. out[k], if given, receives y(t0 + k dt).
     Returns the last state, a new array; raises on non-finite state, naming the time.
+    A block runs with floating-point errors recorded, not reported, and its state is
+    checked once at its end; a block that ends non-finite or recorded an error the
+    caller's numpy error state would report runs again from its start, step by step
+    under that state, so it reports what a check after every step would.
     """
     pieces = [i for i, sig in enumerate(signals) if sig.is_piecewise_constant]
     smooth = [i for i, sig in enumerate(signals) if not sig.is_piecewise_constant]
@@ -173,28 +177,40 @@ def _rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
     (k1, k2, k3, k4), k23 = k, k[1:3]
     if out is not None:
         out[0] = y0
+
+    def steps(first, ends, mids, times, check):
+        va, vb, vc = list(values), list(values), list(values)
+        for j, t in enumerate(times):
+            for i, end, mid in zip(smooth, ends, mids):
+                va[i], vb[i], vc[i] = end[j], mid[j], end[j + 1]
+            rhs(y, *va, k1)
+            rhs(np.add(y, np.multiply(half, k1, z), z), *vb, k2)
+            rhs(np.add(y, np.multiply(half, k2, z), z), *vb, k3)
+            rhs(np.add(y, np.multiply(step, k3, z), z), *vc, k4)
+            np.add(k23, k23, k23)  # 2 k2 and 2 k3, exactly
+            np.add.reduce(k, 0, None, z)  # ((k1 + 2 k2) + 2 k3) + k4
+            np.add(y, np.multiply(sixth, z, z), y)
+            if check and not np.isfinite(y).all():
+                raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
+            if out is not None:
+                out[first + j + 1] = y
+
+    errors = []  # the floating-point errors of the running block
+    quiet = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    recorded = np.errstate(call=lambda kind, flag: errors.append(kind), **quiet)(steps)
     for lo, hi in zip(cuts, cuts[1:]):
         for i in pieces:
             values[i] = signals[i].values[index[i][lo]]
         for first in range(lo, hi, _BLOCK):
             ts = t0 + np.arange(first, min(first + _BLOCK, hi) + 1) * dt
-            ends = [signals[i].evaluate(ts) for i in smooth]
-            mids = [signals[i].evaluate(ts[:-1] + half) for i in smooth]
-            va, vb, vc = list(values), list(values), list(values)
-            for j, t in enumerate(ts[:-1].tolist()):
-                for i, end, mid in zip(smooth, ends, mids):
-                    va[i], vb[i], vc[i] = end[j], mid[j], end[j + 1]
-                rhs(y, *va, k1)
-                rhs(np.add(y, np.multiply(half, k1, z), z), *vb, k2)
-                rhs(np.add(y, np.multiply(half, k2, z), z), *vb, k3)
-                rhs(np.add(y, np.multiply(step, k3, z), z), *vc, k4)
-                np.add(k23, k23, k23)  # 2 k2 and 2 k3, exactly
-                np.add.reduce(k, 0, None, z)  # ((k1 + 2 k2) + 2 k3) + k4
-                np.add(y, np.multiply(sixth, z, z), y)
-                if not np.isfinite(y).all():
-                    raise RuntimeError(f"state blew up at t = {t + dt:.6f} s")
-                if out is not None:
-                    out[first + j + 1] = y
+            block = ([signals[i].evaluate(ts) for i in smooth],
+                     [signals[i].evaluate(ts[:-1] + half) for i in smooth], ts[:-1].tolist())
+            start = y.copy()
+            recorded(first, *block, False)
+            if errors or not np.isfinite(y).all():
+                errors.clear()
+                y[...] = start
+                steps(first, *block, True)
     return y
 
 

@@ -77,7 +77,8 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarr
     dt must divide the span and hit every breakpoint of the generator signal.
     A piecewise-constant generator whose pieces on [s, t] are all exactly
     symmetric gets the exact product of per-piece factors V exp(-Lambda tau) V^T
-    (one eigh per piece). Any other generator is integrated with the classical
+    (one eigh per piece), its pieces read by one piece_index call over the cut
+    starts. Any other generator is integrated with the classical
     4th-order one-step method on the dt grid, so a discontinuity never falls
     inside a step and a piecewise-constant generator is evaluated once per piece.
     """
@@ -87,8 +88,8 @@ def state_transition(gen: TimeSignal, s: float, t: float, dt: float) -> np.ndarr
     m = gen.shape[0]
     if gen.is_piecewise_constant:
         cuts = np.unique(np.concatenate([[s, t], gen.breakpoints_in(s, t)]))
-        pieces = [(np.asarray(gen.evaluate(float(lo)), dtype=float), hi - lo)
-                  for lo, hi in zip(cuts, cuts[1:])]
+        pieces = [(np.asarray(gen.values[k], dtype=float), tau)
+                  for k, tau in zip(gen.piece_index(cuts[:-1]).tolist(), np.diff(cuts))]
         if all(np.array_equal(g, g.T) for g, _ in pieces):
             u = np.eye(m)
             for g, tau in pieces:

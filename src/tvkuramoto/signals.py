@@ -30,7 +30,10 @@ def _as_value(v):
     return float(arr) if arr.ndim == 0 else arr
 
 
-_BREAK_SNAP = 1e-9  # relative half-width for snapping a query onto a breakpoint
+# seconds: a time this close to a switch is on it. check_alignment accepts a switch
+# this close to the step grid, and piece_index reads the new piece from a time this
+# close below it, so a run applies every switch at the grid time that hits it
+_BREAK_SNAP = 1e-9
 
 
 class TimeSignal:
@@ -189,8 +192,6 @@ class TableSignal(TimeSignal):
         if len(shapes) != 1:
             raise ValueError(f"values have inconsistent shapes: {shapes}")
         self.shape = shapes.pop()
-        span = self.period if self.period is not None else self.times[-1] + 1.0
-        self._snap = float(_BREAK_SNAP * span)
         # integral over [0, times[k]], summed piece by piece in time order
         cum = [np.zeros(self.shape)]
         for v, lo, hi in zip(self.values, self.times, self.times[1:]):
@@ -219,11 +220,11 @@ class TableSignal(TimeSignal):
         else:  # a time a snap width below a period end wraps into the next period
             cycles = t / self.period
             n = np.floor(cycles)
-            n += cycles - n > 1.0 - _BREAK_SNAP
+            n += cycles - n > 1.0 - _BREAK_SNAP / self.period
             tau = np.maximum(t - n * self.period, 0.0)
-        # the snap: a fixed-step grid lands on a switch up to a few ulps, and a time
-        # just below one would read the old piece, jittering the schedule by a step
-        return np.searchsorted(self.times, tau + self._snap, side="right") - 1
+        # the snap: a grid time that check_alignment puts on a switch may lie up to
+        # _BREAK_SNAP below it, and would read the old piece for one more step
+        return np.searchsorted(self.times, tau + _BREAK_SNAP, side="right") - 1
 
     def _partial_integral(self, x):
         """Integral over [0, x], x >= 0 (and x <= period for a periodic table).
@@ -338,7 +339,8 @@ def signal_from_json(obj: dict) -> TimeSignal:
 
 def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: float,
                     dt: float) -> int:
-    """Validate that dt tiles [s, t] and hits every signal breakpoint.
+    """Validate that dt tiles [s, t] and hits every signal breakpoint, each within
+    _BREAK_SNAP of a grid time.
 
     Fixed-step integrators rely on this so a discontinuity never falls inside
     a step. Returns the step count.
@@ -357,7 +359,7 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
         raise ValueError(f"dt={dt} does not divide the span {span}")
     for sig in signals:
         bps = sig.breakpoints_in(s, t)
-        off = bps[np.abs(s + np.rint((bps - s) / dt) * dt - bps) > 1e-9]
+        off = bps[np.abs(s + np.rint((bps - s) / dt) * dt - bps) > _BREAK_SNAP]
         if off.size:
             raise ValueError(f"dt={dt} is not aligned to the signal breakpoint at t={off[0]}")
     return int(nsteps)

@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import rk4_oracle
+import rk4_step_oracle
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto import dynamics, scenarios
 from tvkuramoto.dynamics import simulate
@@ -147,6 +148,36 @@ def test_blow_up_without_out_names_the_reference_time(blow_step):
     message, caught = run(3 * B)
     assert message == expected
     assert run(blow_step + 1) == (message, caught)
+
+
+def underflowing_from_70(y, out=None):
+    """y' = 1, with an underflow in every stage from y = 70 on: an error that leaves
+    the state finite. Writes into out when given, as the package's rhs do."""
+    tiny = np.multiply(1e-300, 1e-20 * (y >= 70.0))
+    return 1.0 + tiny if out is None else np.add(1.0, tiny, out)
+
+
+@pytest.mark.parametrize("state", ["warn", "raise"])
+def test_an_error_that_leaves_the_state_finite_surfaces_as_a_check_per_step_would(state):
+    # only the caller's numpy error state sees such an error: it must surface in the
+    # step that makes it, as often as in the reference's steps, y' = 1 from y = 0
+    def run(integrate):
+        out = np.full((3 * B + 1, 1), np.nan)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(under=state):
+            warnings.simplefilter("always")
+            try:
+                integrate(underflowing_from_70, np.zeros(1), 0.0, 1.0, 3 * B, out=out)
+                error = None
+            except FloatingPointError as exc:
+                error = str(exc)
+        return error, [str(w.message) for w in caught], out
+
+    error, caught, out = run(dynamics._rk4)
+    ref_error, ref_caught, ref_out = run(rk4_step_oracle.rk4)
+    assert (error, caught) == (ref_error, ref_caught)
+    assert (error is None) == (state == "warn") and len(caught) == (489 if error is None else 0)
+    last = 3 * B + 1 if error is None else 70  # the rows before the raising step
+    assert np.array_equal(out[:last], ref_out[:last]) and out[last - 1, 0] == last - 1
 
 
 def assert_relaxed_lock(lock, w, a, r, theta0):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from table_oracle import piece_at
+from table_oracle import SNAP, piece_at
 from tvkuramoto.cli import bundled_config_path
+from tvkuramoto.dynamics import simulate
 from tvkuramoto.signals import (
     ConstantSignal,
     SinusoidSignal,
@@ -173,6 +174,24 @@ def test_check_alignment_catches_misaligned_breakpoint():
     check_alignment(sig, 0.0, 1.0, 0.05)
     with pytest.raises(ValueError):
         check_alignment(sig, 0.0, 1.0, 0.1)  # 0.25 not a multiple of 0.1
+
+
+@pytest.mark.parametrize("times, period", [
+    ([0.0, 0.01 + 5e-10], 0.035), ([0.0, 0.01 + 9e-10], 0.035), ([0.0, 0.01 - 9e-10], 0.035),
+    ([0.0, 0.01], 0.035 + 5e-10),  # the period end, and so the wrap, 5e-10 past the grid
+], ids=["switch-5e-10-late", "switch-9e-10-late", "switch-9e-10-early", "period-5e-10-late"])
+def test_a_switch_check_alignment_accepts_applies_at_the_grid_time_that_hits_it(times, period):
+    # check_alignment takes a switch within 1e-9 of the step grid as on it; a run
+    # must then switch at that grid time, as it does on the exactly aligned table
+    near = TableSignal(times, [0.0, 1.0], period)
+    exact = TableSignal([0.0, 0.01], [0.0, 1.0], 0.035)
+    dt, t_end = 5e-3, 0.07
+    assert check_alignment(near, 0.0, t_end, dt) == 14
+    grid = np.arange(14) * dt
+    assert near.piece_index(grid).tolist() == exact.piece_index(grid).tolist() \
+        == [0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1]
+    run = lambda omega: simulate(np.zeros(2), omega, ConstantSignal(np.zeros((2, 2))), t_end, dt)
+    assert np.array_equal(run(near).phases, run(exact).phases)
 
 
 def test_common_period():
@@ -539,7 +558,7 @@ def tables_and_times(draw):
         values = [v if np.ndim(v) else np.array([v, 0.0]) for v in values]
     period = starts[-1] + draw(st.floats(1e-3, 10.0)) if draw(st.booleans()) else None
     sig = TableSignal(starts, values, period)
-    marks = [starts, starts - sig._snap,
+    marks = [starts, starts - SNAP,
              starts[-1] + np.array(draw(st.lists(st.floats(0.0, 1e3), max_size=4)))]
     if period is not None:
         k = np.arange(draw(st.integers(1, 40)))
