@@ -1,0 +1,81 @@
+"""Which experiment outputs two source trees write differently.
+
+    python3 .github/scripts/output_diff.py <base tree> <head tree> <work dir>
+
+Each tree runs `tvkuramoto experiment ap|perturb|fast` on shortened copies of
+its own bundled configs (the sizes below), with its own `src/` on PYTHONPATH.
+The script prints a Markdown report: every output file whose sha256 differs
+between the trees, or that only one of them wrote, and any exit code that
+differs. `summary.json` is compared without its `wall_time_s` field, the one
+field that varies from run to run. It exits 0 whatever it finds: the report
+gates nothing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SHORT = {  # parameters.<key> overrides: a few seconds of model time per experiment
+    "ap": {"num_runs": 3, "t_end": 12.0, "divergence_from": 8.0},
+    "perturb": {"t_end": 6.0},
+    "fast": {"t_end": 8.0},
+}
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "summary.json":
+        summary = json.loads(data)
+        summary.pop("wall_time_s", None)
+        data = json.dumps(summary, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(tree: Path, scenario: str, work: Path):
+    """(exit code, {relative path: sha256}) of one experiment run from tree."""
+    cfg = json.loads((tree / "src/tvkuramoto/configs" / f"{scenario}.json").read_text())
+    cfg["parameters"].update(SHORT[scenario])
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str((tree / "src").resolve()))
+    code = subprocess.run(
+        [sys.executable, "-m", "tvkuramoto.cli", "experiment", scenario,
+         "--config", str(work / "config.json"), "--out", str(work / "out")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    out = work / "out"
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    return code, {str(p.relative_to(out)): digest(p) for p in files}
+
+
+def main(base: str, head: str, work: str) -> int:
+    lines = ["### Experiment outputs, base against head",
+             "", "| experiment | file | base | head |", "|---|---|---|---|"]
+    same = 0
+    for scenario in SHORT:
+        (b_code, b_files), (h_code, h_files) = (
+            run(Path(tree), scenario, Path(work) / side / scenario)
+            for side, tree in (("base", base), ("head", head)))
+        if b_code != h_code:
+            lines.append(f"| {scenario} | exit code | {b_code} | {h_code} |")
+        for name in sorted(b_files.keys() | h_files.keys()):
+            b, h = b_files.get(name, "missing"), h_files.get(name, "missing")
+            if b == h:
+                same += 1
+            else:
+                lines.append(f"| {scenario} | `{name}` | `{b[:12]}` | `{h[:12]}` |")
+    differ = len(lines) - 4
+    lines += ["", f"{differ} difference(s); {same} file(s) identical by sha256 "
+              "(`summary.json` without `wall_time_s`)."]
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))

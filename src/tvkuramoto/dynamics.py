@@ -10,7 +10,9 @@ state; each rhs writes into the stage buffer it is passed, rhs(y, *values,
 out). Its state may carry a batch axis (R starts as one (R, m) array); it
 reads a table's piece at every step start in one `piece_index` call, and a
 smooth signal a block of steps at a time, at every half and whole step of the
-block in one array call each. The coupling term cos(theta_i) (A sin theta)_i -
+block in one array call each. `simulate` spreads a piecewise-constant frequency
+shared by a batch to the batch's shape once, before the run, so no stage add
+broadcasts it. The coupling term cos(theta_i) (A sin theta)_i -
 sin(theta_i) (A cos theta)_i takes O(m) trig calls, into buffers `_kuramoto`
 holds. Every phase spread is `hajnal_diameter`, max - min over the last axis,
 so the monitors read a batch one run at a time.
@@ -223,9 +225,11 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
     A batch may share one pair of signals or give each run its own: signals
     whose values carry the same leading axis, frequencies (R, m) and
     couplings (R, m, m), with run i reading row i. Either signal may be
-    shared while the other is per run. dt must tile [0, t_end] and hit every
-    breakpoint of both signals. Raises on non-finite state, reporting the
-    blow-up time.
+    shared while the other is per run. A shared piecewise-constant frequency
+    (m,) of a batch of R > 1 runs is integrated as its (R, m) spread, the same
+    values in every row: a new table, so the caller's is left as it was. dt
+    must tile [0, t_end] and hit every breakpoint of both signals. Raises on
+    non-finite state, reporting the blow-up time.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if not 0 < t_end < math.inf:
@@ -234,6 +238,9 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
         raise ValueError(f"theta0 must have shape (m,) or (R, m), got {theta0.shape}")
     _check_shapes(theta0.shape, omega, coupling)
     nsteps = check_alignment([omega, coupling], 0.0, t_end, dt)
+    if omega.is_piecewise_constant and theta0.ndim == 2 and len(theta0) > 1 \
+            and omega.shape == theta0.shape[1:]:
+        omega = omega._spread(len(theta0))  # every stage add then adds arrays of one shape
     phases = np.empty(theta0.shape[:-1] + (nsteps + 1, theta0.shape[-1]))
     rhs = _kuramoto(theta0.shape, len(coupling.shape) == 3)
     _rk4(rhs, theta0, 0.0, dt, nsteps, (omega, coupling), out=np.moveaxis(phases, -2, 0))

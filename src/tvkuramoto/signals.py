@@ -111,6 +111,10 @@ class SinusoidSignal(TimeSignal):
 
     base/amplitude/phase may be scalars or arrays of a common shape; period is
     2*pi*time_scale. A zero base with any full-period window integrates to zero.
+    An entry moves if its cos or sin coefficient is nonzero or its base is -0.0;
+    every other entry is constant and equals its base at every time. An array
+    call copies the constant entries and computes only the moving ones, each as
+    the dense formula would; a single-time call takes the dense formula.
     """
 
     is_piecewise_constant = False
@@ -131,6 +135,18 @@ class SinusoidSignal(TimeSignal):
         # amplitude * trig(x + phase) = c cos(x) + s sin(x): two scalar trig calls per evaluate
         ac, as_ = self.amplitude * np.cos(self.phase), self.amplitude * np.sin(self.phase)
         self._cos_coef, self._sin_coef = (as_, ac) if trig == "sin" else (ac, -as_)
+        # the moving entries: _moving their flat indices (None when all move), _moving_terms
+        # their base and coefficients; _constant_values every entry's base
+        base, c, s = (np.broadcast_to(v, self.shape).ravel()
+                      for v in (self.base, self._cos_coef, self._sin_coef))
+        # -0.0 + c cos + s sin is -0.0 only where both products are -0.0, so it moves
+        moves = (c != 0) | (s != 0) | ((base == 0) & np.signbit(base))
+        if moves.all():
+            self._moving = None
+        else:
+            self._moving = np.flatnonzero(moves)
+            self._constant_values = base.reshape(self.shape)
+            self._moving_terms = tuple(v[self._moving] for v in (base, c, s))
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)  # a scalar time is a 0-d array
@@ -138,11 +154,18 @@ class SinusoidSignal(TimeSignal):
             raise ValueError(f"signal domain is t >= 0, got {t.min()}")
         xs = (t / self.time_scale).ravel().tolist()
         # math's cos and sin per time, so a row of an array call equals the scalar call
-        axes = t.shape + (1,) * len(self.shape)
-        cos = np.array([math.cos(x) for x in xs]).reshape(axes)
-        sin = np.array([math.sin(x) for x in xs]).reshape(axes)
-        out = self.base + self._cos_coef * cos + self._sin_coef * sin
-        return out if out.ndim else float(out)
+        cos = np.array([math.cos(x) for x in xs])
+        sin = np.array([math.sin(x) for x in xs])
+        if t.ndim == 0 or self._moving is None:  # one time, or every entry moves: the dense formula
+            axes = t.shape + (1,) * len(self.shape)
+            out = self.base + self._cos_coef * cos.reshape(axes) + self._sin_coef * sin.reshape(axes)
+            return out if out.ndim else float(out)
+        out = np.empty(t.shape + self.shape)
+        out[...] = self._constant_values
+        base, c, s = self._moving_terms
+        out.reshape(len(xs), self._constant_values.size)[:, self._moving] = \
+            base + c * cos[:, None] + s * sin[:, None]
+        return out
 
     def integrate_window(self, s, t):
         x = self._window(s, t)
@@ -260,6 +283,11 @@ class TableSignal(TimeSignal):
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         period = None if self.period is None else self.period * epsilon
         return TableSignal(self.times * epsilon, self.values, period)
+
+    def _spread(self, runs: int) -> "TableSignal":
+        """This table with its (m,) values stacked runs times, (runs, m): a new table
+        whose every row equals this one's value bit for bit."""
+        return TableSignal(self.times, [np.tile(v, (runs, 1)) for v in self.values], self.period)
 
 
 def ConstantSignal(value) -> TableSignal:

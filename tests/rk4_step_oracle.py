@@ -3,13 +3,17 @@
 `rk4` and `kuramoto_rhs` are that integrator and right-hand side as they
 were: every stage, stage input and weighted sum a new array, and the coupling
 sums taken by two products. The rhs callbacks take the signal values and
-return their value. The tests hold the package's in-place step to them bit
-for bit.
+return their value. A sinusoid signal is read through `sinusoid_oracle`, its
+dense formula at every entry, and a shared frequency is broadcast onto a batch
+at every stage. The tests hold the package's in-place step to them bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+import sinusoid_oracle
 
 BLOCK = 64  # RK4 steps per block: a smooth signal is read once a block
 
@@ -43,8 +47,8 @@ def rk4(rhs, y0, t0, dt, nsteps, signals=(), out=None):
             values[i] = signals[i].evaluate(t0 + lo * dt)
         for first in range(lo, hi, BLOCK):
             ts = t0 + np.arange(first, min(first + BLOCK, hi) + 1) * dt
-            ends = [signals[i].evaluate(ts) for i in smooth]
-            mids = [signals[i].evaluate(ts[:-1] + half) for i in smooth]
+            ends = [sinusoid_oracle.evaluate(signals[i], ts) for i in smooth]
+            mids = [sinusoid_oracle.evaluate(signals[i], ts[:-1] + half) for i in smooth]
             va, vb, vc = list(values), list(values), list(values)
             for j, t in enumerate(ts[:-1].tolist()):
                 for i, end, mid in zip(smooth, ends, mids):

@@ -14,7 +14,7 @@ from tvkuramoto.scenarios import _jacobian, _relax, linear_correction, phase_loc
 from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal
 
 KINDS = ("switching", "periodic-table", "short-period-table", "aperiodic-table", "constant",
-         "sinusoid")
+         "sinusoid", "sparse-sinusoid")
 T_END, DT = 1.0, 5e-3  # 200 steps: blocks of 64 start at 0, 64, 128 and 192
 
 
@@ -30,6 +30,10 @@ def signal(kind, base, phase):
         return TableSignal([0.0, 0.45, 0.8], [base, 1.2 * base, -0.4 * base])
     if kind == "constant":
         return ConstantSignal(base)
+    if kind == "sparse-sinusoid":  # a random mask of entries, as a random graph's edges
+        edges = np.abs(phase) < 1.0
+        return SinusoidSignal(np.where(edges, base, 0.0), 0.4 * base * edges, phase, trig="cos",
+                              time_scale=0.3)
     return SinusoidSignal(base, 0.4 * base, phase, trig="cos", time_scale=0.3)
 
 
@@ -57,6 +61,43 @@ def test_simulate_equals_the_allocating_step_bit_for_bit(kind, m, layout):
     omega, coupling = network(kind, m, seed=m, runs=runs if layout.startswith("per-run") else None)
     phases = simulate(theta0, omega, coupling, T_END, DT).phases
     assert np.array_equal(phases, oracle.simulate(theta0, omega, coupling, T_END, DT))
+
+
+@pytest.mark.parametrize("kind", ["switching", "periodic-table", "constant", "sinusoid",
+                                  "sparse-sinusoid"])
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("coupling_layout", ["shared", "per-run"])
+def test_a_shared_frequency_equals_it_stacked_per_run_bit_for_bit(kind, runs, coupling_layout):
+    m = 5
+    rng = np.random.default_rng([runs, 41])
+    w, phase = rng.uniform(0.5, 1.5, m), rng.uniform(-math.pi, math.pi, m)
+    _, coupling = network(kind, m, seed=runs, runs=runs if coupling_layout == "per-run" else None)
+    theta0 = starts(m, seed=runs, runs=runs)
+    shared = simulate(theta0, signal(kind, w, phase), coupling, T_END, DT).phases
+    stacked = signal(kind, np.stack([w] * runs), np.stack([phase] * runs))
+    assert stacked.shape == (runs, m)
+    assert shared.tobytes() == simulate(theta0, stacked, coupling, T_END, DT).phases.tobytes()
+
+
+def fields(sig):
+    """Every field of a signal by identity, each array's bytes and each list's items."""
+    out = {}
+    for name, v in vars(sig).items():
+        items = v if isinstance(v, (list, tuple)) else [v]
+        out[name] = [(id(x), np.asarray(x).shape, np.asarray(x).tobytes())
+                     if isinstance(x, (np.ndarray, float)) else (id(x), repr(x)) for x in items]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["switching", "sinusoid", "sparse-sinusoid"])
+def test_simulate_leaves_a_shared_frequency_and_its_values_untouched(kind):
+    omega, coupling = network(kind, 4, seed=8)
+    before, times = fields(omega), np.arange(0.0, 1.0, 0.05)
+    values = [omega.evaluate(t) for t in times]
+    simulate(starts(4, seed=8, runs=3), omega, coupling, T_END, DT)
+    assert fields(omega) == before and omega.shape == (4,)
+    assert all(np.asarray(omega.evaluate(t)).tobytes() == np.asarray(v).tobytes()
+               for t, v in zip(times, values))
 
 
 def test_shared_batch_of_many_nodes_stays_within_the_reference_tolerance():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sinusoid_oracle
 from table_oracle import SNAP, piece_at
 from tvkuramoto.cli import bundled_config_path
 from tvkuramoto.dynamics import simulate
@@ -623,6 +624,54 @@ def test_sinusoid_array_evaluate_equals_the_scalar_calls_bit_for_bit(case):
     assert batch.shape == times.shape + sig.shape
     assert np.array_equal(batch, stacked.reshape(batch.shape))
     assert batch.tobytes() == stacked.tobytes()
+
+
+@st.composite
+def split_sinusoids_and_times(draw):
+    """A sinusoid of a shape the integrator reads whose amplitude is zeroed in no entry,
+    some entries, whole rows or every entry (as +0.0 or -0.0), whose base holds +0.0,
+    -0.0 and nonzero entries, and a scalar time or an array of times."""
+    m, runs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (m,), (m, m), (runs, m), (runs, m, m)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeroed = draw(st.sampled_from(["none", "some", "rows", "all"]))
+    off = {"none": np.zeros(shape, bool), "some": rng.random(shape) < 0.6,
+           "rows": np.broadcast_to(rng.random(shape[:-1] + (1,) * bool(shape)) < 0.5, shape),
+           "all": np.ones(shape, bool)}[zeroed]
+    zero = rng.choice([0.0, -0.0], shape)
+    amplitude = np.where(off, zero, rng.uniform(-2.0, 2.0, shape))
+    kind = rng.integers(0, 3, shape)  # +0.0, -0.0 or nonzero
+    base = np.where(kind == 0, 0.0, np.where(kind == 1, -0.0, rng.uniform(-2.0, 2.0, shape)))
+    if shape and draw(st.booleans()):
+        base = float(base.flat[0])  # one base for every entry
+    phase = np.where(rng.random(shape) < 0.2, 0.0, rng.uniform(-math.pi, math.pi, shape))
+    sig = SinusoidSignal(base, amplitude, phase, trig=draw(st.sampled_from(["sin", "cos"])),
+                         time_scale=draw(st.sampled_from([0.2, 1.0, 1.0 / 3.0, 7.5])))
+    scale = 10.0 ** draw(st.integers(0, 4))
+    times_shape = draw(st.sampled_from([(), (1,), (9,), (64,), (4, 3)]))
+    return sig, rng.uniform(0.0, scale, times_shape) if times_shape else draw(st.floats(0.0, scale))
+
+
+@settings(max_examples=120)
+@given(split_sinusoids_and_times())
+def test_sinusoid_evaluate_equals_the_dense_oracle_signed_zeros_included(case):
+    sig, times = case
+    got, want = sig.evaluate(times), sinusoid_oracle.evaluate(sig, times)
+    assert isinstance(got, float) == isinstance(want, float)
+    assert np.shape(got) == np.shape(want) == np.shape(times) + sig.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_a_negative_zero_base_takes_the_sign_its_zero_products_give():
+    # entry 0 is -0.0 + (+0.0) cos(x) + (-0.0) sin(x): -0.0 where cos(x) < 0 < sin(x)
+    sig = SinusoidSignal(np.array([-0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), 0.0, trig="cos")
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    values = sig.evaluate(times)
+    assert values.tobytes() == sinusoid_oracle.evaluate(sig, times).tobytes()
+    assert not (values[:, :2] != 0).any()
+    negative = (np.cos(times) < 0) & (np.sin(times) > 0)
+    assert np.array_equal(np.signbit(values[:, 0]), negative) and negative.any()
+    assert not np.signbit(values[:, 1]).any()
 
 
 def test_sinusoid_array_evaluate_rejects_a_negative_time():
