@@ -2,17 +2,18 @@
 
 Every check returns a CertificateReport: a verdict (pass / fail / inconclusive)
 plus the witnesses that certify it -- threshold margins, window averages,
-eigenvalue series, or the earliest violating pair/window/time. Quantifiers over
-all t >= 0 are evaluated on signals.sample_grid: up to the last switch of an
-aperiodic table plus one common period (sufficient by periodicity). A coupling
-hypothesis (nonnegative entries, symmetric PSD Laplacians) is probed at
-sample_grid(coupling, PROBE_POINTS), over all t and not a criterion's own span,
-but a sinusoid's entries are nonnegative iff their exact minima are;
-that grid plus the window kinks gives thm2's and cor1's default starts
-(_window_starts). Window integrals of the coupling are exact; thm2's window
-integrals of xi are exact for piecewise-constant couplings and a midpoint rule
-on _XI_CELLS cells per period otherwise (_xi_steps). Each criterion
-checks its coupling once, with graph.check_coupling, before any evaluation.
+eigenvalue series, or the earliest violating pair/window/time. A supremum over
+all t >= 0 reads signals.probe: each stored piece of a table, exactly, and a
+smooth signal on its signals.sample_grid. invariance_pointwise reads the joint
+grid of both signals. A coupling hypothesis (nonnegative entries, symmetric PSD
+Laplacians) is probed over all t, not a criterion's own span, a smooth coupling
+at PROBE_POINTS per period, but a sinusoid's entries are nonnegative iff their
+exact minima are; sample_grid(coupling, PROBE_POINTS) plus the window kinks
+gives thm2's and cor1's default starts (_window_starts). Window integrals of
+the coupling are exact; thm2's window integrals of xi are exact for
+piecewise-constant couplings and a midpoint rule on _XI_CELLS cells per period
+otherwise (_xi_steps). Each criterion checks its coupling once, with
+graph.check_coupling, before any evaluation.
 
 Sign convention for matrices quoted from the literature on switched oscillator
 networks: a printed matrix with negative diagonal and zero row sums is
@@ -30,12 +31,13 @@ import numpy as np
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
-from tvkuramoto.linalg import _check_zero_row_sums, lambda2, restricted_spectrum
-from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal,
-                                 distinct_values, sample_grid)
+from tvkuramoto.linalg import (_check_symmetric, _check_zero_row_sums, lambda2,
+                               restricted_spectrum)
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal, probe,
+                                 sample_grid)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-PROBE_POINTS = 128  # even times per period of the probe grid and of the default starts
+PROBE_POINTS = 128  # even times per period of a smooth coupling's probes and default starts
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,13 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float) -> Cert
 
     Passes iff delta_omega / sin(r) <= mu0 + mu2 - mu1, with the mixing
     quantities from graph.ergodic_quantities; each side over its own signal's
-    signals.sample_grid, so the two periods need no common multiple. At r = 0
+    signals.probe, so the two periods need no common multiple. At r = 0
     the condition is read as requiring a zero frequency spread. A coupling
     with a nonzero diagonal is rejected, as in invariance_pointwise.
     """
     _invariance_inputs(omega, coupling, r)
-    delta_omega = max(float(np.ptp(w)) for _, w in distinct_values(omega, sample_grid(omega)))
-    mu0, mu1, mu2 = graph.ergodic_quantities(coupling, sample_grid(coupling))
+    delta_omega = max(float(np.ptp(w)) for _, w in probe(omega))
+    mu0, mu1, mu2 = graph.ergodic_quantities(coupling)
     rhs = mu0 + mu2 - mu1
     if math.sin(r) == 0.0:
         ok = delta_omega == 0.0 and rhs >= 0.0
@@ -154,9 +156,11 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float) -> Cert
 
 
 def _check_positive(**params) -> None:
-    """ValueError naming the first parameter with an entry that is not positive and finite."""
+    """ValueError naming the first parameter that is a bool or has an entry that is not
+    positive and finite."""
     for name, value in params.items():
-        if not (np.isfinite(value) & (np.asarray(value) > 0)).all():
+        value = np.asarray(value)
+        if value.dtype == bool or not (np.isfinite(value) & (value > 0)).all():
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -181,7 +185,7 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal,
         times = np.where((amp > 0) & (turn < 2 * math.pi), coupling.time_scale * turn, 0.0)
         values = coupling.base - amp
     else:
-        probes = list(distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)))
+        probes = list(probe(coupling, PROBE_POINTS))
         times = np.array([np.full(coupling.shape, u) for u, _ in probes])
         values = np.array([a for _, a in probes])
     k = int(np.lexsort((times.ravel(), values.ravel()))[0])
@@ -242,7 +246,7 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
         etas = np.full(n_intervals, float(etas))
     if etas.size != n_intervals:
         raise ValueError("need one eta per partition interval")
-    _check_positive(eta=etas)
+    _check_positive(eta=eta)
     nbins = m - 1 if bins is None else _positive_int("bins", bins)
 
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
@@ -420,21 +424,22 @@ def tilde_laplacian(lap: np.ndarray, r: float) -> np.ndarray:
 def psd_fault(lap: np.ndarray) -> tuple:
     """Symmetric-PSD test of a Laplacian: (fault, lowest eigenvalue orthogonal to 1).
 
-    The fault is "asymmetric", with no eigenvalue, when the symmetry rule of
-    linalg.restricted_spectrum rejects L; "not_psd" when the eigenvalue is below
-    -1e-9; None when L passes both tests.
+    The fault is "asymmetric", with no eigenvalue, when the one symmetry rule,
+    linalg._check_symmetric, rejects L; "not_psd" when the eigenvalue is below
+    -1e-9; None when L passes both tests. L must be m x m with m >= 2.
     """
     try:
-        low = float(restricted_spectrum(lap)[0])
+        lap = _check_symmetric(lap)
     except ValueError:
         return "asymmetric", None
+    low = float(restricted_spectrum(lap)[0])
     return ("not_psd" if low < -1e-9 else None), low
 
 
 def first_psd_fault(coupling: TimeSignal) -> "tuple | None":
     """(t, fault, eigenvalue) at the first probe time whose coupling Laplacian psd_fault
-    flags, or None; each stored piece is tested once."""
-    for t, a in distinct_values(coupling, sample_grid(coupling, PROBE_POINTS)):
+    flags, or None: the start of the first such piece of a table."""
+    for t, a in probe(coupling, PROBE_POINTS):
         fault, low = psd_fault(graph.laplacian_from_adjacency(a))
         if fault is not None:
             return t, fault, low

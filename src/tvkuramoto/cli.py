@@ -90,12 +90,11 @@ def _get(cfg: dict, field: str, kind, required: bool = True, default=None):
             raise ConfigError(field, "missing")
         return default
     value = node[parts[-1]]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    # an int is a float too; JSON's true and false are ints to Python, but no numbers
+    if isinstance(value, bool) or not isinstance(value, (float, int) if kind is float else kind):
         raise ConfigError(field, f"expected {getattr(kind, '__name__', kind)}, "
                                  f"got {type(value).__name__}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _get_r(cfg: dict, required: bool = True) -> "float | None":
@@ -483,41 +482,38 @@ _COMMANDS = {"simulate": _simulate, "certify": _certify, "ap": _experiment_ap,
              "perturb": _experiment_perturb, "fast": _experiment_fast}
 
 
-def verify_reference_values(quiet: bool = False) -> dict:
+def verify_reference_values() -> dict:
     """Recompute the reference xi and lambda2 values from the bundled examples.
 
     Returns the comparison table; see README for why the xi values do not
     reproduce from the printed matrices while lambda2 does.
     """
-    ap_cfg = json.loads(bundled_config_path("ap").read_text())
-    fast_cfg = json.loads(bundled_config_path("fast").read_text())
+    ap, fast = (signal_from_json(json.loads(bundled_config_path(name).read_text())
+                                 ["signals"]["coupling"]).values for name in ("ap", "fast"))
     r = math.pi / 3
-    ap_pieces = [np.asarray(p["value"], dtype=float)
-                 for p in ap_cfg["signals"]["coupling"]["pieces"]]
-    xi1 = certificates.xi_index(ap_pieces[0], r)
-    xi2 = certificates.xi_index(ap_pieces[1], r)
-    fast_pieces = [np.asarray(p["value"], dtype=float)
-                   for p in fast_cfg["signals"]["coupling"]["pieces"]]
-    lam2 = lambda2(laplacian_from_adjacency(0.5 * (fast_pieces[0] + fast_pieces[1])))
-
+    xi1, xi2 = certificates.xi_index(ap[0], r), certificates.xi_index(ap[1], r)
+    lam2 = lambda2(laplacian_from_adjacency(0.5 * (fast[0] + fast[1])))
     rows = [
         ("xi(first coupling matrix, pi/3)", xi1, REFERENCE_XI_FIRST, XI_TOL),
         ("xi(second coupling matrix, pi/3)", xi2, REFERENCE_XI_SECOND, XI_TOL),
         ("xi sum over both pieces", xi1 + xi2, REFERENCE_XI_SUM, XI_SUM_TOL),
         ("|lambda2| of averaged Laplacian", abs(lam2), REFERENCE_LAMBDA2_MAGNITUDE, LAMBDA2_TOL),
     ]
-    table = {}
-    if not quiet:
-        print(f"{'quantity':<36} {'recomputed':>12} {'published':>12} {'tol':>8}  match")
-    for name, got, ref, tol in rows:
-        ok = abs(got - ref) <= tol
-        table[name] = {"recomputed": got, "published": ref, "tolerance": tol, "match": ok}
-        if not quiet:
-            print(f"{name:<36} {got:>12.4f} {ref:>12.4f} {tol:>8.0e}  {'yes' if ok else 'NO'}")
-    table["all_match"] = all(v["match"] for v in table.values() if isinstance(v, dict))
-    if not quiet and not table["all_match"]:
-        print("\nNot all values reproduce; see README (reference-value status) for the analysis.")
+    table = {name: {"recomputed": got, "published": ref, "tolerance": tol,
+                    "match": abs(got - ref) <= tol} for name, got, ref, tol in rows}
+    table["all_match"] = all(v["match"] for v in table.values())
     return table
+
+
+def _print_reference_values(table: dict) -> None:
+    """The table of verify_reference_values, one row per quantity, as the command prints it."""
+    print(f"{'quantity':<36} {'recomputed':>12} {'published':>12} {'tol':>8}  match")
+    for name, row in table.items():
+        if name != "all_match":
+            print(f"{name:<36} {row['recomputed']:>12.4f} {row['published']:>12.4f} "
+                  f"{row['tolerance']:>8.0e}  {'yes' if row['match'] else 'NO'}")
+    if not table["all_match"]:
+        print("\nNot all values reproduce; see README (reference-value status) for the analysis.")
 
 
 @functools.cache
@@ -549,7 +545,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "verify-paper-values":
-        return 0 if verify_reference_values()["all_match"] else 1
+        table = verify_reference_values()
+        _print_reference_values(table)
+        return 0 if table["all_match"] else 1
     try:
         return _run(args, _COMMANDS[getattr(args, "scenario", args.command)])
     except ConfigError as exc:

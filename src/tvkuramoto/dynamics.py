@@ -69,8 +69,8 @@ def phases_from_pd(pd: np.ndarray) -> np.ndarray:
 
 
 def check_r(r: float) -> float:
-    """The PD half-width r itself; ValueError unless 0 <= r < pi/2."""
-    if not 0.0 <= r < math.pi / 2:
+    """The PD half-width r itself; ValueError unless 0 <= r < pi/2 (a bool is no number)."""
+    if isinstance(r, (bool, np.bool_)) or not 0.0 <= r < math.pi / 2:
         raise ValueError(f"r must lie in [0, pi/2), got {r}")
     return r
 

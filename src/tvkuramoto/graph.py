@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvkuramoto.signals import SinusoidSignal, TimeSignal, distinct_values
+from tvkuramoto.signals import SinusoidSignal, TimeSignal, probe
 
 
 def _checked_adjacency(a) -> np.ndarray:
@@ -101,28 +101,24 @@ def _pair_sums(a: np.ndarray) -> tuple:
     return common_min, neg_sum
 
 
-def ergodic_quantities(coupling: TimeSignal, grid: np.ndarray) -> tuple:
-    """Mixing quantities (mu0, mu1, mu2) of a coupling-matrix signal over a grid.
+def ergodic_quantities(coupling: TimeSignal) -> tuple:
+    """Mixing quantities (mu0, mu1, mu2) of a coupling-matrix signal, maxima over t.
 
-    mu0: grid max of the pairwise minimum of sum_{k in common positive
+    mu0: max of the pairwise minimum of sum_{k in common positive
          neighborhood} min(a_ik, a_jk) -- the ergodic coefficient of the
          positive part of the graph.
-    mu1: grid max of the pairwise maximum of the summed negative mass
+    mu1: max of the pairwise maximum of the summed negative mass
          -[a_ik]^- - [a_jk]^- outside the common positive neighborhood.
-    mu2: grid max of the pairwise minimum of a_ij + a_ji.
+    mu2: max of the pairwise minimum of a_ij + a_ji.
 
-    Grid extrema stand in for suprema over continuous time; exact for
-    piecewise-constant signals when the grid includes all breakpoints, which
-    cost one pass per stored piece (signals.distinct_values). A pair needs
-    m >= 2, so a coupling that is not m x m with m >= 2 raises ValueError.
+    The maxima are over signals.probe: exact over the stored pieces of a
+    piecewise-constant signal, over its sample grid for a smooth one. A pair
+    needs m >= 2, so a coupling that is not m x m with m >= 2 raises ValueError.
     """
     if len(coupling.shape) != 2 or not 2 <= coupling.shape[0] == coupling.shape[1]:
         raise ValueError(f"coupling must be an m x m matrix, m >= 2, got shape {coupling.shape}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty sampling grid")
     mu0 = mu1 = mu2 = -np.inf
-    for _, a in distinct_values(coupling, grid):
+    for _, a in probe(coupling):
         common_min, neg_sum = _pair_sums(a)
         off = ~np.eye(a.shape[0], dtype=bool)
         mu0 = max(mu0, float(common_min[off].min()))

@@ -50,11 +50,12 @@ def _ones_complement_basis(m: int) -> np.ndarray:
 
 
 def restricted_spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix restricted to the 1-orthogonal subspace."""
+    """Ascending eigenvalues of a symmetric m x m matrix, m >= 2, restricted to the
+    1-orthogonal subspace."""
     sym = _check_symmetric(mat)
     m = sym.shape[0]
-    if m == 1:
-        return np.array([])
+    if m < 2:
+        raise ValueError(f"the subspace orthogonal to 1 needs m >= 2, got m={m}")
     basis = _ones_complement_basis(m)
     p = basis.T @ sym @ basis
     return np.linalg.eigh(0.5 * (p + p.T))[0]

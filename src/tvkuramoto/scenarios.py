@@ -375,6 +375,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     the report (not an abort condition); a non-positive averaged algebraic
     connectivity or a non-locking averaged system does abort.
     """
+    graph.check_coupling(coupling_base)
     if coupling_base.period is None or omega_base.period is None:
         raise PeriodError("fast switching needs periodic base signals")
     freqs = np.sort(np.asarray(frequencies, dtype=float))

@@ -51,8 +51,6 @@ class TimeSignal:
     def evaluate(self, t: float):
         """Signal value at time t >= 0 (right-continuous at breakpoints).
 
-        Piecewise-constant kinds return the same stored object for every t in
-        one piece; distinct_values reads each piece once by that identity.
         Smooth kinds also take an array of times: the result holds one value
         per time, its value axes after theirs, each equal bit for bit to the
         scalar call.
@@ -315,25 +313,6 @@ def SwitchingSignal(durations: Sequence[float], values: Sequence,
     return TableSignal(np.concatenate([[0.0], np.cumsum(durations)[:-1]]), values, total)
 
 
-def distinct_values(sig: TimeSignal, times):
-    """(t, value) at each distinct time in increasing order, but each stored piece of a
-    piecewise-constant signal only at its first time (the signal keeps its pieces
-    alive, so their ids tell them apart); such a signal is read by piece_index."""
-    times = np.unique(times)
-    if not sig.is_piecewise_constant:
-        for t in times.tolist():
-            yield t, sig.evaluate(t)
-        return
-    k = sig.piece_index(times)
-    first = np.sort(np.unique(k, return_index=True)[1])  # each piece's first time
-    seen = set()
-    for t, j in zip(times[first].tolist(), k[first].tolist()):
-        value = sig.values[j]
-        if id(value) not in seen:
-            seen.add(id(value))
-            yield t, value
-
-
 def signal_from_json(obj: dict) -> TimeSignal:
     """Build a signal from its JSON description.
 
@@ -435,3 +414,12 @@ def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000) -
         # half-open evaluation window: drop the end point itself
         pts.append(bp[bp < span])
     return np.unique(np.concatenate(pts))
+
+
+def probe(sig: TimeSignal, num: int = 1000):
+    """(t, value) pairs in time order: each stored piece of a table at the time it starts,
+    so every value the table takes, and a smooth signal at each time of
+    sample_grid(sig, num)."""
+    if sig.is_piecewise_constant:
+        return zip(sig.times.tolist(), sig.values)
+    return ((t, sig.evaluate(t)) for t in sample_grid(sig, num).tolist())

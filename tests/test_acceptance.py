@@ -67,7 +67,7 @@ def random_mixed_sign_psd_laplacian(rng, m):
 
 def test_criterion_1_xi_reproduction():
     started = time.monotonic()
-    table = verify_reference_values(quiet=True)
+    table = verify_reference_values()
     elapsed = time.monotonic() - started
     cfg, _, _ = _bundled("ap")
     r = math.pi / 3

@@ -26,6 +26,7 @@ from tvkuramoto.signals import (
     ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid, signal_from_json,
 )
 import pointwise_oracle
+from table_oracle import SNAP, piece_at
 import psd_oracle
 import spanning_oracle
 import window_oracle
@@ -1133,3 +1134,133 @@ def test_report_json_round_trip():
     rep = invariance_robust(ConstantSignal([1.0, 1.0]), ConstantSignal(TWO_NODE), 0.5)
     payload = rep.to_json()
     assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda co: invariance_robust(ConstantSignal(0.0), co, True), "r"),
+    (lambda co: thm2_window_check(co, True, 1.0, 0.1), "r"),
+    (lambda co: thm2_window_check(co, 1.0, 1.0, True), "eta"),
+    (lambda co: cor1_sliding_window_check(co, np.True_, 0.1), "T"),
+    (lambda co: thm1_spanning_tree_check(co, [0.0, 1.0, 2.0], True), "eta"),
+    (lambda co: thm3_series_check(co, 1.0, True), "h"),
+    (lambda co: cor2_uniform_check(co, 1.0, 1.0, alpha_hat=True), "alpha_hat"),
+], ids=["robust-r", "thm2-r", "thm2-eta", "cor1-T", "thm1-eta", "thm3-h", "cor2-alpha-hat"])
+def test_a_bool_is_no_number(call, name):
+    # each used to read True as 1 and return a verdict
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got True$"):
+        call(SwitchingSignal([1.0, 1.0], [TWO_NODE, 2 * TWO_NODE]))
+
+
+def _grid_probe(sig, num):
+    """The reading signals.probe replaced: sig at each time of sample_grid(sig, num), a
+    table's piece by the table_oracle lookup, each stored object kept at its first time
+    by its id."""
+    grid = sample_grid(sig, num).tolist()
+    if not sig.is_piecewise_constant:
+        return [(t, sig.evaluate(t)) for t in grid]
+    out, seen = [], set()
+    for t in grid:
+        value = sig.values[piece_at(sig.times, sig.period, t)]
+        if id(value) not in seen:
+            seen.add(id(value))
+            out.append((t, value))
+    return out
+
+
+def _grid_robust(omega, coupling):
+    """invariance_robust's witnesses read through _grid_probe, its formulas as they were."""
+    delta_omega = max(float(np.ptp(w)) for _, w in _grid_probe(omega, 1000))
+    mu0 = mu1 = mu2 = -np.inf
+    for _, a in _grid_probe(coupling, 1000):
+        common_min, neg_sum = graph._pair_sums(a)
+        off = ~np.eye(a.shape[0], dtype=bool)
+        mu0 = max(mu0, float(common_min[off].min()))
+        mu1 = max(mu1, float(-neg_sum[off].min()))
+        mu2 = max(mu2, float((a + a.T)[off].min()))
+    return delta_omega, mu0, mu1, mu2
+
+
+def _grid_negative_coupling(coupling):
+    """(t, pair, value) of the most negative entry over _grid_probe, earliest first."""
+    probes = _grid_probe(coupling, certificates.PROBE_POINTS)
+    times = np.array([np.full(coupling.shape, u) for u, _ in probes])
+    values = np.array([a for _, a in probes])
+    k = int(np.lexsort((times.ravel(), values.ravel()))[0])
+    i, j = divmod(k % coupling.shape[0] ** 2, coupling.shape[0])
+    return float(times.flat[k]), [i + 1, j + 1], float(values.flat[k])
+
+
+def _same_time(new, old, snapped):
+    """A piece's start, or, read off a grid, a time less than the snap below it; snapped
+    counts the latter."""
+    snapped.append(new != old)
+    return new == old or new - SNAP < old < new
+
+
+def _random_schedule(rng, pool, fresh):
+    """A periodic or aperiodic table that starts with pool[0] and whose later pieces are
+    mostly drawn from pool, so that one stored array may hold several pieces, else
+    fresh(). Its switches fall on whole cells of a grid over its span, summed as
+    SwitchingSignal sums durations, so that sample_grid may put a time an ulp below one."""
+    count = int(rng.integers(1, 7))
+    cells = int(rng.choice([128, 256, 1000]))
+    unit = rng.uniform(1e-3, 10.0) / cells
+    marks = np.sort(rng.choice(np.arange(1, cells), count - 1, replace=False))
+    starts = np.cumsum(np.diff(marks, prepend=0, append=cells) * unit)  # as SwitchingSignal
+    starts, span = np.append(0.0, starts[:-1]), starts[-1]
+    values = [pool[0]] + [pool[int(rng.integers(len(pool)))] if rng.random() < 0.8
+                          else fresh() for _ in range(count)]
+    if rng.random() < 0.5:  # the last switch ends the span
+        return TableSignal(np.append(starts, span), values)
+    return TableSignal(starts, values[:-1], span)
+
+
+def test_probe_keeps_every_witness_of_the_grid_reading():
+    rng = np.random.default_rng(2025)
+    snapped = []
+    for case in range(100):
+        m = int(rng.integers(2, 6))
+        sym = rng.uniform(0.0, 1.0, (m, m))
+        kinds = [sym + sym.T, sym + sym.T - 0.8, rng.normal(size=(m, m)),
+                 rng.uniform(0.0, 1.0, (m, m))]  # symmetric, and signed; signed; directed
+        off = 1.0 - np.eye(m)
+        pool = [kinds[k] * off for k in (0, *rng.integers(4, size=2))]  # faults come later
+        coupling = _random_schedule(rng, pool, lambda: rng.normal(size=(m, m)) * off)
+        if rng.random() < 0.06:  # a smooth coupling, read on its grid as before
+            coupling = SinusoidSignal(pool[0], pool[1], rng.normal(size=(m, m)))
+        if rng.random() < 0.1:
+            omega = SinusoidSignal(rng.normal(size=m), rng.normal(size=m), rng.normal(size=m))
+        else:
+            omega = _random_schedule(rng, [rng.normal(size=m) for _ in range(3)],
+                                     lambda: rng.normal(size=m))
+        r = float(rng.uniform(0.1, 1.5))
+
+        report = invariance_robust(omega, coupling, r)
+        delta_omega, mu0, mu1, mu2 = _grid_robust(omega, coupling)
+        assert report.witnesses == dict(
+            delta_omega=delta_omega, mu0=mu0, mu1=mu1, mu2=mu2,
+            lhs=delta_omega / math.sin(r), rhs=mu0 + mu2 - mu1), case
+        assert report.verdict == ("pass" if delta_omega / math.sin(r) <= mu0 + mu2 - mu1
+                                  else "fail"), case
+        assert graph.ergodic_quantities(coupling) == (mu0, mu1, mu2), case
+
+        if coupling.is_piecewise_constant:  # a sinusoid's entry minima are closed forms
+            bad = certificates._negative_coupling_report("thm1", coupling, {})
+            t, pair, value = _grid_negative_coupling(coupling)
+            if value >= -1e-12:
+                assert bad is None, case
+            else:
+                got = bad.witnesses["negative_coupling_at"]
+                assert got["pair"] == pair and got["value"] == value, case
+                assert _same_time(got["t"], t, snapped), (case, got["t"], t)
+
+        fault = certificates.first_psd_fault(coupling)
+        old = next(((u, *certificates.psd_fault(laplacian_from_adjacency(a)))
+                    for u, a in _grid_probe(coupling, certificates.PROBE_POINTS)
+                    if certificates.psd_fault(laplacian_from_adjacency(a))[0] is not None),
+                   None)
+        assert (fault is None) == (old is None), case
+        if fault is not None:
+            assert fault[1:] == old[1:], (case, fault, old)
+            assert _same_time(fault[0], old[0], snapped), (case, fault, old)
+    assert any(snapped)  # some grid reading was an ulp early

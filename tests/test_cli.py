@@ -513,7 +513,7 @@ def test_simulate_outputs_are_deterministic(tmp_path):
 
 
 def test_verify_reference_values_table():
-    table = verify_reference_values(quiet=True)
+    table = verify_reference_values()
     lam = table["|lambda2| of averaged Laplacian"]
     assert lam["match"] is True
     assert lam["recomputed"] == pytest.approx(2.5004, abs=1e-3)
@@ -789,3 +789,66 @@ def test_write_json_writes_the_bytes_of_the_standard_encoder(tmp_path_factory, o
     expected = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     assert _write_json(path, obj) == expected
     assert path.read_text() == expected + "\n"
+
+
+def test_verify_paper_values_prints_the_table_the_library_returns(capsys):
+    # the library call prints nothing; the command prints the table's four rows, then
+    # the line that says not all of them reproduce, and exits 1
+    table = verify_reference_values()
+    assert capsys.readouterr().out == ""
+    assert main(["verify-paper-values"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {name: row for name, row in table.items() if name != "all_match"}
+    assert len(rows) == 4 and table["all_match"] is False
+    assert lines[0].split() == ["quantity", "recomputed", "published", "tol", "match"]
+    for line, (name, row) in zip(lines[1:5], rows.items()):
+        assert line.startswith(name)
+        assert line[len(name):].split() == [f"{row['recomputed']:.4f}", f"{row['published']:.4f}",
+                                            f"{row['tolerance']:.0e}",
+                                            "yes" if row["match"] else "NO"]
+    assert lines[5:] == ["", "Not all values reproduce; see README (reference-value status) "
+                             "for the analysis."]
+
+
+_NUMERIC_FIELDS = [(name, field) for name in ("ap", "perturb", "fast")
+                   for field, value in json.loads(bundled_config_path(name).read_text())
+                   ["parameters"].items()
+                   if isinstance(value, (int, float)) and not isinstance(value, bool)]
+
+
+@pytest.mark.parametrize("scenario, field", _NUMERIC_FIELDS,
+                         ids=[f"{s}-{f}" for s, f in _NUMERIC_FIELDS])
+def test_a_json_boolean_is_no_number_for_an_experiment(tmp_path, capsys, scenario, field):
+    # true used to be read as 1 (a float or int field); now it is a config error naming
+    # the field, raised before any work
+    cfg = json.loads(bundled_config_path(scenario).read_text())
+    cfg["parameters"][field] = True
+    assert main(["experiment", scenario, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config field 'parameters.{field}': expected" in err and "got bool" in err
+    assert not (tmp_path / "o").exists()
+
+
+_BOOL_CERTIFY = [
+    _window_config("invariance-robust", _constant(_RING3), r=True),
+    _window_config("thm2-xi-window", _SWITCHING3, r=True, T=1.0, eta=0.1),
+    _window_config("cor1-sliding-window", _SWITCHING3, T=True, eta=0.1),
+    _window_config("cor1-sliding-window", _SWITCHING3, T=1.0, eta=True),
+    _window_config("thm1-spanning-tree", _SWITCHING3, partition=[0.0, 1.0, 2.0], eta=True),
+    _window_config("thm3-lambda2-series", _SWITCHING3, r=1.0, h=True),
+    _window_config("cor2-lambda2-uniform", _SWITCHING3, r=1.0, h=1.0, alpha_hat=True),
+]
+
+
+@pytest.mark.parametrize("cfg", _BOOL_CERTIFY, ids=[
+    "robust-r", "thm2-r", "cor1-T", "cor1-eta", "thm1-eta", "thm3-h", "cor2-alpha-hat"])
+def test_a_json_boolean_is_no_number_for_certify(tmp_path, capsys, cfg):
+    # each of these used to return a verdict, with true read as 1
+    field = next(k for k, v in cfg["parameters"].items() if v is True)
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'parameters':" in err
+    assert f"{field} must" in err and "got True" in err
+    assert not (tmp_path / "o" / "certificate.json").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from tvkuramoto.dynamics import (
     PhaseTrajectory,
+    check_r,
     hajnal_diameter,
     invariance_monitor,
     kuramoto_rhs,
@@ -220,3 +221,10 @@ def test_monitors_read_a_batch_one_run_at_a_time():
     assert div.shape == (2, len(batch.times))
     for row in div:
         assert np.abs(row - pd_divergence(*singles)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [True, False, np.True_])
+def test_check_r_rejects_a_bool(r):
+    # a bool used to pass as 1 or 0
+    with pytest.raises(ValueError, match=r"r must lie in \[0, pi/2\), got (True|False)"):
+        check_r(r)

@@ -213,32 +213,27 @@ def test_common_positive_neighbors_matches_set_builder():
 
 def test_ergodic_quantities_two_node():
     sig = ConstantSignal([[0.0, 1.0], [1.0, 0.0]])
-    mu0, mu1, mu2 = ergodic_quantities(sig, np.array([0.0]))
+    mu0, mu1, mu2 = ergodic_quantities(sig)
     assert (mu0, mu1, mu2) == (0.0, 0.0, 2.0)
 
 
 def test_ergodic_quantities_zero_adjacency():
     sig = ConstantSignal(np.zeros((4, 4)))
-    assert ergodic_quantities(sig, np.array([0.0, 1.0])) == (0.0, 0.0, 0.0)
-
-
-def test_ergodic_quantities_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        ergodic_quantities(ConstantSignal(np.zeros((2, 2))), np.array([]))
+    assert ergodic_quantities(sig) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [[[0.0]], 1.0, [0.0, 1.0]], ids=["1x1", "scalar", "vector"])
 def test_ergodic_quantities_reject_couplings_without_a_pair(value):
     # a 1 x 1 coupling used to raise numpy's zero-size reduction error, naming no input
     with pytest.raises(ValueError, match=r"coupling must be an m x m matrix, m >= 2"):
-        ergodic_quantities(ConstantSignal(value), np.array([0.0]))
+        ergodic_quantities(ConstantSignal(value))
 
 
 def test_ergodic_quantities_matches_formula_oracle():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(5, 5))
     np.fill_diagonal(a, 0.0)
-    mu0, mu1, mu2 = ergodic_quantities(ConstantSignal(a), np.array([0.0]))
+    mu0, mu1, mu2 = ergodic_quantities(ConstantSignal(a))
 
     pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
     exp0 = min(
@@ -274,9 +269,9 @@ def test_ergodic_quantities_match_loop_oracle():
                                            rng.uniform(0.0, 2 * sig.period, 5)]))
             if m == 1:  # no pair to take a quantity over, as check_coupling also says
                 with pytest.raises(ValueError):
-                    ergodic_quantities(sig, grid)
+                    ergodic_quantities(sig)
                 continue
-            got = ergodic_quantities(sig, grid)
+            got = ergodic_quantities(sig)  # over the stored pieces, which the grid meets
             want = loop_ergodic_quantities(sig, grid)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, trial, got, want)
 

@@ -246,3 +246,22 @@ def test_consensus_for_divergent_rate_sums():
         u = state_transition(gen, 0.0, 50.0, 5e-3)
         x = u @ rng.uniform(-1, 1, m)
         assert x.max() - x.min() < 1e-6
+
+
+# a 1 x 1 matrix has no subspace orthogonal to 1: each call used to index an empty
+# spectrum and raise IndexError
+
+
+def test_lambda2_rejects_m_below_2():
+    with pytest.raises(ValueError, match=r"needs m >= 2, got m=1"):
+        lambda2(np.zeros((1, 1)))
+
+
+def test_psd_fault_rejects_m_below_2_and_does_not_call_it_asymmetric():
+    with pytest.raises(ValueError, match=r"needs m >= 2, got m=1"):
+        psd_fault(np.zeros((1, 1)))
+
+
+def test_contraction_factor_rejects_m_below_2():
+    with pytest.raises(ValueError, match=r"needs m >= 2, got m=1"):
+        contraction_factor(np.eye(1))

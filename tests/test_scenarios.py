@@ -516,3 +516,26 @@ def test_er_rejects_bad_parameters():
         er_random_network(5, 0.0, seed=0)
     with pytest.raises(ValueError):
         er_random_network(1, 0.5, seed=0)
+
+
+def test_fast_sweep_checks_its_coupling_first():
+    # a 1 x 1 coupling used to reach the PSD probe and raise IndexError
+    omega = SwitchingSignal([1.0, 1.0], [[0.0], [1.0]])
+    coupling = SwitchingSignal([1.0, 1.0], [[[0.0]], [[0.0]]])
+    with pytest.raises(ValueError, match=r"at least two oscillators, got m=1"):
+        fast_switching_sweep(omega, coupling, [10.0], 1.0)
+
+
+def test_ap_end_target_off_a_period_boundary_is_the_orbit_row_at_the_same_phase():
+    # t_end = 10 s is 2.5 periods of 4 s: each run ends 2 s into a period, so its distance
+    # is to the orbit's row at 2 s, read here by time, not to the fixed point
+    cfg = json.loads(bundled_config_path("ap").read_text())
+    omega, coupling = bundled_signals("ap")
+    res = ap_experiment(omega, coupling, cfg["parameters"]["r"], num_runs=2, t_end=10.0,
+                        divergence_from=8.0)
+    assert res.orbit.period == 4.0
+    (row,) = np.flatnonzero(np.abs(res.orbit.times - 2.0) < 1e-9)
+    ends = [phase_differences(run.final()) for run in res.runs]
+    want = max(float(np.abs(pd - res.orbit.pd_samples[row]).max()) for pd in ends)
+    assert res.max_distance_to_orbit_end == want < 1e-9
+    assert min(float(np.abs(pd - res.orbit.fixed_point).max()) for pd in ends) > 0.1

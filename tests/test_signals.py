@@ -19,7 +19,7 @@ from tvkuramoto.signals import (
     TableSignal,
     check_alignment,
     common_period,
-    distinct_values,
+    probe,
     sample_grid,
     signal_from_json,
 )
@@ -493,55 +493,36 @@ def test_array_window_integral_equals_the_scalar_calls_bit_for_bit():
             assert np.asarray(scalar).tobytes() == np.asarray(reference).tobytes()
 
 
-def _distinct(sig, times):
-    return [(t, v) for t, v in distinct_values(sig, times)]
-
-
-def test_distinct_values_reads_a_constant_once_at_its_first_time():
+def test_probe_reads_a_constant_at_time_zero():
     sig = ConstantSignal([[0.0, 1.0], [2.0, 0.0]])
-    got = _distinct(sig, [3.0, 0.5, 3.0, 7.0])
-    assert len(got) == 1 and got[0][0] == 0.5 and got[0][1] is sig.values[0]
+    got = list(probe(sig))
+    assert len(got) == 1 and got[0][0] == 0.0 and got[0][1] is sig.values[0]
 
 
-def test_distinct_values_reads_each_stored_piece_once():
-    # the first piece is stored twice as one object and once as an equal copy:
-    # the repeat is read once, the copy is a piece of its own
+def test_probe_reads_every_stored_piece_at_its_start():
+    # the first piece is stored three times, twice as one object: each piece is read
     a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
     sig = SwitchingSignal([1.0] * 4, [a, b, a, a.copy()])
-    got = _distinct(sig, [6.5, 0.0, 2.5, 1.0, 4.2, 3.0, 0.4, 1.0])
-    assert [t for t, _ in got] == [0.0, 1.0, 3.0]
-    assert [v is w for (_, v), w in zip(got, sig.values)] == [True, True, False]
-    assert got[2][1] is sig.values[3]
+    got = list(probe(sig))
+    assert [t for t, _ in got] == [0.0, 1.0, 2.0, 3.0]
+    assert all(v is w for (_, v), w in zip(got, sig.values))
 
 
 @pytest.mark.parametrize("period", [5.0, None], ids=["periodic", "aperiodic"])
-def test_distinct_values_of_a_table(period):
+def test_probe_of_a_table(period):
     sig = TableSignal([0.0, 1.0, 2.5], [1.0, -1.0, 4.0], period)
-    got = _distinct(sig, [9.0, 0.2, 2.5, 5.5, 1.0, 7.6])
-    # periodic: 5.5 and 7.6 fold onto pieces already read; aperiodic: the last piece holds
-    assert got == [(0.2, 1.0), (1.0, -1.0), (2.5, 4.0)]
-    assert all(v is sig.values[k] for k, (_, v) in enumerate(got))
+    got = list(probe(sig, num=3))  # num samples only a smooth signal
+    assert got == [(0.0, 1.0), (1.0, -1.0), (2.5, 4.0)]
+    assert all(type(t) is float and v is sig.values[k] for k, (t, v) in enumerate(got))
 
 
-def test_distinct_values_reads_a_smooth_signal_at_every_distinct_time():
+def test_probe_reads_a_smooth_signal_on_its_sample_grid():
     sig = SinusoidSignal(1.0, 0.5, 0.3)
-    times = [2.0, 0.0, 1.0, 2.0, 0.5]
-    got = _distinct(sig, times)
-    assert [t for t, _ in got] == [0.0, 0.5, 1.0, 2.0]
-    assert all(type(t) is float for t, _ in got)
-    assert [v for _, v in got] == [sig.evaluate(t) for t in (0.0, 0.5, 1.0, 2.0)]
-
-
-def _distinct_values_loop(sig, times):
-    """The per-time loop distinct_values ran before its piece_index path: one scalar
-    lookup of the table oracle per distinct time, each stored piece kept at its first
-    time by its id."""
-    seen = set()
-    for t in np.unique(times):
-        value = sig.values[piece_at(sig.times, sig.period, float(t))]
-        if id(value) not in seen:
-            seen.add(id(value))
-            yield float(t), value
+    for got, grid in ((probe(sig, 7), sample_grid(sig, 7)), (probe(sig), sample_grid(sig))):
+        got = list(got)
+        assert [t for t, _ in got] == grid.tolist()
+        assert all(type(t) is float for t, _ in got)
+        assert [v for _, v in got] == [sig.evaluate(t) for t in grid.tolist()]
 
 
 @st.composite
@@ -581,10 +562,6 @@ def test_piece_index_reads_the_piece_evaluate_returns(case):
     for t, j in zip(times, k.tolist()):
         assert j == piece_at(sig.times, sig.period, t), t
         assert sig.evaluate(t) is sig.values[j], t
-    expected = list(_distinct_values_loop(sig, times))
-    got = list(distinct_values(sig, times))
-    assert [(t, id(v)) for t, v in got] == [(t, id(v)) for t, v in expected]
-    assert all(type(t) is float for t, _ in got)
 
 
 @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
