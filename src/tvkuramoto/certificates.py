@@ -31,10 +31,9 @@ import numpy as np
 from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
-from tvkuramoto.linalg import (_check_symmetric, _check_zero_row_sums, lambda2,
-                               restricted_spectrum)
-from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal, probe,
-                                 sample_grid)
+from tvkuramoto.linalg import _Asymmetric, _check_zero_row_sums, lambda2, restricted_spectrum
+from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal, _numbers,
+                                probe, sample_grid)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 PROBE_POINTS = 128  # even times per period of a smooth coupling's probes and default starts
@@ -155,15 +154,6 @@ def invariance_robust(omega: TimeSignal, coupling: TimeSignal, r: float) -> Cert
     )
 
 
-def _check_positive(**params) -> None:
-    """ValueError naming the first parameter that is a bool or has an entry that is not
-    positive and finite."""
-    for name, value in params.items():
-        value = np.asarray(value)
-        if value.dtype == bool or not (np.isfinite(value) & (value > 0)).all():
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _positive_int(name: str, value) -> int:
     """value as an int; ValueError naming it unless it is a positive integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -237,16 +227,15 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     windows_checked counts the partition's windows (intervals x bins) all the same.
     """
     m = graph.check_coupling(coupling)
-    partition = np.asarray(partition, dtype=float)
-    if partition.size < 2 or not np.isfinite(partition).all() or np.any(np.diff(partition) <= 0):
-        raise ValueError("partition must be finite and strictly increasing, of two times or more")
+    partition = _numbers("partition", partition, 1, ">=0")
+    if partition.size < 2 or np.any(np.diff(partition) <= 0):
+        raise ValueError("partition must be strictly increasing, of two times or more")
     n_intervals = partition.size - 1
-    etas = np.asarray(eta, dtype=float)
+    etas = _numbers("eta", eta, (0, 1), ">0")
     if etas.ndim == 0:
         etas = np.full(n_intervals, float(etas))
     if etas.size != n_intervals:
         raise ValueError("need one eta per partition interval")
-    _check_positive(eta=eta)
     nbins = m - 1 if bins is None else _positive_int("bins", bins)
 
     params = {"partition": partition.tolist(), "eta": etas.tolist(), "bins": nbins}
@@ -304,12 +293,9 @@ def _window_starts(coupling: TimeSignal, window: float, starts,
     kink, where either window end meets a breakpoint (a window integral is linear in its
     start between kinks), and with eta, for a piecewise-constant coupling, _eta_starts."""
     if starts is not None:
-        starts = np.asarray(starts, dtype=float)
-        if starts.ndim != 1 or starts.size == 0:
-            raise ValueError(f"starts must be a nonempty list of window starts, got shape "
-                             f"{starts.shape}")
-        if not np.isfinite(starts).all():
-            raise ValueError(f"starts must be finite, got {starts[~np.isfinite(starts)][0]}")
+        starts = _numbers("starts", starts, 1, ">=0")
+        if starts.size == 0:
+            raise ValueError("starts must be a nonempty list of window starts")
         return starts
     starts = _fold(coupling, sample_grid(coupling, PROBE_POINTS), coupling.breakpoints() - window)
     if eta is None or not coupling.is_piecewise_constant:
@@ -328,7 +314,8 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     once per distinct thresholded graph.
     """
     graph.check_coupling(coupling)
-    _check_positive(T=window, eta=eta)
+    _numbers("T", window, 0, ">0")
+    _numbers("eta", eta, 0, ">0")
     starts = _window_starts(coupling, window, starts, eta)
     params = {"window": window, "eta": eta, "num_starts": int(starts.size)}
     bad = _negative_coupling_report("cor1-sliding-window", coupling, params)
@@ -390,7 +377,8 @@ def thm2_window_check(coupling: TimeSignal, r: float, window: float, eta: float,
     """
     graph.check_coupling(coupling)
     check_r(r)
-    _check_positive(T=window, eta=eta)
+    _numbers("T", window, 0, ">0")
+    _numbers("eta", eta, 0, ">0")
     starts = _window_starts(coupling, window, starts)
     averages = _xi_steps(coupling, r).integrate_window(starts, starts + window) / window
     worst_idx = int(np.argmax(averages))
@@ -429,10 +417,9 @@ def psd_fault(lap: np.ndarray) -> tuple:
     -1e-9; None when L passes both tests. L must be m x m with m >= 2.
     """
     try:
-        lap = _check_symmetric(lap)
-    except ValueError:
+        low = float(restricted_spectrum(lap)[0])
+    except _Asymmetric:
         return "asymmetric", None
-    low = float(restricted_spectrum(lap)[0])
     return ("not_psd" if low < -1e-9 else None), low
 
 
@@ -467,7 +454,8 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
     """
     graph.check_coupling(coupling)
     check_r(r)
-    _check_positive(h=h, alpha_hat=alpha_hat)
+    _numbers("h", h, 0, ">0")
+    _numbers("alpha_hat", alpha_hat, 0, ">0")
     num_windows = _positive_int("num_windows", num_windows)
     params = {"r": r, "h": h, "num_windows": num_windows, "alpha_hat": alpha_hat}
     fault = first_psd_fault(coupling)

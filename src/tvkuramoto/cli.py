@@ -41,7 +41,7 @@ from tvkuramoto import __version__, certificates, dynamics, scenarios
 from tvkuramoto.dynamics import pd_pairs
 from tvkuramoto.graph import check_coupling, laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
-from tvkuramoto.signals import PeriodError, signal_from_json
+from tvkuramoto.signals import PeriodError, _numbers, signal_from_json
 
 # Published reference values for the bundled switching examples, as printed in
 # the source of these matrices; see README for the reproduction status.
@@ -356,16 +356,13 @@ def _run(args, command) -> int:
 
 def _simulate(cfg: dict, config_hash: str, outdir: Path):
     omega, coupling = _signals(cfg)
-    theta0 = _get(cfg, "parameters.theta0", list)
-    try:
-        theta0 = np.asarray(theta0, dtype=float)
-    except (ValueError, TypeError) as exc:
+    try:  # one start: a batch of starts, (R, m), is for library calls
+        theta0 = _numbers("theta0", _get(cfg, "parameters.theta0", list), 1)
+    except ValueError as exc:
         raise ConfigError("parameters.theta0", str(exc)) from exc
     if theta0.shape != coupling.shape[:1]:
         raise ConfigError("parameters.theta0", f"expected one start of {coupling.shape[0]} "
                                                f"phases; got shape {theta0.shape}")
-    if not np.isfinite(theta0).all():
-        raise ConfigError("parameters.theta0", "phases must be finite")
     t_end = _get(cfg, "parameters.t_end", float)
     dt = _get(cfg, "parameters.dt", float)
     r = _get_r(cfg, required=False)

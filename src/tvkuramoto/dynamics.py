@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from tvkuramoto.signals import TimeSignal, check_alignment
+from tvkuramoto.signals import TimeSignal, _numbers, check_alignment
 
 
 @lru_cache(maxsize=None)
@@ -54,9 +54,7 @@ def phases_from_pd(pd: np.ndarray) -> np.ndarray:
     Any other lift differs by a global shift, which the dynamics quotient out.
     Rejects a size that is no m(m-1)/2, non-finite entries and inconsistent PDs.
     """
-    pd = np.asarray(pd, dtype=float)
-    if not np.isfinite(pd).all():
-        raise ValueError("PD vector has non-finite entries")
+    pd = _numbers("pd", pd, 1)
     m = int(round((1 + math.sqrt(1 + 8 * pd.size)) / 2))
     if pd.size != m * (m - 1) // 2:
         raise ValueError(f"PD vector has {pd.size} entries, not m(m-1)/2 for any m")
@@ -231,11 +229,8 @@ def simulate(theta0: np.ndarray, omega: TimeSignal, coupling: TimeSignal,
     must tile [0, t_end] and hit every breakpoint of both signals. Raises on
     non-finite state, reporting the blow-up time.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if theta0.ndim not in (1, 2):
-        raise ValueError(f"theta0 must have shape (m,) or (R, m), got {theta0.shape}")
+    theta0 = _numbers("theta0", theta0, (1, 2))
+    _numbers("t_end", t_end, 0, ">0")
     _check_shapes(theta0.shape, omega, coupling)
     nsteps = check_alignment([omega, coupling], 0.0, t_end, dt)
     if omega.is_piecewise_constant and theta0.ndim == 2 and len(theta0) > 1 \

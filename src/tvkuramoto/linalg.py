@@ -18,16 +18,17 @@ from tvkuramoto import dynamics
 from tvkuramoto.signals import TimeSignal, check_alignment
 
 
+class _Asymmetric(ValueError):
+    """A square matrix fails the one symmetry rule, _check_symmetric."""
+
+
 def _check_symmetric(mat: np.ndarray) -> np.ndarray:
-    """The symmetric part of a square M; ValueError unless |M - M^T| < 1e-10 |M| in the
-    Frobenius norm and max |M - M^T| <= 1e-10 * max(1, max |M|) entrywise."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {mat.shape}")
+    """The symmetric part of a square float array M; _Asymmetric unless |M - M^T| < 1e-10 |M|
+    in the Frobenius norm and max |M - M^T| <= 1e-10 * max(1, max |M|) entrywise."""
     norm, skew = np.linalg.norm(mat), mat - mat.T
     if (norm > 0 and np.linalg.norm(skew) >= 1e-10 * norm) or \
             np.abs(skew).max() > 1e-10 * max(1.0, float(np.abs(mat).max())):
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise _Asymmetric("matrix is not symmetric within tolerance")
     return 0.5 * (mat + mat.T)
 
 
@@ -51,11 +52,15 @@ def _ones_complement_basis(m: int) -> np.ndarray:
 
 def restricted_spectrum(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric m x m matrix, m >= 2, restricted to the
-    1-orthogonal subspace."""
-    sym = _check_symmetric(mat)
-    m = sym.shape[0]
+    1-orthogonal subspace. A non-square M and m < 2 raise ValueError before the
+    symmetry test, so _Asymmetric is the only error of a square M with m >= 2."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {mat.shape}")
+    m = mat.shape[0]
     if m < 2:
         raise ValueError(f"the subspace orthogonal to 1 needs m >= 2, got m={m}")
+    sym = _check_symmetric(mat)
     basis = _ones_complement_basis(m)
     p = basis.T @ sym @ basis
     return np.linalg.eigh(0.5 * (p + p.T))[0]

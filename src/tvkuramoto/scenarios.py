@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tvkuramoto import certificates, dynamics, graph, linalg
-from tvkuramoto.signals import (PeriodError, SinusoidSignal, TimeSignal, check_alignment,
-                                common_period)
+from tvkuramoto.signals import (PeriodError, SinusoidSignal, TimeSignal, _numbers,
+                                check_alignment, common_period)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def phase_locked_equilibrium(omega_bar, a_bar, r: float, theta0,
     or finds no lock by t_max, when the lock leaves the hypercube, or when
     Newton does not reach deriv_tol.
     """
-    certificates._check_positive(dt=dt)
+    _numbers("dt", dt, 0, ">0")
     w = np.asarray(omega_bar, dtype=float)
     a = np.asarray(a_bar, dtype=float)
     th = np.asarray(theta0, dtype=float)
@@ -378,10 +378,10 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     graph.check_coupling(coupling_base)
     if coupling_base.period is None or omega_base.period is None:
         raise PeriodError("fast switching needs periodic base signals")
-    freqs = np.sort(np.asarray(frequencies, dtype=float))
+    freqs = np.sort(_numbers("frequencies", frequencies, 1, ">0"))
     if freqs.size == 0:
         raise ValueError("frequencies must be a nonempty list")
-    certificates._check_positive(frequencies=freqs, t_end=t_end)
+    _numbers("t_end", t_end, 0, ">0")
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
 
@@ -458,8 +458,7 @@ def _check_draws(seed, **bounds) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     for name, value in bounds.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        _numbers(name, value, 0)
     (low_name, low), (high_name, high) = list(bounds.items())[:2]
     if low > high:
         raise ValueError(f"{low_name} must be at most {high_name} = {high}, got {low}")
@@ -485,12 +484,12 @@ def ap_experiment(omega: TimeSignal, coupling: TimeSignal, r: float,
     """Multi-start runs plus the periodic PD orbit over the signals' common period."""
     num_runs = certificates._positive_int("num_runs", num_runs)
     orbit_max_iter = certificates._positive_int("orbit_max_iter", orbit_max_iter)
-    certificates._check_positive(orbit_tol=orbit_tol)
+    _numbers("orbit_tol", orbit_tol, 0, ">0")
     _check_draws(seed, ic_low=ic_low, ic_high=ic_high)
-    if not (math.isfinite(divergence_from) and divergence_from >= 0
-            and (num_runs < 2 or divergence_from <= t_end)):
-        raise ValueError(f"divergence_from must be finite, at least 0 and, with two runs or "
-                         f"more, at most t_end = {t_end}; got {divergence_from}")
+    _numbers("divergence_from", divergence_from, 0, ">=0")
+    if num_runs >= 2 and divergence_from > t_end:
+        raise ValueError(f"divergence_from must be at most t_end = {t_end} with two runs or "
+                         f"more, got {divergence_from}")
     period = common_period([omega, coupling])
     if period is None or any(sig.period is None and not sig.is_constant
                              for sig in (omega, coupling)):

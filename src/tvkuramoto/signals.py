@@ -22,12 +22,39 @@ class PeriodError(ValueError):
     """The signals lack the period a computation needs."""
 
 
-def _as_value(v):
-    """Normalize a scalar / nested list to float or ndarray; reject NaN and inf."""
-    arr = np.asarray(v, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("signal values must be finite (no NaN or inf)")
-    return float(arr) if arr.ndim == 0 else arr
+def _check_entries(name: str, value) -> None:
+    """ValueError naming name at the first entry of value that is no number (a bool is none):
+    a list or tuple entry by entry, anything else by its dtype (an array of numbers holds none)."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            if type(v) not in (float, int):  # JSON's numbers pass at once
+                _check_entries(name, v)
+    elif type(value) not in (float, int) and np.asarray(value).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, not {type(value).__name__}, got {value}")
+
+
+def _numbers(name: str, value, ndim, sign: "str | None" = None) -> np.ndarray:
+    """np.asarray(value, dtype=float) of a number or nested lists of numbers from outside
+    the program; ValueError naming name at an entry that is no number (checked before any
+    float conversion), an ndim not in ndim (an int or a tuple), or an entry that is not
+    finite or, for sign ">0" or ">=0", on the wrong side of 0."""
+    _check_entries(name, value)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged lists, or an int past any float
+        raise ValueError(f"{name}: {exc}") from exc
+    if arr.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
+        raise ValueError(f"{name} must have ndim {ndim}, got shape {arr.shape}")
+    ok = np.isfinite(arr)
+    if sign is not None:
+        ok &= arr > 0 if sign == ">0" else arr >= 0
+    if not ok.all():
+        rule = {None: "finite", ">0": "positive and finite", ">=0": "finite and at least 0"}[sign]
+        raise ValueError(f"{name} must be {rule}, got {arr[~ok].flat[0]}")
+    return arr
+
+
+_VALUE_NDIM = (0, 1, 2, 3)  # of a signal value: a scalar, (m,) or (R, m), (m, m) or (R, m, m)
 
 
 # seconds: a time this close to a switch is on it. check_alignment accepts a switch
@@ -120,13 +147,11 @@ class SinusoidSignal(TimeSignal):
     def __init__(self, base, amplitude, phase, trig: str = "cos", time_scale: float = 1.0):
         if trig not in ("sin", "cos"):
             raise ValueError(f"trig must be 'sin' or 'cos', got {trig!r}")
-        if not 0 < time_scale < math.inf:
-            raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
-        self.base = _as_value(base)
-        self.amplitude = _as_value(amplitude)
-        self.phase = _as_value(phase)
+        self.base = _numbers("base", base, _VALUE_NDIM)
+        self.amplitude = _numbers("amplitude", amplitude, _VALUE_NDIM)
+        self.phase = _numbers("phase", phase, _VALUE_NDIM)
         self.trig = trig
-        self.time_scale = float(time_scale)
+        self.time_scale = float(_numbers("time_scale", time_scale, 0, ">0"))
         self.period = 2.0 * math.pi * self.time_scale
         self.shape = np.broadcast_shapes(
             np.shape(self.base), np.shape(self.amplitude), np.shape(self.phase))
@@ -191,24 +216,18 @@ class TableSignal(TimeSignal):
     is_piecewise_constant = True
 
     def __init__(self, times: Sequence[float], values: Sequence, period: "float | None" = None):
-        self.times = np.asarray(times, dtype=float)
-        self.values = [_as_value(v) for v in values]
+        self.times = _numbers("times", times, 1)
+        self.values = [float(v) if v.ndim == 0 else v
+                       for v in (_numbers("values", v, _VALUE_NDIM) for v in values)]
         if self.times.size == 0 or self.times.size != len(self.values):
             raise ValueError("need one value per time and at least one sample")
-        if not np.isfinite(self.times).all():
-            raise ValueError("table times must be finite")
         if self.times[0] != 0.0:
             raise ValueError("table must start at time 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("table times must be strictly increasing")
-        if period is not None:
-            if not math.isfinite(period):
-                raise ValueError(f"period must be finite, got {period}")
-            if period <= self.times[-1]:
-                raise ValueError("period must exceed the last sample time")
-            self.period = float(period)
-        else:
-            self.period = None
+        self.period = None if period is None else float(_numbers("period", period, 0, ">0"))
+        if period is not None and self.period <= self.times[-1]:
+            raise ValueError("period must exceed the last sample time")
         shapes = {np.shape(v) for v in self.values}
         if len(shapes) != 1:
             raise ValueError(f"values have inconsistent shapes: {shapes}")
@@ -300,15 +319,12 @@ def SwitchingSignal(durations: Sequence[float], values: Sequence,
     Piece k holds on [b_k, b_{k+1}) with b_0 = 0 and b_{k+1} - b_k = durations[k];
     the pattern repeats with period sum(durations), which a declared period must match.
     """
-    durations = [float(d) for d in durations]
-    if len(durations) == 0 or len(durations) != len(values):
+    durations = _numbers("durations", durations, 1, ">0")
+    if durations.size == 0 or durations.size != len(values):
         raise ValueError("need one duration per piece and at least one piece")
-    if not all(0 < d < math.inf for d in durations):
-        raise ValueError("piece durations must be positive and finite")
-    if period is not None and not math.isfinite(period):
-        raise ValueError(f"declared period must be finite, got {period}")
     total = float(np.sum(durations))
-    if period is not None and not math.isclose(period, total, rel_tol=1e-12):
+    if period is not None and not math.isclose(_numbers("period", period, 0, ">0"), total,
+                                                rel_tol=1e-12):
         raise ValueError(f"declared period {period} != sum of durations {total}")
     return TableSignal(np.concatenate([[0.0], np.cumsum(durations)[:-1]]), values, total)
 
@@ -352,8 +368,7 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
     Fixed-step integrators rely on this so a discontinuity never falls inside
     a step. Returns the step count.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _numbers("dt", dt, 0, ">0")
     if isinstance(signals, TimeSignal):
         signals = [signals]
     span = t - s

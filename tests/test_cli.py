@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -667,7 +668,7 @@ def test_simulate_rejects_a_non_finite_theta0_before_integrating(tmp_path, capsy
     assert main(["simulate", "--config", write_config(tmp_path, _simulate_with(theta0=[bad, 0.0])),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config field 'parameters.theta0': phases must be finite" in err
+    assert "config field 'parameters.theta0': theta0 must be finite" in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
@@ -852,3 +853,61 @@ def test_a_json_boolean_is_no_number_for_certify(tmp_path, capsys, cfg):
     assert "config error: config field 'parameters':" in err
     assert f"{field} must" in err and "got True" in err
     assert not (tmp_path / "o" / "certificate.json").exists()
+
+
+def _number_paths(node, path=()):
+    """The key paths of the numbers in a JSON value (a bool is none)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, child in items for p in _number_paths(child, path + (key,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+_EVERY_KIND = {  # one coupling of each signal kind, with every field it reads
+    "constant": _constant(_RING3),
+    "switching": dict(_SWITCHING3, period=2.0),
+    "sinusoid": {"kind": "sinusoid", "base": _RING3, "phase": 0.0, "time_scale": 1.0,
+                 "amplitude": (0.5 * np.array(_RING3)).tolist()},
+    "table": {"kind": "table", "times": [0.0, 1.0], "period": 2.0,
+              "values": [_RING3, (2 * np.array(_RING3)).tolist()]},
+}
+_LIST_CONFIGS = [  # id, argv, config; the experiments shortened, for a run that takes the bool
+    *((kind, ["certify"], _window_config("invariance-robust", sig, r=1.0))
+      for kind, sig in _EVERY_KIND.items()),
+    ("thm1", ["certify"], _window_config("thm1-spanning-tree", _constant(_RING3),
+                                         partition=[0.0, 1.0, 2.0], eta=[0.1, 0.1])),
+    ("cor1", ["certify"], _window_config("cor1-sliding-window", _constant(_RING3), T=1.0,
+                                         eta=0.1, starts=[0.0, 0.5])),
+    ("thm2", ["certify"], _window_config("thm2-xi-window", _constant(_RING3), r=1.0, T=1.0,
+                                         eta=0.1, starts=[0.0, 0.5])),
+    ("simulate", ["simulate"], small_simulate_config()),
+    ("ap", ["experiment", "ap"], _bundled("ap", num_runs=1, t_end=4.0)),
+    ("perturb", ["experiment", "perturb"], _bundled("perturb")),  # no list, no signal: no case
+    ("fast", ["experiment", "fast"], _bundled("fast", t_end=4.0)),
+]
+# every number in a signal or in a list of parameters: a number outside a list is covered
+# by the scalar tests above, and the window criteria's coupling by the signal kinds
+_LIST_NUMBERS = [(f"{name}-" + "-".join(map(str, path[1:])), argv, cfg, path)
+                 for name, argv, cfg in _LIST_CONFIGS for path in _number_paths(cfg)
+                 if (path[0] == "signals" and name not in ("thm1", "cor1", "thm2"))
+                 or (path[0] == "parameters" and isinstance(path[-1], int))]
+
+
+@pytest.mark.parametrize("argv, cfg, path", [case[1:] for case in _LIST_NUMBERS],
+                         ids=[case[0] for case in _LIST_NUMBERS])
+def test_a_json_boolean_in_a_list_or_a_signal_is_no_number(tmp_path, capsys, argv, cfg, path):
+    # true inside a list or a signal used to be read as 1: a verdict, a run, or an error
+    # that names another fault
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    assert main(argv + ["--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+    field = (f"signals.{path[1]}" if path[0] == "signals"
+             else "parameters.theta0" if path[1] == "theta0" else "parameters")
+    name = next(key for key in reversed(path) if isinstance(key, str))
+    err = capsys.readouterr().err
+    assert f"config field '{field}': {name}" in err and "must hold numbers, not bool" in err
+    assert not (tmp_path / "o").exists()

@@ -65,8 +65,13 @@ def test_simulate_rejects_misaligned_dt():
         simulate(np.zeros(2), ConstantSignal([1.0, 1.0]), coupling, 1.0, 0.1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_simulate_reports_blow_up():
+    # the frequency gap overflows the first step's stage sum; a start that is not finite
+    # is no blow-up, but a parameter the run rejects before its first step
     with pytest.raises(RuntimeError, match="blew up"):
+        simulate(np.zeros(2), ConstantSignal([1e308, -1e308]), TWO_NODE, 0.1, 1e-2)
+    with pytest.raises(ValueError, match="theta0 must be finite, got nan"):
         simulate(np.array([math.nan, 0.0]), ConstantSignal([1.0, 1.0]), TWO_NODE, 0.1, 1e-2)
 
 
@@ -143,7 +148,7 @@ def test_phases_from_pd_rejects_inconsistent():
 def test_phases_from_pd_rejects_non_finite_entries(pd):
     # neither fails the 1e-9 consistency test: a NaN difference compares false, and
     # the lift takes its inf as theta_3, so theta_3 - theta_2 is inf too
-    with pytest.raises(ValueError, match="PD vector has non-finite entries"):
+    with pytest.raises(ValueError, match="pd must be finite, got"):
         phases_from_pd(np.array(pd))
 
 

@@ -1,6 +1,7 @@
 """Every input check that no other test reaches, one case each: the library raises the
 named exception with its message, and the command line exits 2 naming the field."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -53,7 +54,7 @@ CASES = {
     "simulate-theta0-shape": (
         lambda: simulate(np.zeros((1, 1, 2)), ConstantSignal(np.zeros(2)), ConstantSignal(J2),
                          1.0, 0.1),
-        ValueError, r"theta0 must have shape \(m,\) or \(R, m\), got \(1, 1, 2\)"),
+        ValueError, r"theta0 must have ndim \(1, 2\), got shape \(1, 1, 2\)"),
     # graph
     "adjacency-square": (
         lambda: laplacian_from_adjacency(np.zeros((2, 3))),
@@ -148,11 +149,38 @@ def test_input_check_raises_its_typed_error(name):
         call()
 
 
+def _certify(criterion, coupling=None, **parameters):
+    """The text of a certify config on a two-node coupling."""
+    return json.dumps({"criterion": criterion, "parameters": parameters, "signals": {
+        "omega": {"kind": "constant", "value": 0.0},
+        "coupling": coupling or {"kind": "constant", "value": [[0.0, 1.0], [1.0, 0.0]]}}})
+
+
 @pytest.mark.parametrize("text, field", [
     ("[1, 2]", "<root>': config must be a JSON object"),
     ('{"criterion": "invariance-robust", "parameters": {"r": 1.0}, "signals": {"coupling": '
      '{"kind": "constant", "value": [[0.0, 1.0], [1.0, 0.0]]}}}', "signals.omega': missing"),
-], ids=["root-object", "signals-omega"])
+    # each of these used to get a thm1 verdict, with true read as 1.0
+    (_certify("thm1-spanning-tree", {"kind": "switching", "period": True, "pieces": [
+        {"duration": True, "value": [[0.0, True], [True, 0.0]]}]},
+        partition=[0.0, 1.0, 2.0], eta=0.5),
+     "signals.coupling': durations must hold numbers, not bool, got True"),
+    (_certify("thm1-spanning-tree", partition=[0.0, True, 2.0], eta=[True, 0.5]),
+     "parameters': partition must hold numbers, not bool, got True"),
+    # an IndexError traceback, a message naming no parameter, and "bad integration window"
+    (_certify("thm1-spanning-tree", partition=[[0.0, 1.0]], eta=0.5),
+     "parameters': partition must have ndim 1, got shape (1, 2)"),
+    (_certify("thm1-spanning-tree", partition=[0.0, 1.0], eta=[[0.5]]),
+     "parameters': eta must have ndim (0, 1), got shape (1, 1)"),
+    (_certify("thm1-spanning-tree", partition=[-1.0, 1.0], eta=0.5),
+     "parameters': partition must be finite and at least 0, got -1.0"),
+    (_certify("cor1-sliding-window", T=1.0, eta=0.5, starts=[-1.0]),
+     "parameters': starts must be finite and at least 0, got -1.0"),
+    (_certify("thm2-xi-window", r=1.0, T=1.0, eta=0.5, starts=[-1.0]),
+     "parameters': starts must be finite and at least 0, got -1.0"),
+], ids=["root-object", "signals-omega", "switching-bools", "thm1-bools", "thm1-partition-nested",
+        "thm1-eta-nested", "thm1-partition-negative", "cor1-starts-negative",
+        "thm2-starts-negative"])
 def test_config_check_exits_2_naming_the_field(tmp_path, capsys, text, field):
     (tmp_path / "config.json").write_text(text)
     assert main(["certify", "--config", str(tmp_path / "config.json"),

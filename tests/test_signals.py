@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sinusoid_oracle
 from table_oracle import SNAP, piece_at
@@ -17,6 +18,7 @@ from tvkuramoto.signals import (
     SinusoidSignal,
     SwitchingSignal,
     TableSignal,
+    _numbers,
     check_alignment,
     common_period,
     probe,
@@ -730,3 +732,59 @@ def test_a_compressed_constant_evaluates_and_integrates_like_the_constant(value)
             assert np.array_equal(fast.evaluate(t), sig.evaluate(t))
         assert np.array_equal(fast.integrate_window(lo, hi), sig.integrate_window(lo, hi))
         assert np.array_equal(fast.integrate_window(0.3, 4.1), sig.integrate_window(0.3, 4.1))
+
+
+# --- the reader of numbers from outside the program ---------------------------------------
+
+_NUMBER_ENTRIES = st.one_of(
+    st.integers(-2**53, 2**53), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+_NO_NUMBERS = [True, False, np.True_, math.nan, math.inf, -math.inf, "1.0"]
+
+
+@st.composite
+def reader_inputs(draw):
+    """(value, shape) of ndim 0 to 3: a number, lists and tuples of numbers nested to the
+    shape, or an int or float array."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    if draw(st.booleans()):
+        dtype = np.dtype(draw(st.sampled_from([np.int32, np.int64, np.float32, np.float64])))
+        finite = {"allow_nan": False, "allow_infinity": False} if dtype.kind == "f" else {}
+        return draw(hnp.arrays(dtype, shape, elements=hnp.from_dtype(dtype, **finite))), shape
+    entries = draw(st.lists(_NUMBER_ENTRIES, min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+
+    def nest(flat, dims):
+        if not dims:
+            return flat[0]
+        step = len(flat) // dims[0]
+        rows = [nest(flat[k * step:(k + 1) * step], dims[1:]) for k in range(dims[0])]
+        return tuple(rows) if draw(st.booleans()) else rows
+
+    return nest(entries, shape), shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_inputs(), st.data())
+def test_the_reader_is_asarray_on_numbers_and_names_its_parameter_at_any_other_entry(case,
+                                                                                      data):
+    value, shape = case
+    got, want = _numbers("x", value, len(shape)), np.asarray(value, dtype=float)
+    assert got.shape == want.shape == shape and got.tobytes() == want.tobytes()
+    # one entry replaced: in a float array for a float, in the list form otherwise, as an
+    # int or float array holds no bool or string
+    bad = data.draw(st.sampled_from(_NO_NUMBERS))
+    at = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and isinstance(bad, float):
+        broken = value.copy()
+        broken[at] = bad
+    elif not shape:
+        broken = bad
+    else:
+        broken = row = np.asarray(value, dtype=object).tolist()
+        for k in at[:-1]:
+            row = row[k]
+        row[at[-1]] = bad
+    with pytest.raises(ValueError, match="^x must"):
+        _numbers("x", broken, len(shape))
