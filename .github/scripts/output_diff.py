@@ -7,8 +7,9 @@ its own bundled configs (the sizes below), with its own `src/` on PYTHONPATH.
 The script prints a Markdown report: every output file whose sha256 differs
 between the trees, or that only one of them wrote, and any exit code that
 differs. `summary.json` is compared without its `wall_time_s` field, the one
-field that varies from run to run. It exits 0 whatever it finds: the report
-gates nothing.
+field that varies from run to run; where it differs, the report also names
+the dotted paths of its first LEAF_PATHS differing leaves. It exits 0
+whatever it finds: the report gates nothing.
 """
 
 from __future__ import annotations
@@ -25,15 +26,43 @@ SHORT = {  # parameters.<key> overrides: a few seconds of model time per experim
     "perturb": {"t_end": 6.0},
     "fast": {"t_end": 8.0},
 }
+LEAF_PATHS = 10  # differing summary.json leaves named per experiment
+
+
+def summary(path: Path) -> dict:
+    """A summary.json without its wall_time_s."""
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s", None)
+    return data
 
 
 def digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "summary.json":
-        summary = json.loads(data)
-        summary.pop("wall_time_s", None)
-        data = json.dumps(summary, sort_keys=True).encode()
+        data = json.dumps(summary(path), sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def leaves(value, path: str = "") -> dict:
+    """{dotted path: leaf} of a JSON value: objects by key, lists of objects or lists by
+    index; a list of plain values is one leaf."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    out = {}
+    for key, item in items:
+        out.update(leaves(item, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def differing_leaves(base: Path, head: Path) -> list:
+    """Sorted dotted paths of the leaves two summary.json files hold differently, or that
+    only one of them holds."""
+    b, h = leaves(summary(base)), leaves(summary(head))
+    return sorted(k for k in b.keys() | h.keys() if k not in b or k not in h or b[k] != h[k])
 
 
 def run(tree: Path, scenario: str, work: Path):
@@ -55,7 +84,7 @@ def run(tree: Path, scenario: str, work: Path):
 def main(base: str, head: str, work: str) -> int:
     lines = ["### Experiment outputs, base against head",
              "", "| experiment | file | base | head |", "|---|---|---|---|"]
-    same = 0
+    same, leaf_notes = 0, []
     for scenario in SHORT:
         (b_code, b_files), (h_code, h_files) = (
             run(Path(tree), scenario, Path(work) / side / scenario)
@@ -68,9 +97,16 @@ def main(base: str, head: str, work: str) -> int:
                 same += 1
             else:
                 lines.append(f"| {scenario} | `{name}` | `{b[:12]}` | `{h[:12]}` |")
+                if name == "summary.json" and "missing" not in (b, h):
+                    leaf_notes.append((scenario, differing_leaves(
+                        *(Path(work) / side / scenario / "out" / name for side in ("base", "head")))))
     differ = len(lines) - 4
     lines += ["", f"{differ} difference(s); {same} file(s) identical by sha256 "
               "(`summary.json` without `wall_time_s`)."]
+    for scenario, paths in leaf_notes:
+        shown = ", ".join(f"`{p}`" for p in paths[:LEAF_PATHS])
+        more = f" and {len(paths) - LEAF_PATHS} more" if len(paths) > LEAF_PATHS else ""
+        lines += ["", f"{scenario} `summary.json` leaves that differ: {shown}{more}."]
     print("\n".join(lines))
     return 0
 

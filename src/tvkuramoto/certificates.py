@@ -5,11 +5,11 @@ plus the witnesses that certify it -- threshold margins, window averages,
 eigenvalue series, or the earliest violating pair/window/time. A supremum over
 all t >= 0 reads signals.probe: each stored piece of a table, exactly, and a
 smooth signal on its signals.sample_grid. invariance_pointwise reads the joint
-grid of both signals. A coupling hypothesis (nonnegative entries, symmetric PSD
-Laplacians) is probed over all t, not a criterion's own span, a smooth coupling
-at PROBE_POINTS per period, but a sinusoid's entries are nonnegative iff their
-exact minima are; sample_grid(coupling, PROBE_POINTS) plus the window kinks
-gives thm2's and cor1's default starts (_window_starts). Window integrals of
+grid of both signals, the switches alone for two tables. A coupling hypothesis
+(nonnegative entries, symmetric PSD Laplacians) is probed over all t, not a
+criterion's own span, a smooth coupling at PROBE_POINTS per period, but a
+sinusoid's entries are nonnegative iff their exact minima are. The kinks, and a
+smooth coupling's grid, give thm2's and cor1's default starts. Window integrals of
 the coupling are exact; thm2's window integrals of xi are exact for
 piecewise-constant couplings and a midpoint rule on _XI_CELLS cells per period
 otherwise (_xi_steps). Each criterion checks its coupling once, with
@@ -86,9 +86,9 @@ def invariance_pointwise(omega: TimeSignal, coupling: TimeSignal, r: float) -> C
 
     must be strictly negative, where sum_neg collects the negative parts [a_ik]^- + [a_jk]^-
     outside the common positive neighborhood and sum_common_min the pairwise minima inside
-    it, at every time of the joint signals.sample_grid of both signals; the margins of one
-    (omega piece, coupling piece) pair are built once. A coupling with a nonzero diagonal is
-    rejected: a self-link would count as a common neighbour.
+    it, at every time of the joint signals.sample_grid (two tables: their switches alone);
+    the margins of one (omega piece, coupling piece) pair are built once. A coupling with a
+    nonzero diagonal is rejected: a self-link would count as a common neighbour.
     """
     m = _invariance_inputs(omega, coupling, r)
     grid = sample_grid([omega, coupling])
@@ -289,9 +289,9 @@ def _eta_starts(coupling: TimeSignal, starts: np.ndarray, window: float,
 
 def _window_starts(coupling: TimeSignal, window: float, starts,
                    eta: "float | None" = None) -> np.ndarray:
-    """The given window starts, checked, or the default ones: the probe grid and every
-    kink, where either window end meets a breakpoint (a window integral is linear in its
-    start between kinks), and with eta, for a piecewise-constant coupling, _eta_starts."""
+    """The given window starts, checked, or the default ones: every kink, where either
+    window end meets a breakpoint (a window integral is linear in its start between kinks),
+    a smooth coupling's even grid, and with eta, for a table, _eta_starts."""
     if starts is not None:
         starts = _numbers("starts", starts, 1, ">=0")
         if starts.size == 0:

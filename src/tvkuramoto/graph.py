@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tvkuramoto.signals import SinusoidSignal, TimeSignal, probe
+from tvkuramoto.signals import SinusoidSignal, TimeSignal, _numbers, probe
 
 
 def _checked_adjacency(a) -> np.ndarray:
@@ -51,8 +51,7 @@ def threshold_graph(lap: np.ndarray, eta: float) -> np.ndarray:
     edges[i, j] True means the link j -> i is kept. A stack of Laplacians
     (..., m, m) gives the stack of their graphs.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _numbers("eta", eta, 0, ">0")
     lap = np.asarray(lap, dtype=float)
     return (lap < -eta) & ~np.eye(lap.shape[-1], dtype=bool)
 

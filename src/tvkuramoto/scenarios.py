@@ -382,7 +382,7 @@ def fast_switching_sweep(omega_base: TimeSignal, coupling_base: TimeSignal,
     if freqs.size == 0:
         raise ValueError("frequencies must be a nonempty list")
     _numbers("t_end", t_end, 0, ">0")
-    if not 0 < tail_fraction <= 1:
+    if _numbers("tail_fraction", tail_fraction, 0, ">0") > 1:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
 
     fault = certificates.first_psd_fault(coupling_base)
@@ -435,7 +435,7 @@ def er_random_network(m: int, p: float, seed: int) -> np.ndarray:
     Draws are deterministic in (seed, attempt); the attempt counter is the
     documented sub-seed incremented until the sample is connected.
     """
-    if not 0 < p <= 1:
+    if _numbers("linking probability p", p, 0, ">0") > 1:
         raise ValueError(f"linking probability must be in (0, 1], got {p}")
     if m < 2:
         raise ValueError(f"need at least two nodes, got {m}")

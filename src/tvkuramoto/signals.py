@@ -200,8 +200,7 @@ class SinusoidSignal(TimeSignal):
         return _window_value(self.base * (x[1] - x[0]) + self.amplitude * (prim[1] - prim[0]))
 
     def time_compress(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        epsilon = float(_numbers("epsilon", epsilon, 0, ">0"))
         return SinusoidSignal(self.base, self.amplitude, self.phase, self.trig,
                               self.time_scale * epsilon)
 
@@ -296,8 +295,7 @@ class TableSignal(TimeSignal):
         return _window_value(antiderivative[1] - antiderivative[0])
 
     def time_compress(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        epsilon = float(_numbers("epsilon", epsilon, 0, ">0"))
         period = None if self.period is None else self.period * epsilon
         return TableSignal(self.times * epsilon, self.values, period)
 
@@ -407,23 +405,25 @@ def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
 
 
 def sample_grid(signals: "TimeSignal | Sequence[TimeSignal]", num: int = 1000) -> np.ndarray:
-    """Evaluation grid: num even points on each of [0, s) and [s, s + P), and every switch.
+    """Evaluation grid: every switch and s, and num even points on each of [0, s) and
+    [s, s + P) when a smooth signal takes part.
 
     s is the last switch of any aperiodic table (its last value holds from
     there on) and P the common period, 0 when no signal is periodic; past s
     the signals together repeat every P, so [0, s + P) sees every value they
-    take. Extrema taken on this grid are exact for piecewise-constant signals
-    and a documented approximation otherwise: a smooth periodic signal gets
-    num points per period past s, but only num over all of [0, s).
+    take. Tables change only at their switches, so extrema taken on the grid
+    are exact for them (one table's grid is its times) and a documented
+    approximation otherwise: a smooth periodic signal gets num points per
+    period past s, but only num over all of [0, s).
     """
     if isinstance(signals, TimeSignal):
         signals = [signals]
     settle = max([float(s.times[-1]) for s in signals
                   if isinstance(s, TableSignal) and s.period is None], default=0.0)
     span = settle + (common_period(signals) or 0.0)
-    num = max(int(num), 2)
+    num = 0 if all(s.is_piecewise_constant for s in signals) else max(int(num), 2)
     pts = [np.linspace(0.0, settle, num, endpoint=False),
-           np.linspace(settle, span, num, endpoint=False)]  # starts at s
+           np.linspace(settle, span, max(num, 1), endpoint=False)]  # s, and only s for tables
     for s in signals:
         bp = s.breakpoints_in(0.0, span)
         # half-open evaluation window: drop the end point itself

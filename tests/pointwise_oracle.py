@@ -1,10 +1,11 @@
 """Grid-point-by-grid-point oracle for certificates.invariance_pointwise.
 
-It builds the drift-margin matrix at every time of the joint sample grid, as
-the certificate did before it computed one matrix per distinct (omega,
-coupling) pair of values, and keeps the earliest grid time of the strict
-maximum. It shares the grid and the per-pair sums with tvkuramoto, so a
-difference from the certificate can only come from the per-pair reuse.
+It builds the drift-margin matrix at every time of the joint even grid
+(grid_oracle.even_grid, 1,000 even points on each of [0, s) and [s, s + P) and
+every switch), as the certificate did before it computed one matrix per
+distinct (omega, coupling) pair of values and read tables at their switches
+only, and keeps the earliest grid time of the strict maximum. It shares the
+per-pair sums with tvkuramoto.
 """
 
 import math
@@ -13,13 +14,14 @@ import numpy as np
 
 from tvkuramoto.certificates import CertificateReport
 from tvkuramoto.graph import _pair_sums
-from tvkuramoto.signals import sample_grid
+
+from grid_oracle import even_grid
 
 
 def invariance_pointwise_json(omega, coupling, r):
-    """The to_json() of the invariance-pointwise report, margins built at every grid time."""
+    """The to_json() of the invariance-pointwise report, margins built at every even-grid time."""
     m = coupling.shape[0]
-    grid = sample_grid([omega, coupling])
+    grid = even_grid([omega, coupling])
     sin_r = math.sin(r)
     worst = -math.inf
     worst_loc = None

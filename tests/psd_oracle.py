@@ -1,18 +1,19 @@
 """Reference PSD probes, one eigensolve per probe time.
 
 These are the loops thm3/cor2 and the fast-switching sweep ran before each
-stored piece was tested once: every probe time, the 128-point sample grid of
-the coupling, in order, gets its own Laplacian and psd_fault call. The package
-must report what these report.
+stored piece was tested once: every probe time, the 128-point even grid of
+the coupling (grid_oracle.even_grid), in order, gets its own Laplacian and
+psd_fault call. The package must report what these report.
 """
 
 from tvkuramoto.certificates import psd_fault
 from tvkuramoto.graph import laplacian_from_adjacency
-from tvkuramoto.signals import sample_grid
+
+from grid_oracle import even_grid
 
 
 def _first_fault(coupling):
-    for t in sample_grid(coupling, num=128):
+    for t in even_grid(coupling, num=128):
         fault, low = psd_fault(laplacian_from_adjacency(coupling.evaluate(float(t))))
         if fault is not None:
             return t, low

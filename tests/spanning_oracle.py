@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from tvkuramoto.graph import has_spanning_tree, laplacian_from_adjacency, threshold_graph
-from tvkuramoto.signals import sample_grid
+
+from grid_oracle import even_grid
 
 
 def thm1_windows(coupling, partition, eta, bins):
@@ -44,9 +45,9 @@ def cor1_starts(coupling, window, eta, starts):
 
 def most_negative_entry(coupling):
     """{"t", "pair", "value"} of the first most negative entry below -1e-12 at any of the
-    probe times, the 128-point sample grid of the coupling, or None."""
+    probe times, the 128-point even grid of the coupling, or None."""
     worst = None
-    for u in sample_grid(coupling, num=128):
+    for u in even_grid(coupling, num=128):
         a = coupling.evaluate(float(u))
         k = int(np.argmin(a))
         value = float(a.flat[k])

@@ -23,8 +23,9 @@ from tvkuramoto.dynamics import PhaseTrajectory, invariance_monitor, pd_divergen
 from tvkuramoto.graph import laplacian_from_adjacency
 from tvkuramoto.linalg import lambda2
 from tvkuramoto.signals import (
-    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid, signal_from_json,
+    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, signal_from_json,
 )
+from grid_oracle import even_grid
 import pointwise_oracle
 from table_oracle import SNAP, piece_at
 import psd_oracle
@@ -124,13 +125,57 @@ def _pointwise_cases(seed):
     }
 
 
+def _cell_table(rng, span, periodic, draw):
+    """A table of 1 to 4 pieces over span whose switches fall on whole cells of span,
+    summed as SwitchingSignal sums durations: mostly 1,000 cells, where the even grid may
+    put a time an ulp below a switch, else 7, whose switches it misses. Periodic with the
+    sum as period, or aperiodic with its last switch at the sum."""
+    count = int(rng.integers(1, 5))
+    cells = int(rng.choice([1000, 1000, 1000, 7]))
+    marks = np.sort(rng.choice(np.arange(1, cells), count - 1, replace=False))
+    ends = np.cumsum(np.diff(marks, prepend=0, append=cells) * (span / cells))
+    starts = np.append(0.0, ends[:-1])
+    if periodic:
+        return TableSignal(starts, [draw() for _ in range(count)], float(ends[-1]))
+    return TableSignal(np.append(starts, ends[-1]), [draw() for _ in range(count + 1)])
+
+
+def test_pointwise_at_the_switches_reads_what_the_dense_grid_read():
+    # a table omega and a table coupling, periodic, aperiodic or one of each, the
+    # coupling's span 1 to 3 times omega's; the even grid may meet a piece an ulp early
+    rng = np.random.default_rng(2027)
+    early = []
+    for case in range(150):  # 300 tables
+        m, span = int(rng.integers(2, 6)), float(rng.uniform(0.05, 5.0))
+        spread = float(rng.uniform(0.1, 3.0))
+        omega = _cell_table(rng, span, rng.random() < 0.5,
+                            lambda: rng.uniform(-spread, spread, m))
+        coupling = _cell_table(rng, span * int(rng.integers(1, 4)), rng.random() < 0.5,
+                               lambda: rng.uniform(-0.5, 1.5, (m, m)) * (1.0 - np.eye(m)))
+        r = float(rng.uniform(0.0, 1.5))
+        got = invariance_pointwise(omega, coupling, r).to_json()
+        want = pointwise_oracle.invariance_pointwise_json(omega, coupling, r)
+        assert got["verdict"] == want["verdict"], case
+        new, old = got["witnesses"], want["witnesses"]
+        for key in ("max_lhs", "margin", "worst_pair"):
+            assert new[key] == old[key], (case, key)
+        assert new["grid_size"] < old["grid_size"], case
+        early.append(old["worst_time"] != new["worst_time"])
+        assert new["worst_time"] - 1e-9 < old["worst_time"] <= new["worst_time"], case
+    assert any(early) and not all(early)  # both readings of a worst time occur
+
+
 @pytest.mark.parametrize("case", list(_pointwise_cases(0)))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pointwise_per_piece_pair_matches_the_grid_point_oracle(seed, case):
     omega, coupling = _pointwise_cases(seed)[case]
     r = 0.9
-    assert invariance_pointwise(omega, coupling, r).to_json() == \
-        pointwise_oracle.invariance_pointwise_json(omega, coupling, r)
+    got = invariance_pointwise(omega, coupling, r).to_json()
+    want = pointwise_oracle.invariance_pointwise_json(omega, coupling, r)
+    # two tables are read at their switches alone, a sinusoid's grid keeps its even points
+    size, dense = got["witnesses"].pop("grid_size"), want["witnesses"].pop("grid_size")
+    assert size == dense if case == "sinusoid" else size < dense
+    assert got == want
 
 
 def test_xi_matches_vertex_enumeration_oracle():
@@ -504,11 +549,73 @@ def test_cor1_default_starts_agree_with_a_brute_force_oracle(kind):
                                               t + window)
             # a failing start may be a crossing, where an entry meets eta up to rounding
             assert not window_oracle.has_root(z, eta * (1.0 + 1e-9))
-            even = cor1_sliding_window_check(sig, window, eta, sample_grid(sig, num=128))
+            even = cor1_sliding_window_check(sig, window, eta, even_grid(sig, num=128))
             slivers += even.verdict == "pass"
         verdicts.add(rep.verdict)
     assert verdicts == {"pass", "fail"}
     assert slivers >= 6
+
+
+def _even_starts(coupling, window, eta=None):
+    """The default window starts of the even-grid reading: the 128-point even grid and
+    every kink, folded, and with eta cor1's crossings and gap midpoints."""
+    starts = certificates._fold(coupling, even_grid(coupling, certificates.PROBE_POINTS),
+                                coupling.breakpoints() - window)
+    return starts if eta is None else certificates._eta_starts(coupling, starts, window, eta)
+
+
+def _differential_table(rng, kind, low):
+    """2 to 5 nodes, 1 to 4 pieces of 0.2 to 2 s with weights in [low, 1.5), some 30% of
+    them zero, switching or table."""
+    m, count = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    pieces = [rng.uniform(low, 1.5, (m, m)) * (rng.random((m, m)) < 0.7) * (1.0 - np.eye(m))
+              for _ in range(count)]
+    durations = rng.uniform(0.2, 2.0, count)
+    if kind == "switching":
+        return SwitchingSignal(durations, pieces)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    return TableSignal(times, pieces, float(durations.sum()) if kind == "periodic-table" else None)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_thm2_at_the_kinks_reads_what_the_even_starts_read(kind):
+    # the window average is linear in its start between kinks, so the even starts
+    # find no worse window
+    rng = np.random.default_rng([27, 2, SCHEDULE_KINDS.index(kind)])
+    verdicts = set()
+    for case in range(100):
+        sig = _differential_table(rng, kind, -0.5)
+        r, window = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.05, 5.0))
+        worst = thm2_window_check(sig, r, window, 1.0, _even_starts(sig, window)).witnesses[
+            "worst_window_average"]
+        eta = -worst * rng.uniform(0.9, 1.1) if worst < 0 else rng.uniform(0.01, 1.0)
+        rep = thm2_window_check(sig, r, window, eta)
+        ref = thm2_window_check(sig, r, window, eta, _even_starts(sig, window))
+        assert rep.verdict == ref.verdict, case
+        assert abs(rep.witnesses["worst_window_average"] - worst) <= 1e-12, case
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_cor1_at_the_kinks_reads_what_the_even_starts_read(kind):
+    rng = np.random.default_rng([27, 1, SCHEDULE_KINDS.index(kind)])
+    verdicts = set()
+    for case in range(100):
+        sig = _differential_table(rng, kind, 0.0)
+        window = float(rng.uniform(0.05, 5.0))
+        eta = rng.uniform(0.1, 0.9) * 0.75 * window
+        rep = cor1_sliding_window_check(sig, window, eta)
+        ref = cor1_sliding_window_check(sig, window, eta, _even_starts(sig, window, eta))
+        passed = window_oracle.cor1_passes(list(sig.times), sig.values, sig.period, window, eta)
+        assert rep.verdict == ref.verdict == ("pass" if passed else "fail"), case
+        if not passed:
+            t = rep.witnesses["first_failing_start"]
+            z = window_oracle.window_integral(list(sig.times), sig.values, sig.period, t,
+                                              t + window)
+            assert not window_oracle.has_root(z, eta * (1.0 + 1e-9)), case
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
 
 
 def directed_ring_schedule(m, blocks=1):
@@ -738,7 +845,7 @@ def test_thm2_bundled_switching_schedule_passes():
 def test_thm2_default_starts_reach_the_worst_window():
     # pieces of 3, 2 and 5 s with xi = -2, -0.5 and -5; the window [1, 5] ends
     # on the 5 s switch and averages (2 * -2 + 2 * -0.5) / 4 = -1.25 > -1.26,
-    # while no one of the 128 even starts plus the switches lands on t = 1
+    # while no switch lands on t = 1: the start is the kink 5 - 4
     r, window = 1.0, 4.0
     xi_unit = xi_index(TWO_NODE, r)
     coupling = SwitchingSignal([3.0, 2.0, 5.0], [TWO_NODE * x / xi_unit for x in (-2, -0.5, -5)])
@@ -748,9 +855,11 @@ def test_thm2_default_starts_reach_the_worst_window():
     assert rep.witnesses["worst_window_average"] == pytest.approx(-1.25, abs=1e-12)
     dense = thm2_window_check(coupling, r, window, eta=1.26, starts=np.linspace(0.0, 10.0, 4001))
     assert dense.witnesses["worst_window_average"] <= rep.witnesses["worst_window_average"] + 1e-12
-    # a window of one period has no kink off the switches: the bundled default stays 128 starts
+    # a window of one period has no kink off the switches: the bundled default starts
+    # are its switches, one per piece
     ap = signal_from_json(json.loads(bundled_config_path("ap").read_text())["signals"]["coupling"])
-    assert thm2_window_check(ap, math.pi / 3, ap.period, 0.01).parameters["num_starts"] == 128
+    assert thm2_window_check(ap, math.pi / 3, ap.period, 0.01).parameters["num_starts"] == \
+        ap.times.size == 2
 
 
 @pytest.mark.parametrize("check", [
@@ -1152,10 +1261,10 @@ def test_a_bool_is_no_number(call, name):
 
 
 def _grid_probe(sig, num):
-    """The reading signals.probe replaced: sig at each time of sample_grid(sig, num), a
+    """The reading signals.probe replaced: sig at each time of even_grid(sig, num), a
     table's piece by the table_oracle lookup, each stored object kept at its first time
     by its id."""
-    grid = sample_grid(sig, num).tolist()
+    grid = even_grid(sig, num).tolist()
     if not sig.is_piecewise_constant:
         return [(t, sig.evaluate(t)) for t in grid]
     out, seen = [], set()
@@ -1201,7 +1310,7 @@ def _random_schedule(rng, pool, fresh):
     """A periodic or aperiodic table that starts with pool[0] and whose later pieces are
     mostly drawn from pool, so that one stored array may hold several pieces, else
     fresh(). Its switches fall on whole cells of a grid over its span, summed as
-    SwitchingSignal sums durations, so that sample_grid may put a time an ulp below one."""
+    SwitchingSignal sums durations, so that even_grid may put a time an ulp below one."""
     count = int(rng.integers(1, 7))
     cells = int(rng.choice([128, 256, 1000]))
     unit = rng.uniform(1e-3, 10.0) / cells

@@ -11,7 +11,8 @@ from tvkuramoto.graph import (
     laplacian_from_adjacency,
     threshold_graph,
 )
-from tvkuramoto.signals import ConstantSignal, SwitchingSignal, sample_grid
+from tvkuramoto.signals import ConstantSignal, SwitchingSignal
+from grid_oracle import even_grid
 
 
 def bfs_spanning_tree(edges: np.ndarray) -> bool:
@@ -265,7 +266,7 @@ def test_ergodic_quantities_match_loop_oracle():
                     np.fill_diagonal(a, 0.0)
                 pieces.append(a)
             sig = SwitchingSignal(rng.uniform(0.2, 1.0, len(pieces)), pieces)
-            grid = np.sort(np.concatenate([sample_grid(sig, num=7),
+            grid = np.sort(np.concatenate([even_grid(sig, num=7),
                                            rng.uniform(0.0, 2 * sig.period, 5)]))
             if m == 1:  # no pair to take a quantity over, as check_coupling also says
                 with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ CASES = {
         ValueError, r"adjacency must be square, got shape \(2, 3\)"),
     "threshold-eta": (
         lambda: threshold_graph(np.zeros((2, 2)), 0.0),
-        ValueError, "eta must be positive, got 0.0"),
+        ValueError, "eta must be positive and finite, got 0.0"),
     # linalg
     "spectrum-square": (
         lambda: restricted_spectrum(np.zeros((2, 3))),
@@ -108,7 +108,7 @@ CASES = {
         ValueError, "trig must be 'sin' or 'cos', got 'tan'"),
     "sinusoid-compress": (
         lambda: SinusoidSignal(0.0, 1.0, 0.0).time_compress(0.0),
-        ValueError, "epsilon must be positive, got 0.0"),
+        ValueError, "epsilon must be positive and finite, got 0.0"),
     "table-empty": (
         lambda: TableSignal([], []),
         ValueError, "need one value per time and at least one sample"),
@@ -147,6 +147,23 @@ def test_input_check_raises_its_typed_error(name):
     call, exc, message = CASES[name]
     with pytest.raises(exc, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", [True, math.nan], ids=["bool", "nan"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: SWITCHING_J2.time_compress(x), "epsilon"),
+    (lambda x: SinusoidSignal(0.0, 1.0, 0.0).time_compress(x), "epsilon"),
+    (lambda x: threshold_graph(np.zeros((2, 2)), x), "eta"),
+    (lambda x: er_random_network(4, x, seed=0), "linking probability p"),
+    (lambda x: fast_switching_sweep(SwitchingSignal([1.0, 1.0], [[0.0, 0.0]] * 2),
+                                    SWITCHING_J2, [10.0], 1.0, tail_fraction=x), "tail_fraction"),
+], ids=["table-compress", "sinusoid-compress", "threshold-eta", "random-network-p",
+        "sweep-tail-fraction"])
+def test_a_bounded_scalar_is_read_as_a_number(call, name, bad):
+    # each used to read True as 1; threshold_graph kept no edge at NaN, and time_compress
+    # blamed times or time_scale for it
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {bad}$"):
+        call(bad)
 
 
 def _certify(criterion, coupling=None, **parameters):

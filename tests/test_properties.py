@@ -14,9 +14,8 @@ from tvkuramoto.certificates import (
 )
 from tvkuramoto.graph import ergodic_quantities, has_spanning_tree, laplacian_from_adjacency
 from tvkuramoto.linalg import restricted_spectrum
-from tvkuramoto.signals import (
-    ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal, sample_grid,
-)
+from tvkuramoto.signals import ConstantSignal, SinusoidSignal, SwitchingSignal, TableSignal
+from grid_oracle import even_grid
 
 
 @st.composite
@@ -173,7 +172,7 @@ def test_spanning_tree_pass_implies_no_negative_coupling_at_any_probe_time(kind,
     reports = [thm1_spanning_tree_check(sig, np.linspace(0.0, 3.0, 4), 0.05),
                cor1_sliding_window_check(sig, window, 0.05 * window)]
     if any(rep.verdict == "pass" for rep in reports):
-        for t in sample_grid(sig, PROBE_POINTS):
+        for t in even_grid(sig, PROBE_POINTS):
             assert sig.evaluate(float(t)).min() >= -1e-12
         if isinstance(sig, TableSignal):  # the probe times read every piece
             assert min(v.min() for v in sig.values) >= -1e-12

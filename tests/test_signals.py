@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from grid_oracle import even_grid
 import sinusoid_oracle
 from table_oracle import SNAP, piece_at
 from tvkuramoto.cli import bundled_config_path
@@ -221,6 +222,62 @@ def test_sample_grid_keeps_its_density_past_a_late_switch():
     assert grid.size == 200 and tail.size == 100
     assert tail[0] == 1000.0 and tail[-1] < 1000.0 + 2 * math.pi
     assert np.allclose(np.diff(tail), 2 * math.pi / 100)
+
+
+def _random_grid_signals(rng, smooth):
+    """One to three tables, periodic (period 0.5, 1 or 2 s) or aperiodic, and with smooth
+    a sinusoid of one of those periods among them."""
+    sigs = []
+    for _ in range(int(rng.integers(1, 4))):
+        count = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            period = float(rng.choice([0.5, 1.0, 2.0]))
+            times = np.append(0.0, np.sort(rng.uniform(0.0, period, count - 1)))
+        else:
+            period, times = None, np.append(0.0, np.sort(rng.uniform(0.0, 7.0, count - 1)))
+        sigs.append(TableSignal(times, list(rng.normal(size=count)), period))
+    if smooth:
+        period = float(rng.choice([0.5, 1.0, 2.0]))
+        sigs.insert(int(rng.integers(len(sigs) + 1)),
+                    SinusoidSignal(0.0, 1.0, 0.0, time_scale=period / (2 * math.pi)))
+    return sigs
+
+
+def test_a_grid_of_tables_is_their_switches_and_the_last_aperiodic_switch():
+    rng = np.random.default_rng(27)
+    for case in range(200):
+        sigs = _random_grid_signals(rng, smooth=False)
+        settle = max([s.times[-1] for s in sigs if s.period is None], default=0.0)
+        span = settle + max([s.period for s in sigs if s.period is not None], default=0.0)
+        want = {settle}
+        for s in sigs:  # every switch, in each period of a periodic table up to s + P
+            cycles = range(int(span / s.period) + 1) if s.period is not None else [0]
+            want |= {k * (s.period or 0.0) + t for k in cycles for t in s.times.tolist()}
+        want = sorted(w for w in want if w < span or w == settle)
+        assert sample_grid(sigs, int(rng.integers(2, 50))).tolist() == want, case
+
+
+@pytest.mark.parametrize("sig", [
+    ConstantSignal(1.0),
+    TableSignal([0.0, 0.4, 2.5], [1.0, 2.0, 3.0]),
+    TableSignal([0.0, 0.4, 2.5], [1.0, 2.0, 3.0], period=3.0),
+    SwitchingSignal([0.3, 0.7, 0.1], [np.eye(2), -np.eye(2), np.zeros((2, 2))]),
+], ids=["constant", "aperiodic", "periodic", "switching"])
+def test_the_grid_of_one_table_is_its_times(sig):
+    for num in (2, 128, 1000):
+        grid = sample_grid(sig, num)
+        assert grid.dtype == sig.times.dtype and grid.tobytes() == sig.times.tobytes()
+
+
+def test_a_grid_with_a_smooth_signal_keeps_every_even_point():
+    rng = np.random.default_rng(28)
+    for case in range(200):
+        sigs = _random_grid_signals(rng, smooth=True)
+        if rng.random() < 0.2:
+            sigs = [s for s in sigs if not s.is_piecewise_constant]
+        num = int(rng.integers(0, 300))
+        got, want = sample_grid(sigs, num), even_grid(sigs, num)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
 
 
 @pytest.mark.parametrize("make", [
