@@ -1,9 +1,13 @@
-"""Which experiment outputs two source trees write differently.
+"""Which experiment outputs and certificates two source trees write differently.
 
     python3 .github/scripts/output_diff.py <base tree> <head tree> <work dir>
 
 Each tree runs `tvkuramoto experiment ap|perturb|fast` on shortened copies of
-its own bundled configs (the sizes below), with its own `src/` on PYTHONPATH.
+its own bundled configs (the sizes below), and `tvkuramoto certify` on the
+spanning-tree criteria (CERTIFY below) over the bundled `ap` coupling with its
+two small negative entries set to 0, since a negative coupling makes both
+criteria stop before any window is closed. Each tree runs with its own `src/`
+on PYTHONPATH.
 The script prints a Markdown report: every output file whose sha256 differs
 between the trees, or that only one of them wrote, and any exit code that
 differs. `summary.json` is compared without its `wall_time_s` field, the one
@@ -27,6 +31,13 @@ SHORT = {  # parameters.<key> overrides: a few seconds of model time per experim
     "fast": {"t_end": 8.0},
 }
 LEAF_PATHS = 10  # differing summary.json leaves named per experiment
+CERTIFY = {  # run label: criterion and parameters, on the bundled ap coupling
+    "thm1": ("thm1-spanning-tree",  # default bins; the rising eta fails a later interval
+             {"partition": [4.0 * k for k in range(11)], "eta": [0.1 * k for k in range(1, 11)]}),
+    "cor1-default-starts": ("cor1-sliding-window", {"T": 1.0, "eta": 0.5}),
+    "cor1-starts": ("cor1-sliding-window",
+                    {"T": 1.0, "eta": 0.5, "starts": [k / 8 for k in range(64)]}),
+}
 
 
 def summary(path: Path) -> dict:
@@ -65,15 +76,28 @@ def differing_leaves(base: Path, head: Path) -> list:
     return sorted(k for k in b.keys() | h.keys() if k not in b or k not in h or b[k] != h[k])
 
 
-def run(tree: Path, scenario: str, work: Path):
-    """(exit code, {relative path: sha256}) of one experiment run from tree."""
-    cfg = json.loads((tree / "src/tvkuramoto/configs" / f"{scenario}.json").read_text())
-    cfg["parameters"].update(SHORT[scenario])
+def command(tree: Path, label: str) -> tuple:
+    """(CLI arguments before --config, config) of one run label: an experiment or a
+    CERTIFY entry."""
+    if label in SHORT:
+        cfg = json.loads((tree / "src/tvkuramoto/configs" / f"{label}.json").read_text())
+        cfg["parameters"].update(SHORT[label])
+        return ["experiment", label], cfg
+    criterion, parameters = CERTIFY[label]
+    signals = json.loads((tree / "src/tvkuramoto/configs/ap.json").read_text())["signals"]
+    for piece in signals["coupling"]["pieces"]:
+        piece["value"] = [[max(v, 0.0) for v in row] for row in piece["value"]]
+    return ["certify"], {"criterion": criterion, "signals": signals, "parameters": parameters}
+
+
+def run(tree: Path, label: str, work: Path):
+    """(exit code, {relative path: sha256}) of one run label from tree."""
+    args, cfg = command(tree, label)
     work.mkdir(parents=True)
     (work / "config.json").write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str((tree / "src").resolve()))
     code = subprocess.run(
-        [sys.executable, "-m", "tvkuramoto.cli", "experiment", scenario,
+        [sys.executable, "-m", "tvkuramoto.cli", *args,
          "--config", str(work / "config.json"), "--out", str(work / "out")],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     out = work / "out"
@@ -82,31 +106,31 @@ def run(tree: Path, scenario: str, work: Path):
 
 
 def main(base: str, head: str, work: str) -> int:
-    lines = ["### Experiment outputs, base against head",
-             "", "| experiment | file | base | head |", "|---|---|---|---|"]
+    lines = ["### Experiment outputs and certificates, base against head",
+             "", "| run | file | base | head |", "|---|---|---|---|"]
     same, leaf_notes = 0, []
-    for scenario in SHORT:
+    for label in [*SHORT, *CERTIFY]:
         (b_code, b_files), (h_code, h_files) = (
-            run(Path(tree), scenario, Path(work) / side / scenario)
+            run(Path(tree), label, Path(work) / side / label)
             for side, tree in (("base", base), ("head", head)))
         if b_code != h_code:
-            lines.append(f"| {scenario} | exit code | {b_code} | {h_code} |")
+            lines.append(f"| {label} | exit code | {b_code} | {h_code} |")
         for name in sorted(b_files.keys() | h_files.keys()):
             b, h = b_files.get(name, "missing"), h_files.get(name, "missing")
             if b == h:
                 same += 1
             else:
-                lines.append(f"| {scenario} | `{name}` | `{b[:12]}` | `{h[:12]}` |")
+                lines.append(f"| {label} | `{name}` | `{b[:12]}` | `{h[:12]}` |")
                 if name == "summary.json" and "missing" not in (b, h):
-                    leaf_notes.append((scenario, differing_leaves(
-                        *(Path(work) / side / scenario / "out" / name for side in ("base", "head")))))
+                    leaf_notes.append((label, differing_leaves(
+                        *(Path(work) / side / label / "out" / name for side in ("base", "head")))))
     differ = len(lines) - 4
     lines += ["", f"{differ} difference(s); {same} file(s) identical by sha256 "
               "(`summary.json` without `wall_time_s`)."]
-    for scenario, paths in leaf_notes:
+    for label, paths in leaf_notes:
         shown = ", ".join(f"`{p}`" for p in paths[:LEAF_PATHS])
         more = f" and {len(paths) - LEAF_PATHS} more" if len(paths) > LEAF_PATHS else ""
-        lines += ["", f"{scenario} `summary.json` leaves that differ: {shown}{more}."]
+        lines += ["", f"{label} `summary.json` leaves that differ: {shown}{more}."]
     print("\n".join(lines))
     return 0
 

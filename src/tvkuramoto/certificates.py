@@ -187,25 +187,36 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal,
                              parameters=params)
 
 
-# matrix entries per integrate_window call, 5 windows at m = 20: cor1's batch temporaries
-# on the perturb experiment's m = 20 sinusoid raised its peak RSS on a 2-vCPU Xeon VM
-# from 94.2 to 94.6 MB with 20 windows per call and to 96.5 MB with all 128 starts in one
+# matrix entries per integrate_window call of a smooth coupling, 5 windows at m = 20:
+# cor1's batch temporaries on the perturb experiment's m = 20 sinusoid raised its peak
+# RSS on a 2-vCPU Xeon VM from 94.2 to 94.6 MB with 20 windows per call and to 96.5 MB
+# with all 128 starts in one. A table's blocks hold 20 windows at m = 20: over ten
+# certify-sweep rounds, blocks of 40 raised the peak RSS by 0.45 MiB more than blocks of 20
 _WINDOW_BLOCK_ENTRIES = 2048
+_TABLE_BLOCK_ENTRIES = 8192
 
 
-def _first_window_without_tree(coupling: TimeSignal, lo, hi, eta: float,
-                               verdicts: dict) -> "int | None":
-    """First k whose window [lo[k], hi[k]], integrated and thresholded at eta, has no
+def _block(coupling: TimeSignal) -> int:
+    """Windows per integrate_window call of the spanning-tree criteria."""
+    entries = _TABLE_BLOCK_ENTRIES if coupling.is_piecewise_constant else _WINDOW_BLOCK_ENTRIES
+    return max(1, entries // coupling.shape[0] ** 2)
+
+
+def _first_window_without_tree(coupling: TimeSignal, lo, hi, etas) -> "int | None":
+    """First k whose window [lo[k], hi[k]], integrated and thresholded at etas[k], has no
     spanning tree, or None. Windows are integrated a block at a time, up to the block of
-    the first failure; verdicts keeps one closure verdict per distinct graph."""
-    block = max(1, _WINDOW_BLOCK_ENTRIES // coupling.shape[0] ** 2)
+    the first failure; the new graphs of a block are closed in one stacked call, and each
+    distinct graph once."""
+    block, verdicts = _block(coupling), {}
     for b in range(0, lo.size, block):
         # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
         z = coupling.integrate_window(lo[b:b + block], hi[b:b + block])
-        for k, g in enumerate(graph.threshold_graph(-z, eta), b):
-            key = g.tobytes()
-            if key not in verdicts:
-                verdicts[key] = graph.has_spanning_tree(g)
+        graphs = graph.threshold_graph(-z, etas[b:b + block])
+        keys = [g.tobytes() for g in graphs]
+        new = {key: g for key, g in zip(keys, graphs) if key not in verdicts}
+        if new:
+            verdicts.update(zip(new, graph.has_spanning_tree(np.array(list(new.values())))))
+        for k, key in enumerate(keys, b):
             if not verdicts[key]:
                 return k
     return None
@@ -219,12 +230,14 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     over every bin, thresholded at that interval's eta, must contain a
     spanning tree. Only the given partition is checked: the divergence of
     sum(eta_n) over an infinite horizon is the caller's asymptotic claim, and
-    the report echoes the finite sum. An interval's bins are integrated in
-    blocks of _WINDOW_BLOCK_ENTRIES matrix entries (at m = 20, 19 bins take 4
-    calls of at most 5 windows), and the closure runs once per distinct
-    thresholded graph, so a periodic schedule costs a few closures for any
-    number of periods. The check stops at the first failing window;
-    windows_checked counts the partition's windows (intervals x bins) all the same.
+    the report echoes the finite sum. Every interval's bin edges come from one
+    np.linspace over the partition, and the bins of all intervals run as one
+    list of windows, each with its interval's eta: integrated in blocks (20
+    windows of a table at m = 20, see _block), the graphs of a block not seen
+    before closed in one stacked call, so a periodic schedule costs a few
+    closures for any number of periods. The check integrates nothing past the
+    block holding its first failing window; windows_checked counts the
+    partition's windows (intervals x bins) all the same.
     """
     m = graph.check_coupling(coupling)
     partition = _numbers("partition", partition, 1, ">=0")
@@ -245,16 +258,14 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
 
     wit = {"eta_sum": float(etas.sum()), "windows_checked": n_intervals * nbins,
            "eta_sum_divergence": "asserted by caller for periodic setups"}
-    verdicts = {}
-    for n in range(n_intervals):
-        edges = np.linspace(partition[n], partition[n + 1], nbins + 1)
-        k = _first_window_without_tree(coupling, edges[:-1], edges[1:], float(etas[n]),
-                                       verdicts)
-        if k is not None:
-            wit["first_failing_window"] = {"interval": n + 1, "bin": k + 1,
-                                           "window": [float(edges[k]), float(edges[k + 1])]}
-            break
-    verdict = FAIL if "first_failing_window" in wit else PASS
+    edges = np.linspace(partition[:-1], partition[1:], nbins + 1, axis=1)  # a row per interval
+    k = _first_window_without_tree(coupling, edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                                   np.repeat(etas, nbins))
+    if k is not None:
+        n, j = divmod(k, nbins)
+        wit["first_failing_window"] = {"interval": n + 1, "bin": j + 1,
+                                       "window": [float(edges[n, j]), float(edges[n, j + 1])]}
+    verdict = FAIL if k is not None else PASS
     return CertificateReport("thm1-spanning-tree", verdict, witnesses=wit, parameters=params)
 
 
@@ -275,7 +286,7 @@ def _eta_starts(coupling: TimeSignal, starts: np.ndarray, window: float,
     included. The thresholded graph is constant inside a gap, so every graph is seen."""
     if coupling.period is not None:
         starts = np.append(starts, starts[0] + coupling.period)
-    block = max(1, _WINDOW_BLOCK_ENTRIES // coupling.shape[0] ** 2)
+    block = _block(coupling)
     pts = [starts]
     for b in range(0, starts.size - 1, block):
         s = starts[b:b + block + 1]
@@ -321,7 +332,7 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     bad = _negative_coupling_report("cor1-sliding-window", coupling, params)
     if bad is not None:
         return bad
-    k = _first_window_without_tree(coupling, starts, starts + window, eta, {})
+    k = _first_window_without_tree(coupling, starts, starts + window, np.full(starts.size, eta))
     wit = {"all_starts_pass": True} if k is None else {"first_failing_start": float(starts[k])}
     return CertificateReport("cor1-sliding-window", PASS if k is None else FAIL,
                              witnesses=wit, parameters=params)

@@ -45,32 +45,43 @@ def laplacian_from_adjacency(a) -> np.ndarray:
     return lap
 
 
-def threshold_graph(lap: np.ndarray, eta: float) -> np.ndarray:
+def threshold_graph(lap: np.ndarray, eta) -> np.ndarray:
     """Boolean digraph of the directed edges (i, j), i != j, with l_ij strictly below -eta.
 
     edges[i, j] True means the link j -> i is kept. A stack of Laplacians
-    (..., m, m) gives the stack of their graphs.
+    (n, m, m) gives the stack of their graphs, thresholded at one eta or at one
+    eta per graph, (n,).
     """
-    _numbers("eta", eta, 0, ">0")
+    eta = _numbers("eta", eta, (0, 1), ">0")
     lap = np.asarray(lap, dtype=float)
+    if eta.ndim == 1:
+        if eta.shape != lap.shape[:-2]:
+            raise ValueError(f"need one eta per graph of the stack {lap.shape}, got {eta.size}")
+        eta = eta[:, None, None]
     return (lap < -eta) & ~np.eye(lap.shape[-1], dtype=bool)
 
 
-def has_spanning_tree(g) -> bool:
+def has_spanning_tree(g):
     """True iff some root reaches every node along the influence direction.
 
     Edge (i, j) means j influences i, so reachability follows j -> i. The
-    boolean transitive closure comes from ceil(log2 m) squarings of the
-    reflexive reachability matrix; a root exists iff some row is all True.
+    transitive closure comes from ceil(log2 m) squarings of the reflexive
+    reachability matrix as float 0/1, each product clipped back to 1; a path
+    count is at most m, exact in float, so the verdict is the boolean
+    closure's. A root exists iff some row is all ones. One graph (m, m) gives
+    a bool; a stack (..., m, m) closes every graph at once and gives an array
+    of bools, one per graph.
     """
     edges = np.asarray(g, dtype=bool)
-    m = edges.shape[0]
-    reach = edges.T | np.eye(m, dtype=bool)  # reach[j, i]: j reaches i
+    m = edges.shape[-1]
+    # reach[..., j, i] = 1: j reaches i
+    reach = (np.swapaxes(edges, -1, -2) | np.eye(m, dtype=bool)).astype(float)
     length = 1  # reach covers every path of at most this many links
     while length < m - 1:
-        reach = reach @ reach
+        reach = np.minimum(reach @ reach, 1.0)
         length *= 2
-    return bool(reach.all(axis=1).any())
+    rooted = reach.all(axis=-1).any(axis=-1)
+    return bool(rooted) if edges.ndim == 2 else rooted
 
 
 def _pair_tensors(a: np.ndarray):

@@ -5,16 +5,34 @@ spanning-tree closure, and the negative-coupling probe reads every probe
 time, as thm1 and cor1 did before they cached a verdict per distinct graph and
 read each stored piece once. A sinusoid's most negative entry comes instead from
 the closed form of each entry's minimum over all t.
-The fast paths in tvkuramoto.certificates must return what these return.
+The threshold and the closure are this module's own, not the package's, so the
+fast paths in tvkuramoto.certificates are checked against code they do not share.
+The fast paths must return what these return.
 """
 
 import math
 
 import numpy as np
 
-from tvkuramoto.graph import has_spanning_tree, laplacian_from_adjacency, threshold_graph
+from tvkuramoto.graph import laplacian_from_adjacency
 
 from grid_oracle import even_grid
+
+
+def threshold(lap, eta):
+    """The edges (i, j), i != j, whose Laplacian entry l_ij is strictly below -eta."""
+    lap = np.asarray(lap, dtype=float)
+    return (lap < -eta) & ~np.eye(lap.shape[0], dtype=bool)
+
+
+def brute_force_spanning_tree(edges: np.ndarray) -> bool:
+    """Transitive-closure oracle: some root reaches all nodes along j -> i."""
+    m = edges.shape[0]
+    reach = edges.T.copy()  # reach[j, i]: j influences i directly
+    np.fill_diagonal(reach, True)
+    for _ in range(m):
+        reach = reach | (reach @ reach)
+    return bool(reach.all(axis=1).any())
 
 
 def thm1_windows(coupling, partition, eta, bins):
@@ -28,7 +46,7 @@ def thm1_windows(coupling, partition, eta, bins):
             z = laplacian_from_adjacency(
                 coupling.integrate_window(float(edges[k]), float(edges[k + 1])))
             checked += 1
-            if not has_spanning_tree(threshold_graph(z, float(etas[n]))) and first_fail is None:
+            if not brute_force_spanning_tree(threshold(z, float(etas[n]))) and first_fail is None:
                 first_fail = {"interval": n + 1, "bin": k + 1,
                               "window": [float(edges[k]), float(edges[k + 1])]}
     return first_fail is None, first_fail, checked
@@ -38,7 +56,7 @@ def cor1_starts(coupling, window, eta, starts):
     """(passed, first failing start or None) over the starts in order."""
     for t in np.asarray(starts, dtype=float):
         z = laplacian_from_adjacency(coupling.integrate_window(float(t), float(t) + window))
-        if not has_spanning_tree(threshold_graph(z, eta)):
+        if not brute_force_spanning_tree(threshold(z, eta)):
             return False, float(t)
     return True, None
 

@@ -638,12 +638,14 @@ def test_thm1_closes_each_distinct_graph_once(monkeypatch, blocks, verdict):
     # repeats the same bins, so at most `bins` distinct graphs need a closure
     sig = directed_ring_schedule(8, blocks)
     partition = 2.0 * np.arange(41)
-    calls = []
+    closed = []  # graphs per closure call: one, or the size of a stack
     closure = graph.has_spanning_tree
-    monkeypatch.setattr(graph, "has_spanning_tree", lambda g: calls.append(1) or closure(g))
+    monkeypatch.setattr(graph, "has_spanning_tree",
+                        lambda g: closed.append(np.asarray(g).reshape(-1, 8, 8).shape[0])
+                        or closure(g))
     rep = thm1_spanning_tree_check(sig, partition, 0.02, bins=7)
     assert rep.verdict == verdict and rep.witnesses["windows_checked"] == 280
-    assert 1 <= len(calls) <= 7
+    assert 1 <= sum(closed) <= 7
     passed, first_fail, _ = spanning_oracle.thm1_windows(sig, partition, 0.02, 7)
     assert (verdict == "pass") == passed
     assert rep.witnesses.get("first_failing_window") == first_fail
@@ -685,33 +687,90 @@ def _record_integrals(monkeypatch):
 
 
 def test_cor1_integrates_no_block_past_its_first_failing_start(monkeypatch):
-    # the windows of 80 starts 0.5 s apart fail from start 29.5 on, the 60th start;
-    # at m = 20 the starts are integrated in blocks, the last one holding it
-    sig = two_block_schedule(20, 30.0)
-    starts = 0.5 * np.arange(80)
+    # 4 blocks of starts 0.5 s apart; the windows fail from the last start of the
+    # third block on, so the third call is the last
+    block = certificates._block(two_block_schedule(20, 1.0))
+    fail = 0.5 * (3 * block - 1)
+    sig = two_block_schedule(20, fail + 0.5)
+    starts = 0.5 * np.arange(4 * block)
     calls = _record_integrals(monkeypatch)
     rep = cor1_sliding_window_check(sig, 1.0, 0.5, starts)
     monkeypatch.undo()
-    assert rep.verdict == "fail" and rep.witnesses["first_failing_start"] == 29.5
-    assert spanning_oracle.cor1_starts(sig, 1.0, 0.5, starts) == (False, 29.5)
-    assert len(calls) > 1 and 29.5 in calls[-1]
-    assert not any(29.5 in c for c in calls[:-1])
+    assert rep.verdict == "fail" and rep.witnesses["first_failing_start"] == fail
+    assert spanning_oracle.cor1_starts(sig, 1.0, 0.5, starts) == (False, fail)
+    assert len(calls) > 1 and fail in calls[-1]
+    assert not any(fail in c for c in calls[:-1])
     assert sum(c.size for c in calls) < starts.size
 
 
 def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
-    # 60 bins of 1 s in one interval; bin 31, [30, 31], is the first without a spanning tree
-    sig = two_block_schedule(20, 30.0)
+    # 3 blocks of bins of 1 s in one interval; the first bin without a spanning tree,
+    # [fail, fail + 1], lies halfway through the second block
+    block = certificates._block(two_block_schedule(20, 1.0))
+    fail, bins = float(3 * block // 2), 3 * block
+    sig = two_block_schedule(20, fail)
     calls = _record_integrals(monkeypatch)
-    rep = thm1_spanning_tree_check(sig, [0.0, 60.0], 0.5, bins=60)
+    rep = thm1_spanning_tree_check(sig, [0.0, float(bins)], 0.5, bins=bins)
     monkeypatch.undo()
-    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, [0.0, 60.0], 0.5, 60)
+    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, [0.0, float(bins)], 0.5, bins)
     assert not passed and rep.verdict == "fail"
     assert rep.witnesses["first_failing_window"] == first_fail == {
-        "interval": 1, "bin": 31, "window": [30.0, 31.0]}
-    assert len(calls) > 1 and 30.0 in calls[-1]
-    assert not any(30.0 in c for c in calls[:-1])
-    assert sum(c.size for c in calls) < 60
+        "interval": 1, "bin": int(fail) + 1, "window": [fail, fail + 1.0]}
+    assert len(calls) > 1 and fail in calls[-1]
+    assert not any(fail in c for c in calls[:-1])
+    assert sum(c.size for c in calls) < bins
+
+
+@pytest.mark.parametrize("until, etas, interval, bin_", [
+    (10.0, [0.5, 0.5, 0.5], 2, 4),   # the split starts inside interval 2
+    (30.0, [0.5, 1.0, 0.5], 2, 1),   # ring links of 1 are not above interval 2's eta
+    (30.0, [0.5, 0.5, 1.0], 3, 1),
+    (30.0, [1.0, 0.5, 0.5], 1, 1),
+    (30.0, [0.5, 0.5, 0.5], None, None),
+])
+def test_thm1_names_the_interval_and_bin_of_a_block_across_intervals(until, etas, interval,
+                                                                     bin_):
+    # three intervals of 7 bins of 1 s: the first block holds all 21 windows, so each
+    # window's interval and eta come from its place in one flat list
+    sig = two_block_schedule(20, until)
+    partition = [0.0, 7.0, 14.0, 21.0]
+    assert certificates._block(sig) > 14
+    rep = thm1_spanning_tree_check(sig, partition, etas, bins=7)
+    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, partition, etas, 7)
+    assert rep.witnesses.get("first_failing_window") == first_fail
+    if interval is None:
+        assert passed and rep.verdict == "pass"
+    else:
+        start = 7.0 * (interval - 1) + bin_ - 1
+        assert rep.verdict == "fail" and first_fail == {
+            "interval": interval, "bin": bin_, "window": [start, start + 1.0]}
+
+
+def test_thm1_bin_edges_are_the_per_interval_linspace_bit_for_bit(monkeypatch):
+    # thm1 builds every interval's edges in one linspace; each must equal the interval's
+    # own np.linspace, on partitions whose lengths and offsets span many scales
+    rng = np.random.default_rng(28)
+    seen = []
+    monkeypatch.setattr(certificates, "_first_window_without_tree",
+                        lambda coupling, lo, hi, etas: seen.append((lo, hi, etas)))
+    sig = ConstantSignal(TWO_NODE)
+    for case in range(400):
+        lengths = 10.0 ** rng.uniform(-6, 3, int(rng.integers(1, 12)))
+        partition = np.cumsum(np.concatenate([[rng.uniform(0, 10.0 ** rng.uniform(-3, 6))],
+                                              lengths]))
+        if np.any(np.diff(partition) <= 0):
+            continue
+        bins = int(rng.integers(1, 40))
+        etas = rng.uniform(0.1, 1.0, partition.size - 1)
+        thm1_spanning_tree_check(sig, partition, etas, bins)
+        lo, hi, eta = seen.pop()
+        for n in range(partition.size - 1):
+            edges = np.linspace(partition[n], partition[n + 1], bins + 1)
+            rows = slice(n * bins, (n + 1) * bins)
+            assert lo[rows].tobytes() == edges[:-1].tobytes(), (case, n)
+            assert hi[rows].tobytes() == edges[1:].tobytes(), (case, n)
+            assert np.all(eta[rows] == etas[n])
+        assert lo.size == hi.size == eta.size == (partition.size - 1) * bins
 
 
 def test_thm1_tells_apart_graphs_with_as_many_edges():

@@ -13,6 +13,7 @@ from tvkuramoto.graph import (
 )
 from tvkuramoto.signals import ConstantSignal, SwitchingSignal
 from grid_oracle import even_grid
+from spanning_oracle import brute_force_spanning_tree, threshold
 
 
 def bfs_spanning_tree(edges: np.ndarray) -> bool:
@@ -57,16 +58,6 @@ def loop_ergodic_quantities(coupling, grid):
         mu1s.append(best1)
         mu2s.append(best2)
     return max(mu0s), max(mu1s), max(mu2s)
-
-
-def brute_force_spanning_tree(edges: np.ndarray) -> bool:
-    """Transitive-closure oracle: some root reaches all nodes along j -> i."""
-    m = edges.shape[0]
-    reach = edges.T.copy()  # reach[j, i]: j influences i directly
-    np.fill_diagonal(reach, True)
-    for _ in range(m):
-        reach = reach | (reach @ reach)
-    return bool(reach.all(axis=1).any())
 
 
 def test_laplacian_zero_adjacency():
@@ -295,6 +286,47 @@ def test_spanning_tree_matches_oracles_at_m20():
         cut = path.copy()
         cut[m - 1, m - 2] = False
         assert not has_spanning_tree(cut)
+
+
+def test_a_stacked_closure_matches_the_brute_force_oracle():
+    rng = np.random.default_rng(28)
+    for m in [*range(2, 41), 2, 3, 17, 33]:  # a second stack at the named sizes
+        n = int(rng.integers(1, 51))
+        stack = rng.random((n, m, m)) < rng.uniform(0.0, 4.0 / m, (n, 1, 1))
+        stack[0] = False            # the empty graph, unless the stack holds one graph
+        stack[-1] = True            # the complete graph
+        stack[:, np.arange(m), np.arange(m)] = False
+        got = has_spanning_tree(stack)
+        assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == (n,)
+        want = [brute_force_spanning_tree(g) for g in stack]
+        assert got.tolist() == want, m
+        assert got[-1] and (n == 1 or not got[0])
+        assert all(has_spanning_tree(g) is w for g, w in zip(stack, want))
+    paths = np.zeros((2, 33, 33), dtype=bool)  # the longest chain: 32 links, one stack
+    paths[:, np.arange(1, 33), np.arange(32)] = True
+    paths[1, 32, 31] = False
+    assert has_spanning_tree(paths).tolist() == [True, False]
+
+
+def test_one_graph_closes_to_a_python_bool():
+    # scenarios.er_random_network branches on it; a stack of one is an array
+    ring = np.roll(np.eye(5, dtype=bool), 1, axis=0)
+    assert has_spanning_tree(ring) is True
+    assert has_spanning_tree(np.zeros((5, 5), dtype=bool)) is False
+    assert has_spanning_tree(ring.tolist()) is True
+    assert has_spanning_tree(ring[None]).tolist() == [True]
+
+
+def test_threshold_takes_one_eta_per_graph_of_a_stack():
+    rng = np.random.default_rng(5)
+    laps = np.array([laplacian_from_adjacency(rng.uniform(0, 1, (6, 6)) * (1 - np.eye(6)))
+                     for _ in range(9)])
+    etas = rng.uniform(0.1, 0.9, 9)
+    got = threshold_graph(laps, etas)
+    assert got.shape == laps.shape
+    for lap, eta, g in zip(laps, etas, got):
+        assert np.array_equal(g, threshold(lap, float(eta)))
+    assert np.array_equal(threshold_graph(laps, 0.4), [threshold(lap, 0.4) for lap in laps])
 
 
 def test_threshold_on_bundled_switching_matrix():

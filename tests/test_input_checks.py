@@ -62,6 +62,18 @@ CASES = {
     "threshold-eta": (
         lambda: threshold_graph(np.zeros((2, 2)), 0.0),
         ValueError, "eta must be positive and finite, got 0.0"),
+    "threshold-eta-per-graph-length": (
+        lambda: threshold_graph(np.zeros((3, 2, 2)), [0.1, 0.2]),
+        ValueError, r"need one eta per graph of the stack \(3, 2, 2\), got 2"),
+    "threshold-eta-per-graph-one-graph": (
+        lambda: threshold_graph(np.zeros((2, 2)), [0.1]),
+        ValueError, r"need one eta per graph of the stack \(2, 2\), got 1"),
+    "threshold-eta-per-graph-sign": (
+        lambda: threshold_graph(np.zeros((2, 2, 2)), [0.1, -0.5]),
+        ValueError, "eta must be positive and finite, got -0.5"),
+    "threshold-eta-ndim": (
+        lambda: threshold_graph(np.zeros((2, 2, 2)), [[0.1, 0.2]]),
+        ValueError, r"eta must have ndim \(0, 1\), got shape \(1, 2\)"),
     # linalg
     "spectrum-square": (
         lambda: restricted_spectrum(np.zeros((2, 3))),
