@@ -10,10 +10,11 @@ criteria stop before any window is closed. Each tree runs with its own `src/`
 on PYTHONPATH.
 The script prints a Markdown report: every output file whose sha256 differs
 between the trees, or that only one of them wrote, and any exit code that
-differs. `summary.json` is compared without its `wall_time_s` field, the one
-field that varies from run to run; where it differs, the report also names
-the dotted paths of its first LEAF_PATHS differing leaves. It exits 0
-whatever it finds: the report gates nothing.
+differs. `summary.json` is compared as bytes with its `wall_time_s` line masked,
+the one field that varies from run to run, so a change in its layout shows too;
+where it differs, the report also names the dotted paths of its first
+LEAF_PATHS differing leaves. It exits 0 whatever it finds: the report gates
+nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,9 +50,10 @@ def summary(path: Path) -> dict:
 
 
 def digest(path: Path) -> str:
+    """sha256 of a file's bytes; of a summary.json, with its wall_time_s line masked."""
     data = path.read_bytes()
     if path.name == "summary.json":
-        data = json.dumps(summary(path), sort_keys=True).encode()
+        data = re.sub(rb'^  "wall_time_s": .*$', b'  "wall_time_s": null', data, flags=re.M)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -126,7 +129,7 @@ def main(base: str, head: str, work: str) -> int:
                         *(Path(work) / side / label / "out" / name for side in ("base", "head")))))
     differ = len(lines) - 4
     lines += ["", f"{differ} difference(s); {same} file(s) identical by sha256 "
-              "(`summary.json` without `wall_time_s`)."]
+              "(`summary.json` with its `wall_time_s` line masked)."]
     for label, paths in leaf_notes:
         shown = ", ".join(f"`{p}`" for p in paths[:LEAF_PATHS])
         more = f" and {len(paths) - LEAF_PATHS} more" if len(paths) > LEAF_PATHS else ""

@@ -194,6 +194,7 @@ def _negative_coupling_report(criterion: str, coupling: TimeSignal,
 # certify-sweep rounds, blocks of 40 raised the peak RSS by 0.45 MiB more than blocks of 20
 _WINDOW_BLOCK_ENTRIES = 2048
 _TABLE_BLOCK_ENTRIES = 8192
+_FIRST_BLOCK = 4  # windows in the first block of _first_window_without_tree
 
 
 def _block(coupling: TimeSignal) -> int:
@@ -205,13 +206,16 @@ def _block(coupling: TimeSignal) -> int:
 def _first_window_without_tree(coupling: TimeSignal, lo, hi, etas) -> "int | None":
     """First k whose window [lo[k], hi[k]], integrated and thresholded at etas[k], has no
     spanning tree, or None. Windows are integrated a block at a time, up to the block of
-    the first failure; the new graphs of a block are closed in one stacked call, and each
-    distinct graph once."""
+    the first failure: the first block holds _FIRST_BLOCK windows and each later one twice
+    as many, up to _block, so an early failure integrates few windows and a long run
+    takes large blocks. The new graphs of a block are closed in one stacked call, and
+    each distinct graph once."""
     block, verdicts = _block(coupling), {}
-    for b in range(0, lo.size, block):
+    size, b = min(_FIRST_BLOCK, block), 0
+    while b < lo.size:
         # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
-        z = coupling.integrate_window(lo[b:b + block], hi[b:b + block])
-        graphs = graph.threshold_graph(-z, etas[b:b + block])
+        z = coupling.integrate_window(lo[b:b + size], hi[b:b + size])
+        graphs = graph.threshold_graph(-z, etas[b:b + size])
         keys = [g.tobytes() for g in graphs]
         new = {key: g for key, g in zip(keys, graphs) if key not in verdicts}
         if new:
@@ -219,6 +223,7 @@ def _first_window_without_tree(coupling: TimeSignal, lo, hi, etas) -> "int | Non
         for k, key in enumerate(keys, b):
             if not verdicts[key]:
                 return k
+        b, size = b + size, min(2 * size, block)
     return None
 
 
@@ -232,8 +237,8 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     sum(eta_n) over an infinite horizon is the caller's asymptotic claim, and
     the report echoes the finite sum. Every interval's bin edges come from one
     np.linspace over the partition, and the bins of all intervals run as one
-    list of windows, each with its interval's eta: integrated in blocks (20
-    windows of a table at m = 20, see _block), the graphs of a block not seen
+    list of windows, each with its interval's eta: integrated in blocks that grow
+    to 20 windows of a table at m = 20 (see _block), the graphs of a block not seen
     before closed in one stacked call, so a periodic schedule costs a few
     closures for any number of periods. The check integrates nothing past the
     block holding its first failing window; windows_checked counts the

@@ -15,7 +15,10 @@ inconclusive), 3 runtime failures (blow-up, no lock).
 
 All outputs are deterministic for a fixed config; the only volatile field is
 wall_time_s in summary.json. JSON output is strict (RFC 8259): a non-finite
-number, such as an infinite witness or error ratio, is written as null. CSV
+number, such as an infinite witness or error ratio, is written as null.
+config_hash is the sha256 of the config as json.dumps(cfg, sort_keys=True) writes
+it; one pass over the config (_json_texts) writes that text and the config's echo
+in summary.json, each float turned into text once for both. CSV
 headers carry units and the config hash. A CSV value is C's %.12g of the float,
 the bytes Python's % writes; _csv_bytes builds them for a block of rows at once
 from lookup tables, and hands % only the values it cannot round exactly. Node
@@ -300,29 +303,56 @@ def _write_adjacent_pds(outdir: Path, traj, config_hash, tag):
                           traj.times, adjacent[:, i], f"pd_{i + 1}_{i + 2}", config_hash)
 
 
-def _json_text(obj, indent: str = "\n") -> str:
-    """obj as json.dumps(certificates._jsonable(obj), indent=2, sort_keys=True) writes it."""
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps names them
+
+
+class _Rendered(tuple):
+    """The (hash text, file text) pair _json_texts returned for a value, which it writes
+    back as it is; the file text holds the indent it was rendered at."""
+
+
+def _json_texts(obj, indent: str = "\n") -> "tuple[str, str]":
+    """obj as json.dumps(obj, sort_keys=True) writes it, the text config_hash hashes, and
+    as json.dumps(certificates._jsonable(obj), indent=2, sort_keys=True) writes it, the
+    file text; indent is the line break before obj's closing bracket. Each float is
+    turned into text once, by float.__repr__, for both."""
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                 for k, v in sorted(obj.items())]
+        items = [(name + h, name + f) for name, (h, f) in (
+            (json.encoder.encode_basestring_ascii(k) + ": ", _json_texts(v, inner))
+            for k, v in sorted(obj.items()))]
+        ends = "{}"
+    elif isinstance(obj, _Rendered):
+        return obj
     elif isinstance(obj, (list, tuple)):
         try:  # a row of an echoed matrix, in one pass; a value that is no float raises
-            row = ("," + inner).join(map(float.__repr__, obj))
-            if "n" not in row:  # of the float reprs, only nan and inf hold an n
-                return f"[{inner}{row}{indent}]" if row else "[]"
+            reprs = list(map(float.__repr__, obj))
         except TypeError:
-            pass
-        items = [_json_text(v, inner) for v in obj]
-    else:  # a scalar, or a numpy array, which _jsonable turns into lists
-        leaf = certificates._jsonable(obj)
-        return _json_text(leaf, indent) if isinstance(leaf, list) else json.dumps(leaf)
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+            items, ends = [_json_texts(v, inner) for v in obj], "[]"
+        else:
+            if not reprs:
+                return "[]", "[]"
+            hashed = ", ".join(reprs)
+            if "n" in hashed:  # of the float reprs, only nan and inf hold an n
+                hashed = ", ".join([_NON_FINITE.get(r, r) for r in reprs])
+                reprs = ["null" if r in _NON_FINITE else r for r in reprs]
+            return f"[{hashed}]", f"[{inner}{(',' + inner).join(reprs)}{indent}]"
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        return (_NON_FINITE[text], "null") if text in _NON_FINITE else (text, text)
+    elif isinstance(obj, (np.ndarray, np.generic)):  # as the lists and numbers it holds
+        return _json_texts(obj.tolist(), indent)
+    else:  # a string, int, bool or None, written alike in both
+        text = json.dumps(obj)
+        return text, text
+    if not items:
+        return ends, ends
+    return (ends[0] + ", ".join(h for h, _ in items) + ends[1],
+            ends[0] + inner + ("," + inner).join(f for _, f in items) + indent + ends[1])
 
 
 def _write_json(path: Path, obj) -> str:
-    text = _json_text(obj)
+    text = _json_texts(obj)[1]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     return text
@@ -337,13 +367,14 @@ def _run(args, command) -> int:
         if getattr(args, key) is not None:
             cfg["parameters"] = {**_get(cfg, "parameters", dict, False, {}),
                                  key: getattr(args, key)}
-    config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    config = _Rendered(_json_texts(cfg, "\n  "))  # at its indent in summary.json
+    config_hash = hashlib.sha256(config[0].encode()).hexdigest()[:16]
     outdir = Path(args.out)
     results, code = command(cfg, config_hash, outdir)
     _write_json(outdir / "summary.json", {
         "version": __version__,
         "config_hash": config_hash,
-        "config": cfg,
+        "config": config,
         "results": results,
         "wall_time_s": round(time.monotonic() - started, 3),
     })

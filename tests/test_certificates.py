@@ -721,6 +721,26 @@ def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
     assert sum(c.size for c in calls) < bins
 
 
+def test_window_blocks_double_from_a_few_windows_up_to_the_block(monkeypatch):
+    # one interval of 100 bins of 1 s: a run that passes takes blocks that double from
+    # _FIRST_BLOCK windows up to _block; a failure in the second bin integrates only the
+    # first, small block, not a whole one
+    block, first = certificates._block(two_block_schedule(20, 1.0)), certificates._FIRST_BLOCK
+    assert 1 < first < block
+    sizes = {}
+    for until, verdict in ((200.0, "pass"), (1.0, "fail")):
+        calls = _record_integrals(monkeypatch)
+        rep = thm1_spanning_tree_check(two_block_schedule(20, until), [0.0, 100.0], 0.5,
+                                       bins=100)
+        monkeypatch.undo()
+        assert rep.verdict == verdict
+        sizes[verdict] = [c.size for c in calls]
+    grown = sizes["pass"]
+    assert grown[0] == first and sum(grown) == 100 and block in grown
+    assert all(b == min(2 * a, block) for a, b in zip(grown, grown[1:-1]))
+    assert sizes["fail"] == [first]
+
+
 @pytest.mark.parametrize("until, etas, interval, bin_", [
     (10.0, [0.5, 0.5, 0.5], 2, 4),   # the split starts inside interval 2
     (30.0, [0.5, 1.0, 0.5], 2, 1),   # ring links of 1 are not above interval 2's eta
@@ -730,7 +750,7 @@ def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
 ])
 def test_thm1_names_the_interval_and_bin_of_a_block_across_intervals(until, etas, interval,
                                                                      bin_):
-    # three intervals of 7 bins of 1 s: the first block holds all 21 windows, so each
+    # three intervals of 7 bins of 1 s: the blocks cross the intervals' bounds, so each
     # window's interval and eta come from its place in one flat list
     sig = two_block_schedule(20, until)
     partition = [0.0, 7.0, 14.0, 21.0]

@@ -1,17 +1,18 @@
 import copy
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tvkuramoto import dynamics
+from tvkuramoto import cli, dynamics
 from tvkuramoto.certificates import _jsonable
-from tvkuramoto.cli import (_pd_header, _write_csv, _write_json, _write_run_csvs,
-                            bundled_config_path, main, verify_reference_values)
+from tvkuramoto.cli import (_json_texts, _pd_header, _Rendered, _write_csv, _write_json,
+                            _write_run_csvs, bundled_config_path, main, verify_reference_values)
 from tvkuramoto.dynamics import PhaseTrajectory
 
 
@@ -783,6 +784,8 @@ _JSON_VALUES = st.recursive(_JSON_LEAVES, lambda children: (
 
 @settings(max_examples=200)
 @given(obj=_JSON_VALUES)
+@example(obj={"row": [1.5, math.nan, -math.inf, math.inf, 2, True, np.float64(0.1), -0.0]})
+@example(obj=[[math.nan, 1.0], (math.inf,), [-math.inf, np.float64(math.nan)], []])
 def test_write_json_writes_the_bytes_of_the_standard_encoder(tmp_path_factory, obj):
     # numpy values as _jsonable converts them, and NaN and inf as null; at the parent
     # an array of finite floats raised TypeError while one holding NaN was written
@@ -790,6 +793,49 @@ def test_write_json_writes_the_bytes_of_the_standard_encoder(tmp_path_factory, o
     expected = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     assert _write_json(path, obj) == expected
     assert path.read_text() == expected + "\n"
+    # the one pass behind it also writes the hash text: what json.dumps writes, NaN and
+    # inf as NaN and +-Infinity; json.dumps calls default only for a value it rejects,
+    # a numpy array or integer, which the hash text writes as the values it holds
+    hashed = json.dumps(obj, sort_keys=True, default=lambda v: v.tolist())
+    assert _json_texts(obj) == (hashed, expected)
+    # a rendered value is written back as it is, at the indent it was rendered for
+    inner = _json_texts(obj, "\n    ")
+    assert _json_texts({"a": [_Rendered(inner)]}) == _json_texts({"a": [obj]})
+
+
+def _stub_command(cfg, config_hash, outdir):
+    return {"config_hash_seen": config_hash}, 0
+
+
+@pytest.mark.parametrize("argv, cfg, options", [
+    (["experiment", "ap"], _bundled("ap"), []),
+    (["experiment", "perturb"], _bundled("perturb"), []),
+    (["experiment", "fast"], _bundled("fast"), []),
+    # certify reads no parameters.note, so the NaN and inf in it reach the summary
+    (["certify"], _certify_config("thm1-spanning-tree", partition=[0.0, 1.0, 2.0], eta=0.1,
+                                  note=[math.nan, math.inf, -math.inf, 1.5, [math.nan, 2]]), []),
+    (["simulate"], small_simulate_config(), ["--seed", "7", "--dt", "0.0005"]),
+], ids=["ap", "perturb", "fast", "certify-non-finite", "seed-and-dt-overrides"])
+def test_config_hash_and_summary_bytes_match_the_standard_encoder(tmp_path, monkeypatch,
+                                                                  capsys, argv, cfg, options):
+    # the bundled experiments run as a stub, as neither the hash nor the summary's
+    # layout depends on what a command computes
+    for name in ("ap", "perturb", "fast"):
+        monkeypatch.setitem(cli._COMMANDS, name, _stub_command)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", write_config(tmp_path, cfg), "--out", str(out)]
+                + options) == 0
+    capsys.readouterr()
+    if options:  # --seed and --dt land in parameters before the config is hashed
+        cfg = {**cfg, "parameters": {**cfg["parameters"], "seed": 7, "dt": 0.0005}}
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    assert summary["config_hash"] == hashlib.sha256(
+        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    assert summary["config"] == _jsonable(cfg)
+    if "config_hash_seen" in summary["results"]:
+        assert summary["results"]["config_hash_seen"] == summary["config_hash"]
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_paper_values_prints_the_table_the_library_returns(capsys):
