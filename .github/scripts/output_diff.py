@@ -4,10 +4,12 @@
 
 Each tree runs `tvkuramoto experiment ap|perturb|fast` on shortened copies of
 its own bundled configs (the sizes below), and `tvkuramoto certify` on the
-spanning-tree criteria (CERTIFY below) over the bundled `ap` coupling with its
-two small negative entries set to 0, since a negative coupling makes both
-criteria stop before any window is closed. Each tree runs with its own `src/`
-on PYTHONPATH.
+criteria in CERTIFY below over the bundled `ap` coupling with its two small
+negative entries set to 0, since a negative coupling makes the spanning-tree
+criteria stop before any window is closed. The symmetric-PSD criteria (SYMMETRIC)
+read each piece A as max(A, A^T), since an asymmetric coupling makes them
+inconclusive before any window is read. Each tree runs with its own `src/` on
+PYTHONPATH.
 The script prints a Markdown report: every output file whose sha256 differs
 between the trees, or that only one of them wrote, and any exit code that
 differs. `summary.json` is compared as bytes with its `wall_time_s` line masked,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -39,7 +42,15 @@ CERTIFY = {  # run label: criterion and parameters, on the bundled ap coupling
     "cor1-default-starts": ("cor1-sliding-window", {"T": 1.0, "eta": 0.5}),
     "cor1-starts": ("cor1-sliding-window",
                     {"T": 1.0, "eta": 0.5, "starts": [k / 8 for k in range(64)]}),
+    # h = 1.5 against the period 4: 8 windows span 3 periods; h = 4 / sqrt(2) spans none
+    "thm3-commensurate": ("thm3-lambda2-series", {"r": 1.0, "h": 1.5, "num_windows": 8}),
+    "cor2-commensurate": ("cor2-lambda2-uniform", {"r": 1.0, "h": 1.5, "num_windows": 8}),
+    "thm3-incommensurate": ("thm3-lambda2-series",
+                            {"r": 1.0, "h": 4 / math.sqrt(2), "num_windows": 8}),
+    "cor2-incommensurate": ("cor2-lambda2-uniform",
+                            {"r": 1.0, "h": 4 / math.sqrt(2), "num_windows": 8}),
 }
+SYMMETRIC = {"thm3-lambda2-series", "cor2-lambda2-uniform"}
 
 
 def summary(path: Path) -> dict:
@@ -90,6 +101,9 @@ def command(tree: Path, label: str) -> tuple:
     signals = json.loads((tree / "src/tvkuramoto/configs/ap.json").read_text())["signals"]
     for piece in signals["coupling"]["pieces"]:
         piece["value"] = [[max(v, 0.0) for v in row] for row in piece["value"]]
+        if criterion in SYMMETRIC:
+            piece["value"] = [list(map(max, row, col))
+                              for row, col in zip(piece["value"], zip(*piece["value"]))]
     return ["certify"], {"criterion": criterion, "signals": signals, "parameters": parameters}
 
 

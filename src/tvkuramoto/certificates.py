@@ -32,8 +32,8 @@ from tvkuramoto import graph
 from tvkuramoto.dynamics import check_r
 from tvkuramoto.graph import _pair_sums, _pair_tensors
 from tvkuramoto.linalg import _Asymmetric, _check_zero_row_sums, lambda2, restricted_spectrum
-from tvkuramoto.signals import (ConstantSignal, SinusoidSignal, TableSignal, TimeSignal, _numbers,
-                                probe, sample_grid)
+from tvkuramoto.signals import (ConstantSignal, PeriodError, SinusoidSignal, TableSignal,
+                                TimeSignal, _numbers, common_period, probe, sample_grid)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 PROBE_POINTS = 128  # even times per period of a smooth coupling's probes and default starts
@@ -449,24 +449,26 @@ def first_psd_fault(coupling: TimeSignal) -> "tuple | None":
     return None
 
 
-def _lambda2_series(coupling: TimeSignal, r: float, h: float, num_windows: int):
-    """alpha_k = lambda2 of the tilde of the window-averaged Laplacian, k < num_windows."""
-    alphas = []
-    for k in range(num_windows):
-        lap = graph.laplacian_from_adjacency(coupling.window_average(k * h, (k + 1) * h))
-        alphas.append(lambda2(tilde_laplacian(lap, r)))
-    return np.array(alphas)
+def _repeat(coupling: TimeSignal, h: float) -> tuple:
+    """(k0, q) with alpha_{k+q} = alpha_k for every k >= k0, window k being [k h, (k+1) h]:
+    (floor(s/h) + 1, 1) for an aperiodic coupling, whose windows from k0 on start past its
+    last switch s and average its last value; (0, common_period(P, h) / h) for a periodic
+    one. PeriodError when h and P have no common multiple."""
+    if coupling.period is None:
+        return math.floor(coupling.breakpoints()[-1] / h) + 1, 1
+    return 0, round(common_period([coupling, h]) / h)
 
 
 def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int = 1,
                       alpha_hat: float = 1e-6) -> CertificateReport:
     """Symmetric-PSD criterion: window-averaged tilde-Laplacian connectivity.
 
-    Validates that every sampled Laplacian is symmetric and positive
-    semidefinite, then computes the alpha series. The main verdict is the
-    series-divergence test, reduced for periodic couplings to a positive
-    per-period sum; the uniform-lower-bound verdict (min alpha > alpha_hat) is
-    reported alongside for the exponential-rate corollary.
+    Validates that every sampled Laplacian is symmetric and positive semidefinite,
+    then reads alpha_k = lambda2 of the tilde of window k's averaged Laplacian for
+    the k0 + q windows of _repeat. The series diverges iff its cycle alpha_k0..
+    alpha_{k0+q-1} has a positive sum; the corollary's verdict, every alpha >
+    alpha_hat, reads the least of the k0 + q. Without a repeat both are
+    inconclusive. num_windows only sets how many alphas the witnesses list.
     """
     graph.check_coupling(coupling)
     check_r(r)
@@ -481,30 +483,26 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
         return CertificateReport("thm3-lambda2-series", INCONCLUSIVE,
                                  witnesses=wit, parameters=params)
 
-    alphas = _lambda2_series(coupling, r, h, num_windows)
-    min_alpha = float(alphas.min())
-    partial_sum = float(alphas.sum())
-    cor2_pass = min_alpha > alpha_hat
-
-    if coupling.is_constant:
-        scope, period_sum = "constant", float(alphas[0])
-    elif coupling.period is not None and abs(coupling.period / h - round(coupling.period / h)) < 1e-9 \
-            and round(coupling.period / h) <= num_windows:
-        n = int(round(coupling.period / h))
-        scope, period_sum = "one-period", float(alphas[:n].sum())
-    else:
-        scope, period_sum = "horizon", partial_sum
-    thm3_pass = period_sum > 0.0
+    try:
+        (k0, q), repeats = _repeat(coupling, h), True
+    except PeriodError:  # the listed windows alone, which decide nothing
+        (k0, q), repeats = (0, num_windows), False
+    alphas = np.array([lambda2(tilde_laplacian(graph.laplacian_from_adjacency(
+        coupling.window_average(k * h, (k + 1) * h)), r)) for k in range(k0 + q)])
+    k = np.arange(num_windows)
+    listed = alphas[np.where(k < k0, k, k0 + (k - k0) % q)]
+    repeat = {"from_window": k0, "windows": q, "sum": float(alphas[k0:].sum()),
+              "min": float(alphas.min())} if repeats else None
+    verdict = INCONCLUSIVE if repeat is None else PASS if repeat["sum"] > 0.0 else FAIL
 
     return CertificateReport(
-        "thm3-lambda2-series", PASS if thm3_pass else FAIL,
+        "thm3-lambda2-series", verdict,
         witnesses={
-            "alpha_series": alphas.tolist(),
-            "min_alpha": min_alpha,
-            "partial_sum": partial_sum,
-            "per_period_sum": period_sum,
-            "divergence_scope": scope,
-            "cor2_uniform_pass": bool(cor2_pass),
+            "alpha_series": listed.tolist(),
+            "min_alpha": float(listed.min()),
+            "partial_sum": float(listed.sum()),
+            "repeat": repeat,
+            "cor2_uniform_pass": None if repeat is None else repeat["min"] > alpha_hat,
         },
         parameters=params,
     )

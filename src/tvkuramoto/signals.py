@@ -388,11 +388,12 @@ def check_alignment(signals: "TimeSignal | Sequence[TimeSignal]", s: float, t: f
 _PERIOD_MULTIPLES = 64  # largest multiple of the longest period common_period tries
 
 
-def common_period(signals: "Sequence[TimeSignal]") -> "float | None":
+def common_period(signals: "Sequence[TimeSignal | float]") -> "float | None":
     """Smallest whole multiple of the longest period that every period divides within
-    1e-9; None when no signal is periodic, PeriodError when no multiple up to
-    _PERIOD_MULTIPLES works."""
-    periods = [s.period for s in signals if s.period is not None]
+    1e-9, a number standing for its own period; None when nothing is periodic,
+    PeriodError when no multiple up to _PERIOD_MULTIPLES works."""
+    periods = [p for p in (s.period if isinstance(s, TimeSignal) else float(s) for s in signals)
+               if p is not None]
     if not periods:
         return None
     longest = max(periods)

@@ -29,6 +29,7 @@ from grid_oracle import even_grid
 import pointwise_oracle
 from table_oracle import SNAP, piece_at
 import psd_oracle
+import series_oracle
 import spanning_oracle
 import window_oracle
 from xi_oracle import xi_vertex_oracle
@@ -1152,7 +1153,11 @@ def test_thm3_uniform_scaling_case():
     rep = thm3_series_check(coupling, math.pi / 3, h=0.7, num_windows=4)
     assert rep.verdict == "pass"
     assert np.allclose(rep.witnesses["alpha_series"], 1.5)
+    # a constant repeats from window 1, floor(0 / h) + 1, one window a cycle
+    assert rep.witnesses["repeat"] == {"from_window": 1, "windows": 1,
+                                       "sum": pytest.approx(1.5), "min": pytest.approx(1.5)}
     assert rep.witnesses["cor2_uniform_pass"]
+    assert cor2_uniform_check(coupling, math.pi / 3, h=0.7, num_windows=4).verdict == "pass"
 
 
 def test_thm3_zero_coupling_fails():
@@ -1172,9 +1177,9 @@ def test_thm3_non_psd_schedule_is_inconclusive():
     pieces = [np.asarray(p["value"]) for p in cfg["signals"]["coupling"]["pieces"]]
     mean_lap = laplacian_from_adjacency((pieces[0] + pieces[1]) / 2)
     direct = lambda2(tilde_laplacian(mean_lap, math.pi / 3))
-    from tvkuramoto.certificates import _lambda2_series
-    series = _lambda2_series(coupling, math.pi / 3, 2.0, 2)
-    assert series[0] == pytest.approx(direct, abs=1e-9)
+    integral = series_oracle.table_integral(coupling.times, coupling.values, coupling.period)
+    assert series_oracle.series(integral, math.pi / 3, 2.0, 2) == \
+        pytest.approx([direct, direct], abs=1e-9)
     assert direct > 0
 
 
@@ -1226,20 +1231,34 @@ def psd_probe_schedule(rng, kind):
     return TableSignal(times, pieces, float(durations.sum()) if kind == "periodic-table" else None)
 
 
+def periodic_h(rng, sig):
+    """(h, (a, b)) with h/P = a/b, a and b in 1..5, for a periodic signal; else a random h
+    and None."""
+    if sig.period is None:
+        return float(rng.uniform(0.2, 1.5)), None
+    a, b = (int(v) for v in rng.integers(1, 6, 2))
+    return sig.period * a / b, (a, b)
+
+
 @pytest.mark.parametrize("kind", PROBE_KINDS)
 def test_psd_probe_matches_the_per_time_loop(kind):
-    # each stored piece eigensolved once must give the witness every probe time gives
+    # each stored piece eigensolved once must give the witness every probe time gives;
+    # without one, the verdict is the series oracle's
     rng = np.random.default_rng([75, PROBE_KINDS.index(kind)])
     seen = set()
     for _ in range(24):
         sig = psd_probe_schedule(rng, kind)
-        h, num_windows = rng.uniform(0.2, 1.5), int(rng.integers(1, 5))
+        (h, ratio), num_windows = periodic_h(rng, sig), int(rng.integers(1, 5))
         want = psd_oracle.thm3_witness(sig)
-        for check in (thm3_series_check, cor2_uniform_check):
+        series = None if want is not None else series_oracle.verdicts_of(
+            sig, math.pi / 3, h, 1e-6, ratio)
+        for name, check in (("thm3", thm3_series_check), ("cor2", cor2_uniform_check)):
             rep = check(sig, math.pi / 3, h, num_windows)
-            assert (rep.verdict == "inconclusive") == (want is not None)
             if want is not None:
-                assert rep.witnesses == want
+                assert rep.verdict == "inconclusive" and rep.witnesses == want
+            else:
+                assert not {"asymmetric_at", "not_psd_at"} & rep.witnesses.keys()
+                assert rep.verdict == series[name]
         seen.add("none" if want is None else next(iter(want)))
     assert seen == {"none", "asymmetric_at", "not_psd_at"}
 
@@ -1261,6 +1280,104 @@ def test_cor2_uniform_threshold():
     coupling = ConstantSignal(np.ones((3, 3)) - np.eye(3))
     assert cor2_uniform_check(coupling, math.pi / 3, 1.0, 3).verdict == "pass"
     assert cor2_uniform_check(coupling, math.pi / 3, 1.0, 3, alpha_hat=2.0).verdict == "fail"
+
+
+J3 = np.ones((3, 3)) - np.eye(3)
+
+
+@pytest.mark.parametrize("num_windows", [1, 5, 50])
+def test_thm3_fails_on_a_coupling_that_stops(num_windows):
+    # connected for 1 s, then zero for ever: alpha_k = 0 for k >= 1, so the series
+    # converges, however many windows are listed; it repeats from floor(1 / 1) + 1 = 2
+    rep = thm3_series_check(TableSignal([0.0, 1.0], [J3, 0 * J3]), 1.0, 1.0, num_windows)
+    assert rep.verdict == "fail"
+    assert rep.witnesses["repeat"] == {"from_window": 2, "windows": 1, "sum": 0.0, "min": 0.0}
+    assert len(rep.witnesses["alpha_series"]) == num_windows
+    assert rep.witnesses["alpha_series"][1:] == [0.0] * (num_windows - 1)
+
+
+def test_cor2_fails_on_a_coupling_that_stops_with_one_listed_window():
+    rep = cor2_uniform_check(TableSignal([0.0, 1.0], [J3, 0 * J3]), 1.0, 1.0, num_windows=1)
+    assert rep.verdict == "fail"
+    assert rep.witnesses["min_alpha"] > 1e-6  # the one listed window alone would pass
+
+
+def test_periodic_coupling_is_read_over_its_whole_cycle():
+    # h / P = 0.7 / 3 = 7 / 30: 30 windows span 7 periods, and some of them, [1.4, 2.1]
+    # the first, lie wholly in the zero piece; 2 listed windows both meet the J piece
+    sig = TableSignal([0.0, 1.0], [J3, 0 * J3], period=3.0)
+    rep = thm3_series_check(sig, 1.0, 0.7, num_windows=2)
+    oracle = series_oracle.verdicts_of(sig, 1.0, 0.7, 1e-6, ratio=(7, 30))
+    assert rep.verdict == oracle["thm3"] == "pass"
+    repeat = rep.witnesses["repeat"]
+    assert (repeat["from_window"], repeat["windows"]) == (0, 30)
+    assert repeat["sum"] == pytest.approx(sum(oracle["alphas"][:30]), abs=1e-9)
+    assert repeat["min"] == pytest.approx(0.0, abs=1e-12)
+    assert min(rep.witnesses["alpha_series"]) > 1e-6
+    assert cor2_uniform_check(sig, 1.0, 0.7, num_windows=2).verdict == oracle["cor2"] == "fail"
+
+
+def test_incommensurate_h_is_inconclusive():
+    # h = 1 against the sinusoid's period 2 pi: no whole number of windows spans whole
+    # periods, so no finite cycle decides the series; the listed alphas are still there
+    sig = SinusoidSignal(2.0 * J3, 0.5 * J3, 0.0)
+    for check in (thm3_series_check, cor2_uniform_check):
+        rep = check(sig, 1.0, 1.0, num_windows=3)
+        assert rep.verdict == "inconclusive"
+        assert rep.witnesses["repeat"] is None and rep.witnesses["cor2_uniform_pass"] is None
+        assert len(rep.witnesses["alpha_series"]) == 3 and rep.witnesses["min_alpha"] > 0
+
+
+SERIES_KINDS = ["constant", "aperiodic-table", "periodic-table", "switching", "sinusoid"]
+
+
+def series_case(rng, kind):
+    """A symmetric nonnegative coupling of the kind on 2 to 5 nodes, 1 to 4 pieces, each
+    piece zero or with every off-diagonal entry at least 0.1 (so connected); an aperiodic
+    table ends in a zero piece half the time."""
+    m, count = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    pieces = []
+    for k in range(count):
+        zero = rng.random() < (0.5 if kind == "aperiodic-table" and k == count - 1 else 0.3)
+        a = np.zeros((m, m)) if zero else rng.uniform(0.05, 0.75, (m, m))
+        a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        pieces.append(a)
+    if kind == "constant":
+        return ConstantSignal(pieces[0])
+    if kind == "sinusoid":  # the base outweighs the amplitude: every entry stays positive
+        base = pieces[-1] + 0.05 * (1.0 - np.eye(m))
+        return SinusoidSignal(base, pieces[-1], rng.uniform(-3.0, 3.0),
+                              trig=str(rng.choice(["sin", "cos"])),
+                              time_scale=float(rng.uniform(0.1, 1.0)))
+    durations = rng.uniform(0.2, 1.0, count)
+    if kind == "switching":
+        return SwitchingSignal(durations, pieces)
+    times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    return TableSignal(times, pieces, float(durations.sum()) if kind == "periodic-table"
+                       else None)
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_thm3_and_cor2_agree_with_the_series_oracle(kind):
+    # the oracle reads 20 cycles of windows, or every window to the last switch and 20
+    # past it; the package reads k0 + q windows, and num_windows only sets the listing
+    rng = np.random.default_rng([76, SERIES_KINDS.index(kind)])
+    seen = set()
+    for _ in range(20):
+        sig = series_case(rng, kind)
+        (h, ratio), num_windows = periodic_h(rng, sig), int(rng.integers(1, 8))
+        r, alpha_hat = float(rng.uniform(0.1, 1.5)), float(rng.choice([1e-6, 0.5]))
+        oracle = series_oracle.verdicts_of(sig, r, h, alpha_hat, ratio)
+        for name, check in (("thm3", thm3_series_check), ("cor2", cor2_uniform_check)):
+            rep = check(sig, r, h, num_windows, alpha_hat)
+            assert rep.verdict == oracle[name]
+            seen.add((name, rep.verdict))
+        assert rep.witnesses["alpha_series"] == pytest.approx(oracle["alphas"][:num_windows],
+                                                              abs=1e-9)
+    assert ("cor2", "fail") in seen and ("thm3", "pass") in seen
+    if kind == "aperiodic-table":
+        assert ("thm3", "fail") in seen
 
 
 # --- cross-criterion consistency ----------------------------------------------

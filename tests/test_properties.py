@@ -151,16 +151,36 @@ def test_window_averages_scale_with_time_compress_and_add_over_adjacent_windows(
                        rtol=0.0, atol=1e-9 * scale)
 
 
+def _series_case(kind, m, seed):
+    """(signal, r, h, alpha_hat) for thm3/cor2: a symmetric coupling, most of them PSD, and
+    half the time, of a periodic one, an h that is a whole fraction a/b of the period."""
+    rng = np.random.default_rng(seed)
+    sig = _signal(kind, rng, (m, m), low=-0.3 if seed % 3 == 0 else 0.0, symmetric=True)
+    r, h = float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.2, 2.0))
+    if sig.period is not None and seed % 2:
+        h = sig.period * int(rng.integers(1, 6)) / int(rng.integers(1, 6))
+    return sig, r, h, float(rng.choice([1e-6, 0.1]))
+
+
 @settings(max_examples=40)
 @given(st.sampled_from(SIGNAL_KINDS), st.integers(2, 6), st.integers(0, 2**32 - 1))
-def test_cor2_pass_implies_thm3_pass_on_the_same_windows(kind, m, seed):
-    rng = np.random.default_rng(seed)
-    # symmetric couplings, most of them PSD
-    sig = _signal(kind, rng, (m, m), low=-0.3 if seed % 3 == 0 else 0.0, symmetric=True)
-    r, h, n = float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.2, 2.0)), int(rng.integers(1, 6))
-    alpha_hat = float(rng.choice([1e-6, 0.1]))
-    if cor2_uniform_check(sig, r, h, n, alpha_hat).verdict == "pass":
-        assert thm3_series_check(sig, r, h, n, alpha_hat).verdict == "pass"
+def test_cor2_pass_implies_thm3_pass_on_the_whole_series(kind, m, seed):
+    sig, r, h, alpha_hat = _series_case(kind, m, seed)
+    if cor2_uniform_check(sig, r, h, 1, alpha_hat).verdict == "pass":
+        assert thm3_series_check(sig, r, h, 1, alpha_hat).verdict == "pass"
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(SIGNAL_KINDS), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_thm3_and_cor2_verdicts_do_not_depend_on_num_windows(kind, m, seed):
+    # num_windows sets how many alphas are listed, and nothing else
+    sig, r, h, alpha_hat = _series_case(kind, m, seed)
+    for check in (thm3_series_check, cor2_uniform_check):
+        one, seven = (check(sig, r, h, n, alpha_hat) for n in (1, 7))
+        assert one.verdict == seven.verdict
+        assert one.witnesses.get("repeat") == seven.witnesses.get("repeat")
+        assert seven.witnesses.get("alpha_series", [None])[0] == \
+            one.witnesses.get("alpha_series", [None])[0]
 
 
 @settings(max_examples=40)
