@@ -13,10 +13,13 @@ PYTHONPATH.
 The script prints a Markdown report: every output file whose sha256 differs
 between the trees, or that only one of them wrote, and any exit code that
 differs. `summary.json` is compared as bytes with its `wall_time_s` line masked,
-the one field that varies from run to run, so a change in its layout shows too;
-where it differs, the report also names the dotted paths of its first
-LEAF_PATHS differing leaves. It exits 0 whatever it finds: the report gates
-nothing.
+the one field that varies from run to run, so a change in its layout shows too.
+Where a `summary.json` or `certificate.json` differs, the report also names the
+dotted paths of its first LEAF_PATHS differing leaves, the largest relative
+difference among the differing numeric leaves (a number, or a list of numbers of
+one length), and every differing leaf that is not numeric, so a move of a witness
+by a few ulps reads apart from a changed verdict. It exits 0 whatever it finds:
+the report gates nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ SHORT = {  # parameters.<key> overrides: a few seconds of model time per experim
     "perturb": {"t_end": 6.0},
     "fast": {"t_end": 8.0},
 }
-LEAF_PATHS = 10  # differing summary.json leaves named per experiment
+LEAF_PATHS = 10  # differing JSON leaves named per run and file
+JSON_FILES = ("summary.json", "certificate.json")  # files whose differing leaves are named
 CERTIFY = {  # run label: criterion and parameters, on the bundled ap coupling
     "thm1": ("thm1-spanning-tree",  # default bins; the rising eta fails a later interval
              {"partition": [4.0 * k for k in range(11)], "eta": [0.1 * k for k in range(1, 11)]}),
@@ -53,10 +57,11 @@ CERTIFY = {  # run label: criterion and parameters, on the bundled ap coupling
 SYMMETRIC = {"thm3-lambda2-series", "cor2-lambda2-uniform"}
 
 
-def summary(path: Path) -> dict:
-    """A summary.json without its wall_time_s."""
+def load(path: Path) -> dict:
+    """A JSON output file; a summary.json without its wall_time_s."""
     data = json.loads(path.read_text())
-    data.pop("wall_time_s", None)
+    if path.name == "summary.json":
+        data.pop("wall_time_s", None)
     return data
 
 
@@ -83,11 +88,26 @@ def leaves(value, path: str = "") -> dict:
     return out
 
 
-def differing_leaves(base: Path, head: Path) -> list:
-    """Sorted dotted paths of the leaves two summary.json files hold differently, or that
-    only one of them holds."""
-    b, h = leaves(summary(base)), leaves(summary(head))
-    return sorted(k for k in b.keys() | h.keys() if k not in b or k not in h or b[k] != h[k])
+def relative_difference(b, h) -> "float | None":
+    """Largest |b - h| / max(|b|, |h|) over two numbers, or over two lists of numbers of one
+    length entry by entry; None when either leaf is anything else (a bool is no number)."""
+    pairs = zip(b, h) if isinstance(b, list) and isinstance(h, list) and len(b) == len(h) \
+        else [(b, h)]
+    worst = 0.0
+    for x, y in pairs:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            return None
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def differing_leaves(base: Path, head: Path) -> dict:
+    """{dotted path: relative_difference or None} of the leaves two JSON output files hold
+    differently, or that only one of them holds, in path order."""
+    b, h = leaves(load(base)), leaves(load(head))
+    return {k: relative_difference(b[k], h[k]) if k in b and k in h else None
+            for k in sorted(b.keys() | h.keys()) if k not in b or k not in h or b[k] != h[k]}
 
 
 def command(tree: Path, label: str) -> tuple:
@@ -138,16 +158,25 @@ def main(base: str, head: str, work: str) -> int:
                 same += 1
             else:
                 lines.append(f"| {label} | `{name}` | `{b[:12]}` | `{h[:12]}` |")
-                if name == "summary.json" and "missing" not in (b, h):
-                    leaf_notes.append((label, differing_leaves(
+                if name in JSON_FILES and "missing" not in (b, h):
+                    leaf_notes.append((label, name, differing_leaves(
                         *(Path(work) / side / label / "out" / name for side in ("base", "head")))))
     differ = len(lines) - 4
     lines += ["", f"{differ} difference(s); {same} file(s) identical by sha256 "
               "(`summary.json` with its `wall_time_s` line masked)."]
-    for label, paths in leaf_notes:
+    for label, name, diffs in leaf_notes:
+        paths = list(diffs)
         shown = ", ".join(f"`{p}`" for p in paths[:LEAF_PATHS])
         more = f" and {len(paths) - LEAF_PATHS} more" if len(paths) > LEAF_PATHS else ""
-        lines += ["", f"{label} `summary.json` leaves that differ: {shown}{more}."]
+        lines += ["", f"{label} `{name}` leaves that differ: {shown}{more}."]
+        numeric = {p: d for p, d in diffs.items() if d is not None}
+        if numeric:
+            worst = max(numeric, key=numeric.get)
+            lines.append(f"Largest relative difference among numeric leaves: "
+                         f"{numeric[worst]:.3g} (`{worst}`).")
+        other = [p for p, d in diffs.items() if d is None]
+        lines.append("Non-numeric leaves that differ: "
+                     + (", ".join(f"`{p}`" for p in other) if other else "none") + ".")
     print("\n".join(lines))
     return 0
 

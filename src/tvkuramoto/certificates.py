@@ -10,10 +10,10 @@ grid of both signals, the switches alone for two tables. A coupling hypothesis
 criterion's own span, a smooth coupling at PROBE_POINTS per period, but a
 sinusoid's entries are nonnegative iff their exact minima are. The kinks, and a
 smooth coupling's grid, give thm2's and cor1's default starts. Window integrals of
-the coupling are exact; thm2's window integrals of xi are exact for
-piecewise-constant couplings and a midpoint rule on _XI_CELLS cells per period
-otherwise (_xi_steps). Each criterion checks its coupling once, with
-graph.check_coupling, before any evaluation.
+the coupling are exact, each distinct window read once by _windows; thm2's window
+integrals of xi are exact for piecewise-constant couplings and a midpoint rule on
+_XI_CELLS cells per period otherwise (_xi_steps). Each criterion checks its coupling
+once, with graph.check_coupling, before any evaluation.
 
 Sign convention for matrices quoted from the literature on switched oscillator
 networks: a printed matrix with negative diagonal and zero row sums is
@@ -203,27 +203,78 @@ def _block(coupling: TimeSignal) -> int:
     return max(1, entries // coupling.shape[0] ** 2)
 
 
+def _windows(coupling: TimeSignal, lo: np.ndarray, hi: np.ndarray, average: bool = False):
+    """(index, read): window k, [lo[k], hi[k]], is distinct window index[k], and read(ids)
+    gives the integrals (with average, the means) of the distinct windows ids, an index
+    array or a slice.
+
+    A window of a periodic coupling is shifted down by floor(lo / P) periods. A window of a
+    table whose interior meets one piece, past the last switch of an aperiodic table
+    included, is that piece's value times its length (the value itself for a mean), keyed
+    by its piece and length (its piece alone for a mean). Any other window is keyed by its
+    shifted ends and integrated by integrate_window, once per read."""
+    length = hi - lo  # before the shift, which may round either end
+    if coupling.period is not None:
+        n = np.floor(lo / coupling.period)
+        n -= lo - n * coupling.period < 0  # a quotient rounded up onto a whole period
+        lo, hi = lo - n * coupling.period, hi - n * coupling.period
+    piece = np.full(lo.shape, -1)
+    if coupling.is_piecewise_constant:
+        ends = np.append(coupling.times[1:], coupling.period or math.inf)
+        k = np.searchsorted(coupling.times, lo, side="right") - 1
+        piece = np.where(hi <= ends[k], k, -1)
+    keys = np.empty(lo.shape, complex)
+    keys.real = np.where(piece < 0, lo, -1.0 - piece)
+    keys.imag = np.where(piece < 0, hi, 1.0 if average else length)
+    first, index = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    lo, hi, length, piece = lo[first], hi[first], length[first], piece[first]
+
+    def read(ids):
+        ids = np.arange(piece.size)[ids]
+        cross = piece[ids] < 0
+        if cross.all():
+            out = coupling.integrate_window(lo[ids], hi[ids])
+            return out / length[ids, None, None] if average else out
+        out = coupling._stack[piece[ids]]  # a copy; rows of windows across a switch are replaced
+        if not average:
+            out *= length[ids, None, None]
+        if cross.any():
+            ids = ids[cross]
+            z = coupling.integrate_window(lo[ids], hi[ids])
+            out[cross] = z / length[ids, None, None] if average else z
+        return out
+
+    return index, read
+
+
 def _first_window_without_tree(coupling: TimeSignal, lo, hi, etas) -> "int | None":
     """First k whose window [lo[k], hi[k]], integrated and thresholded at etas[k], has no
-    spanning tree, or None. Windows are integrated a block at a time, up to the block of
-    the first failure: the first block holds _FIRST_BLOCK windows and each later one twice
-    as many, up to _block, so an early failure integrates few windows and a long run
-    takes large blocks. The new graphs of a block are closed in one stacked call, and
-    each distinct graph once."""
+    spanning tree, or None. Each distinct (window of _windows, eta) pair is read once, in
+    order of first appearance, a block at a time up to the block of the first failure.
+    The first block holds the pairs of the first _FIRST_BLOCK windows, sorted out from
+    those windows alone, so an early failure sorts and integrates few windows; each later
+    block holds twice as many pairs, up to _block, so a long run takes large blocks.
+    Every window before the first window of the first failing pair holds an earlier pair,
+    so that window is the first failing one. The new graphs of a block are closed in one
+    stacked call, and each distinct graph once."""
     block, verdicts = _block(coupling), {}
-    size, b = min(_FIRST_BLOCK, block), 0
-    while b < lo.size:
-        # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
-        z = coupling.integrate_window(lo[b:b + size], hi[b:b + size])
-        graphs = graph.threshold_graph(-z, etas[b:b + size])
-        keys = [g.tobytes() for g in graphs]
-        new = {key: g for key, g in zip(keys, graphs) if key not in verdicts}
-        if new:
-            verdicts.update(zip(new, graph.has_spanning_tree(np.array(list(new.values())))))
-        for k, key in enumerate(keys, b):
-            if not verdicts[key]:
-                return k
-        b, size = b + size, min(2 * size, block)
+    size, seen = min(_FIRST_BLOCK, block), 0
+    for stop in sorted({min(size, lo.size), lo.size}):  # the first windows, then all
+        index, read = _windows(coupling, lo[:stop], hi[:stop])
+        pairs = np.sort(np.unique(index + 1j * etas[:stop], return_index=True)[1])
+        pairs, b, seen = pairs[pairs >= seen], 0, stop  # a pair first seen before is checked
+        while b < pairs.size:
+            k = pairs[b:b + size]
+            # -z holds the Laplacian's off-diagonal entries, all threshold_graph reads
+            graphs = graph.threshold_graph(-read(index[k]), etas[k])
+            keys = [g.tobytes() for g in graphs]
+            new = {key: g for key, g in zip(keys, graphs) if key not in verdicts}
+            if new:
+                verdicts.update(zip(new, graph.has_spanning_tree(np.array(list(new.values())))))
+            for w, key in zip(k.tolist(), keys):
+                if not verdicts[key]:
+                    return w
+            b, size = b + size, min(2 * size, block)
     return None
 
 
@@ -237,11 +288,13 @@ def thm1_spanning_tree_check(coupling: TimeSignal, partition, eta,
     sum(eta_n) over an infinite horizon is the caller's asymptotic claim, and
     the report echoes the finite sum. Every interval's bin edges come from one
     np.linspace over the partition, and the bins of all intervals run as one
-    list of windows, each with its interval's eta: integrated in blocks that grow
-    to 20 windows of a table at m = 20 (see _block), the graphs of a block not seen
-    before closed in one stacked call, so a periodic schedule costs a few
-    closures for any number of periods. The check integrates nothing past the
-    block holding its first failing window; windows_checked counts the
+    list of windows, each with its interval's eta. Each distinct (window, eta)
+    pair is read once (_windows: a periodic window at its folded offset, a
+    window inside one piece from that piece), in blocks that grow to 20 windows
+    of a table at m = 20 (see _block), and the graphs of a block not seen before
+    are closed in one stacked call, so a periodic schedule costs one period of
+    distinct bins for any number of periods. The check reads nothing past the
+    block holding its first failing pair; windows_checked counts the
     partition's windows (intervals x bins) all the same.
     """
     m = graph.check_coupling(coupling)
@@ -291,15 +344,13 @@ def _eta_starts(coupling: TimeSignal, starts: np.ndarray, window: float,
     included. The thresholded graph is constant inside a gap, so every graph is seen."""
     if coupling.period is not None:
         starts = np.append(starts, starts[0] + coupling.period)
-    block = _block(coupling)
-    pts = [starts]
-    for b in range(0, starts.size - 1, block):
-        s = starts[b:b + block + 1]
-        z = coupling.integrate_window(s, s + window) - eta
-        k, i, j = np.nonzero((z[:-1] > 0) != (z[1:] > 0))
-        za, zb = z[k, i, j], z[k + 1, i, j]
-        pts.append(s[k] + za / (za - zb) * (s[k + 1] - s[k]))
-    pts = np.unique(np.concatenate(pts))
+    index, read = _windows(coupling, starts, starts + window)
+    z = read(slice(None)) - eta  # each distinct window once
+    above = (z > 0)[index]
+    k, i, j = np.nonzero(above[:-1] != above[1:])
+    za, zb = z[index[k], i, j], z[index[k + 1], i, j]
+    crossings = starts[k] + za / (za - zb) * (starts[k + 1] - starts[k])
+    pts = np.unique(np.concatenate([starts, crossings]))
     return _fold(coupling, pts, (pts[:-1] + pts[1:]) / 2)
 
 
@@ -326,8 +377,9 @@ def cor1_sliding_window_check(coupling: TimeSignal, window: float, eta: float,
     The length-T aggregated coupling starting at every sampled t, thresholded
     at eta, must contain a spanning tree. For a piecewise-constant coupling the
     default starts see every graph a window takes, so the default check is
-    exact. The check stops at the first failing start, and the closure runs
-    once per distinct thresholded graph.
+    exact. Each distinct window is read once, as in thm1_spanning_tree_check,
+    the check stops at the first failing start, and the closure runs once per
+    distinct thresholded graph.
     """
     graph.check_coupling(coupling)
     _numbers("T", window, 0, ">0")
@@ -465,10 +517,15 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
 
     Validates that every sampled Laplacian is symmetric and positive semidefinite,
     then reads alpha_k = lambda2 of the tilde of window k's averaged Laplacian for
-    the k0 + q windows of _repeat. The series diverges iff its cycle alpha_k0..
-    alpha_{k0+q-1} has a positive sum; the corollary's verdict, every alpha >
-    alpha_hat, reads the least of the k0 + q. Without a repeat both are
-    inconclusive. num_windows only sets how many alphas the witnesses list.
+    the k0 + q windows of _repeat, one eigensolve per distinct window average of
+    _windows: a window inside one piece averages that piece, so the cost is
+    bounded by the pieces and the windows across a switch, not by k0 + q. A
+    window average whose support (its nonzero entries, symmetrized) is
+    disconnected has alpha <= 0 exactly, so its alpha is min(eigh's value, 0).
+    The series diverges iff its cycle alpha_k0..alpha_{k0+q-1} has a positive
+    sum; the corollary's verdict, every alpha > alpha_hat, reads the least of the
+    k0 + q. Without a repeat both are inconclusive. num_windows only sets how
+    many alphas the witnesses list.
     """
     graph.check_coupling(coupling)
     check_r(r)
@@ -487,8 +544,15 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
         (k0, q), repeats = _repeat(coupling, h), True
     except PeriodError:  # the listed windows alone, which decide nothing
         (k0, q), repeats = (0, num_windows), False
-    alphas = np.array([lambda2(tilde_laplacian(graph.laplacian_from_adjacency(
-        coupling.window_average(k * h, (k + 1) * h)), r)) for k in range(k0 + q)])
+    k = np.arange(k0 + q)
+    index, read = _windows(coupling, k * h, (k + 1) * h, average=True)
+    averages = read(slice(None))
+    alphas = np.array([lambda2(tilde_laplacian(graph.laplacian_from_adjacency(a), r))
+                       for a in averages])
+    # a disconnected support has alpha <= 0 exactly: 1 on a component, minus its mean, is
+    # in the kernel of the tilde Laplacian, whatever the last bits of eigh say
+    connected = graph.has_spanning_tree((averages != 0) | (averages.transpose(0, 2, 1) != 0))
+    alphas = np.where(connected, alphas, np.minimum(alphas, 0.0))[index]
     k = np.arange(num_windows)
     listed = alphas[np.where(k < k0, k, k0 + (k - k0) % q)]
     repeat = {"from_window": k0, "windows": q, "sum": float(alphas[k0:].sum()),
@@ -510,12 +574,18 @@ def thm3_series_check(coupling: TimeSignal, r: float, h: float, num_windows: int
 
 def cor2_uniform_check(coupling: TimeSignal, r: float, h: float, num_windows: int = 1,
                        alpha_hat: float = 1e-6) -> CertificateReport:
-    """Exponential-rate variant: every alpha_k must exceed alpha_hat."""
+    """Exponential-rate variant: every alpha_k must exceed alpha_hat. Without a repeat, a
+    listed alpha_k <= alpha_hat still disproves it: fail, naming the first such k as
+    counterexample_window."""
     base = thm3_series_check(coupling, r, h, num_windows, alpha_hat)
-    verdict = (base.verdict if base.verdict == INCONCLUSIVE
-               else PASS if base.witnesses["cor2_uniform_pass"] else FAIL)
+    wit, passed = base.witnesses, base.witnesses.get("cor2_uniform_pass")
+    if passed is None and "repeat" in wit:  # no repeat, but a series to read
+        low = np.flatnonzero(np.array(wit["alpha_series"]) <= alpha_hat)
+        if low.size:
+            wit, passed = {**wit, "counterexample_window": int(low[0])}, False
+    verdict = INCONCLUSIVE if passed is None else PASS if passed else FAIL
     return CertificateReport("cor2-lambda2-uniform", verdict,
-                             witnesses=base.witnesses, parameters=base.parameters)
+                             witnesses=wit, parameters=base.parameters)
 
 
 def _optional(params: dict, *names: str) -> dict:

@@ -24,8 +24,11 @@ class PeriodError(ValueError):
 
 def _check_entries(name: str, value) -> None:
     """ValueError naming name at the first entry of value that is no number (a bool is none):
-    a list or tuple entry by entry, anything else by its dtype (an array of numbers holds none)."""
+    a list or tuple of JSON numbers at once by its set of types, any other entry by entry,
+    anything else by its dtype (an array of numbers holds none)."""
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {float, int}:  # a row of numbers, at C speed
+            return
         for v in value:
             if type(v) not in (float, int):  # JSON's numbers pass at once
                 _check_entries(name, v)

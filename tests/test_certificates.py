@@ -667,15 +667,18 @@ def test_thm1_stops_at_its_first_failing_window(monkeypatch):
     assert len(calls) == 1
 
 
-def two_block_schedule(m, until):
+def two_block_schedule(m, until, cuts=()):
     """Aperiodic table: a directed ring on all m nodes until `until`, then two rings of
-    m/2 nodes with no link between them, which have no spanning tree."""
+    m/2 nodes with no link between them, which have no spanning tree. The extra switches
+    `cuts` keep the value that holds, so a window across one is integrated by
+    integrate_window rather than read from its piece."""
     ring, split = np.zeros((m, m)), np.zeros((m, m))
     half = m // 2
     for i in range(m):
         ring[i, (i - 1) % m] = 1.0
         split[i, (i - 1) % half + (i // half) * half] = 1.0
-    return TableSignal([0.0, until], [ring, split])
+    times = np.unique(np.concatenate([[0.0, until], cuts]))
+    return TableSignal(times, [ring if t < until else split for t in times])
 
 
 def _record_integrals(monkeypatch):
@@ -689,11 +692,12 @@ def _record_integrals(monkeypatch):
 
 def test_cor1_integrates_no_block_past_its_first_failing_start(monkeypatch):
     # 4 blocks of starts 0.5 s apart; the windows fail from the last start of the
-    # third block on, so the third call is the last
+    # third block on, so the third call is the last. A switch 0.25 s past every start
+    # makes each window distinct and integrated
     block = certificates._block(two_block_schedule(20, 1.0))
     fail = 0.5 * (3 * block - 1)
-    sig = two_block_schedule(20, fail + 0.5)
     starts = 0.5 * np.arange(4 * block)
+    sig = two_block_schedule(20, fail + 0.5, starts + 0.25)
     calls = _record_integrals(monkeypatch)
     rep = cor1_sliding_window_check(sig, 1.0, 0.5, starts)
     monkeypatch.undo()
@@ -706,10 +710,11 @@ def test_cor1_integrates_no_block_past_its_first_failing_start(monkeypatch):
 
 def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
     # 3 blocks of bins of 1 s in one interval; the first bin without a spanning tree,
-    # [fail, fail + 1], lies halfway through the second block
+    # [fail, fail + 1], lies halfway through the second block. A switch inside every bin
+    # makes each bin distinct and integrated
     block = certificates._block(two_block_schedule(20, 1.0))
     fail, bins = float(3 * block // 2), 3 * block
-    sig = two_block_schedule(20, fail)
+    sig = two_block_schedule(20, fail, 0.5 + np.arange(bins))
     calls = _record_integrals(monkeypatch)
     rep = thm1_spanning_tree_check(sig, [0.0, float(bins)], 0.5, bins=bins)
     monkeypatch.undo()
@@ -725,14 +730,15 @@ def test_thm1_integrates_no_block_past_its_first_failing_window(monkeypatch):
 def test_window_blocks_double_from_a_few_windows_up_to_the_block(monkeypatch):
     # one interval of 100 bins of 1 s: a run that passes takes blocks that double from
     # _FIRST_BLOCK windows up to _block; a failure in the second bin integrates only the
-    # first, small block, not a whole one
+    # first, small block, not a whole one. A switch inside every bin makes each bin
+    # distinct and integrated
     block, first = certificates._block(two_block_schedule(20, 1.0)), certificates._FIRST_BLOCK
     assert 1 < first < block
     sizes = {}
     for until, verdict in ((200.0, "pass"), (1.0, "fail")):
         calls = _record_integrals(monkeypatch)
-        rep = thm1_spanning_tree_check(two_block_schedule(20, until), [0.0, 100.0], 0.5,
-                                       bins=100)
+        sig = two_block_schedule(20, until, 0.5 + np.arange(100))
+        rep = thm1_spanning_tree_check(sig, [0.0, 100.0], 0.5, bins=100)
         monkeypatch.undo()
         assert rep.verdict == verdict
         sizes[verdict] = [c.size for c in calls]
@@ -792,6 +798,180 @@ def test_thm1_bin_edges_are_the_per_interval_linspace_bit_for_bit(monkeypatch):
             assert hi[rows].tobytes() == edges[1:].tobytes(), (case, n)
             assert np.all(eta[rows] == etas[n])
         assert lo.size == hi.size == eta.size == (partition.size - 1) * bins
+
+
+# --- the window reader ------------------------------------------------------------
+
+
+READER_KINDS = SCHEDULE_KINDS + ["sinusoid"]
+
+
+def reader_case(rng, kind):
+    """(coupling, lo, hi, oracle, scale): a signed coupling of the kind on 2 to 5 nodes, and
+    windows of four sorts: random ones starting within 10 periods (or past the last switch
+    of an aperiodic table), windows from switch to switch, windows inside one piece, and
+    copies of all of them shifted by whole periods. oracle(s, t) is the independent window
+    integral and scale the largest entry magnitude."""
+    if kind == "sinusoid":
+        m = int(rng.integers(2, 6))
+        base, amplitude = (rng.uniform(-1.0, 2.0, (m, m)) * (1.0 - np.eye(m)) for _ in "ba")
+        sig = SinusoidSignal(base, amplitude, rng.uniform(-3.0, 3.0),
+                             trig=str(rng.choice(["sin", "cos"])),
+                             time_scale=float(rng.uniform(0.1, 1.0)))
+        oracle = series_oracle.sinusoid_integral(base, amplitude, sig.phase, sig.time_scale,
+                                                 sig.trig)
+        scale, switches = float(np.abs(base).max() + np.abs(amplitude).max()), [0.0]
+    else:
+        sig = _differential_table(rng, kind, -1.0)
+        values = [np.asarray(v) for v in sig.values]
+        oracle = lambda s, t: window_oracle.window_integral(list(sig.times), values,
+                                                            sig.period, s, t)
+        scale, switches = max(float(np.abs(v).max()) for v in values), sig.times.tolist()
+    span = span_of(sig)
+    lo = rng.uniform(0.0, 10.0 * span, 30)
+    hi = lo + rng.uniform(0.05, 3.0, 30) * span
+    for a, b in zip(switches, switches[1:] + [span]):  # a piece and a window inside it
+        off = int(rng.integers(0, 10)) * (sig.period or 0.0)
+        u = a + (b - a) * rng.uniform(0.0, 0.5)
+        v = u + (b - a) * rng.uniform(0.1, 0.5)
+        lo, hi = np.append(lo, [a + off, u + off]), np.append(hi, [b + off, v + off])
+    if sig.period is not None:  # the same windows again, whole periods on
+        n = rng.integers(1, 10, lo.size)
+        lo, hi = np.append(lo, lo + n * sig.period), np.append(hi, hi + n * sig.period)
+    return sig, lo, hi, oracle, scale
+
+
+@pytest.mark.parametrize("kind", READER_KINDS)
+def test_window_reader_matches_the_independent_integrals(kind):
+    # folded, in-piece and integrated windows all agree with integrals summed piece by
+    # piece (a table) or read from the antiderivative (a sinusoid) within 1e-12 relative
+    rng = np.random.default_rng([31, 1, READER_KINDS.index(kind)])
+    for case in range(40):
+        sig, lo, hi, oracle, scale = reader_case(rng, kind)
+        want = np.array([oracle(float(s), float(t)) for s, t in zip(lo, hi)])
+        length = (hi - lo)[:, None, None]
+        for average in (False, True):
+            index, read = certificates._windows(sig, lo, hi, average)
+            got = read(slice(None))[index]
+            err = np.abs(got - (want / length if average else want))
+            assert np.all(err <= 1e-12 * scale * (1.0 if average else length)), (case, average)
+
+
+def test_window_reader_reads_a_window_inside_one_piece_from_that_piece():
+    # [0.1, 0.4] and every window past the last switch of an aperiodic table are the piece
+    # times the length, and their means the piece itself, bit for bit
+    a, b = np.array([[0.0, 0.3], [0.7, 0.0]]), np.array([[0.0, 1.1], [0.9, 0.0]])
+    sig = TableSignal([0.0, 0.5], [a, b])
+    lo, hi = np.array([0.1, 2.0, 7.3, 0.4]), np.array([0.4, 2.9, 9.0, 0.6])
+    index, read = certificates._windows(sig, lo, hi)
+    got = read(slice(None))[index]
+    for k, v in enumerate([a, b, b]):
+        assert np.array_equal(got[k], v * (hi[k] - lo[k]))
+    index, read = certificates._windows(sig, lo, hi, average=True)
+    assert index[1] == index[2] != index[0]
+    assert np.array_equal(read(slice(None))[index[:3]], [a, b, b])
+
+
+def test_window_reader_shifts_a_start_an_ulp_below_a_whole_period_by_one_period_less():
+    # 5 * 0.7 rounds so that floor(lo / P) counts one period too many for the float an
+    # ulp below it; shifted by that many, the window would start below 0
+    sig = SwitchingSignal([0.3, 0.4], [J3, 2.0 * J3])
+    lo = np.nextafter(np.array([5, 10, 20, 35]) * 0.7, 0.0)
+    assert np.all(np.floor(lo / 0.7) * 0.7 > lo)
+    for hi in (lo + 0.2, lo + 0.5):
+        index, read = certificates._windows(sig, lo, hi)
+        got = read(slice(None))[index]
+        for k in range(lo.size):
+            want = window_oracle.window_integral([0.0, 0.3], [J3, 2.0 * J3], 0.7, lo[k], hi[k])
+            assert np.abs(got[k] - want).max() <= 1e-12 * 2.0 * (hi[k] - lo[k])
+
+
+def _oracle_first_failure(sig, lo, hi, etas):
+    """Index of the first window whose independent integral has no spanning tree at its
+    eta, or None; and whether some off-diagonal entry lies within 1e-9 of its eta."""
+    values = [np.asarray(v) for v in sig.values]
+    first, tie = None, False
+    for k, (s, t, eta) in enumerate(zip(lo, hi, etas)):
+        z = window_oracle.window_integral(list(sig.times), values, sig.period, s, t)
+        off = z[~np.eye(len(z), dtype=bool)]
+        tie |= bool(np.any(np.abs(off - eta) <= 1e-9 * eta))
+        if first is None and not window_oracle.has_root(z, eta):
+            first = k
+    return first, tie
+
+
+def _near_an_entry(rng, sig, lo, hi):
+    """An eta a relative 1e-8 to 1e-2 above or below some positive off-diagonal entry of a
+    random window's integral, so that thresholds fall close to the integrals."""
+    for _ in range(20):
+        k = int(rng.integers(lo.size))
+        z = sig.integrate_window(float(lo[k]), float(hi[k]))
+        off = z[~np.eye(len(z), dtype=bool)]
+        if np.any(off > 0):
+            entry = float(rng.choice(off[off > 0]))
+            return entry * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -2))
+    return 0.1
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_spanning_tree_verdicts_match_the_oracle_outside_a_tie_band(kind):
+    # thm1 over partitions of many periods and cor1 over starts shifted by whole periods,
+    # with eta close to some window's entry: where no entry lies within 1e-9 of eta, the
+    # first failing window is the one the independent integrals give
+    rng = np.random.default_rng([31, 2, SCHEDULE_KINDS.index(kind)])
+    seen, ties = set(), 0
+    for case in range(40):
+        sig = random_schedule(rng, kind)
+        span = span_of(sig)
+        if case % 2 == 0:
+            partition = span * np.arange(int(rng.integers(2, 30)))
+            bins = int(rng.integers(1, 9))
+            edges = [np.linspace(a, b, bins + 1) for a, b in zip(partition, partition[1:])]
+            lo = np.concatenate([e[:-1] for e in edges])
+            hi = np.concatenate([e[1:] for e in edges])
+        else:
+            window = rng.uniform(0.1, 2.5) * span
+            lo = rng.uniform(0.0, 3.0 * span, int(rng.integers(1, 40)))
+            lo = np.concatenate([lo, lo + span * rng.integers(1, 20, lo.size)])
+            hi = lo + window
+        eta = _near_an_entry(rng, sig, lo, hi)
+        first, tie = _oracle_first_failure(sig, lo, hi, np.full(lo.size, eta))
+        if tie:
+            ties += 1
+            continue
+        if case % 2 == 0:
+            rep = thm1_spanning_tree_check(sig, partition, eta, bins)
+            got = rep.witnesses.get("first_failing_window")
+            want = None if first is None else {
+                "interval": first // bins + 1, "bin": first % bins + 1,
+                "window": [float(lo[first]), float(hi[first])]}
+        else:
+            rep = cor1_sliding_window_check(sig, window, eta, lo)
+            got = rep.witnesses.get("first_failing_start")
+            want = None if first is None else float(lo[first])
+        assert rep.verdict == ("pass" if first is None else "fail"), case
+        assert got == want, case
+        seen.add(rep.verdict)
+    assert seen == {"pass", "fail"} and ties <= 4
+
+
+@pytest.mark.parametrize("blocks, verdict, most", [(1, "pass", 102), (2, "fail", 4)],
+                         ids=["ring", "split"])
+def test_thm1_integrates_one_period_of_distinct_bins(monkeypatch, blocks, verdict, most):
+    # the benchmark's thm1 shape: 40 periods of a 4-piece m = 20 schedule, 19 bins each,
+    # 760 windows; folded onto one period they are a few dozen distinct windows, and the
+    # split schedule fails within the first block of 4 (windows inside one piece are read
+    # from it, not integrated)
+    sig = directed_ring_schedule(20, blocks)
+    partition = 2.0 * np.arange(41)
+    calls = _record_integrals(monkeypatch)
+    rep = thm1_spanning_tree_check(sig, partition, 0.02)
+    monkeypatch.undo()
+    assert rep.verdict == verdict and rep.witnesses["windows_checked"] == 760
+    assert sum(c.size for c in calls) <= most
+    passed, first_fail, _ = spanning_oracle.thm1_windows(sig, partition, 0.02, 19)
+    assert (verdict == "pass") == passed
+    assert rep.witnesses.get("first_failing_window") == first_fail
 
 
 def test_thm1_tells_apart_graphs_with_as_many_edges():
@@ -1378,6 +1558,135 @@ def test_thm3_and_cor2_agree_with_the_series_oracle(kind):
     assert ("cor2", "fail") in seen and ("thm3", "pass") in seen
     if kind == "aperiodic-table":
         assert ("thm3", "fail") in seen
+
+
+def two_triangles(rng):
+    """A symmetric 6-node coupling of two 3-node blocks with weights in [0.5, 1.5] and no
+    link between them: its support is disconnected, so its alpha is 0."""
+    a = np.zeros((6, 6))
+    for block in (slice(0, 3), slice(3, 6)):
+        w = np.triu(rng.uniform(0.5, 1.5, (3, 3)), 1)
+        a[block, block] = w + w.T
+    return a
+
+
+def test_thm3_fails_on_a_disconnected_tail():
+    # connected for 1 s, then two triangles for ever: every window from k0 = 2 on averages
+    # the triangles, whose alpha is 0 however eigh rounds it, so the series converges
+    rng = np.random.default_rng(17)
+    full = np.ones((6, 6)) - np.eye(6)
+    for _ in range(20):
+        sig = TableSignal([0.0, 1.0], [full, two_triangles(rng)])
+        rep = thm3_series_check(sig, 1.0, 0.7, num_windows=4)
+        assert rep.verdict == "fail"
+        assert rep.witnesses["repeat"]["sum"] <= 0.0 and rep.witnesses["alpha_series"][3] <= 0
+        assert cor2_uniform_check(sig, 1.0, 0.7, num_windows=4).verdict == "fail"
+    ring = np.roll(np.eye(6), 1, axis=1)
+    assert thm3_series_check(TableSignal([0.0, 1.0], [full, ring + ring.T]), 1.0, 0.7).verdict \
+        == "pass"
+
+
+def test_thm3_reads_a_window_across_two_disconnected_pieces_as_connected():
+    # each piece alone is two triangles, split differently; a window over both pieces
+    # averages a connected support, so its alpha counts and the series diverges
+    rng = np.random.default_rng(18)
+    a = two_triangles(rng)
+    perm = np.array([0, 1, 3, 2, 4, 5])
+    sig = SwitchingSignal([1.0, 1.0], [a, two_triangles(rng)[np.ix_(perm, perm)]])
+    inside = thm3_series_check(sig, 1.0, 1.0, num_windows=2)
+    across = thm3_series_check(sig, 1.0, 2.0, num_windows=2)
+    assert inside.verdict == "fail" and inside.witnesses["repeat"]["sum"] <= 0.0
+    assert across.verdict == "pass" and across.witnesses["repeat"]["min"] > 0.01
+
+
+def test_cor2_names_a_listed_window_that_disproves_it_without_a_repeat():
+    # h = 0.5 sqrt(2) against the period 3 spans no whole number of periods, so no cycle
+    # decides the series; the listed window [2 h, 3 h] lies in the zero piece
+    sig = TableSignal([0.0, 1.0], [J3, 0 * J3], period=3.0)
+    h = 0.5 * math.sqrt(2.0)
+    rep = cor2_uniform_check(sig, 1.0, h, num_windows=4)
+    assert rep.verdict == "fail" and rep.witnesses["counterexample_window"] == 2
+    assert rep.witnesses["alpha_series"][2] == 0.0 and rep.witnesses["repeat"] is None
+    assert thm3_series_check(sig, 1.0, h, num_windows=4).verdict == "inconclusive"
+    # two listed windows that both meet the J piece disprove nothing
+    assert cor2_uniform_check(sig, 1.0, h, num_windows=2).verdict == "inconclusive"
+
+
+def test_thm3_eigensolves_each_distinct_window_average_once(monkeypatch):
+    # an aperiodic 4-piece table at m = 20, last switch at 1 s, h = 1e-3: 1,002 windows,
+    # all but 3 inside one piece, so at most 4 piece values and 3 windows across a switch
+    rng = np.random.default_rng(19)
+    pieces = []
+    for _ in range(4):
+        a = np.triu(rng.uniform(0.0, 1.0, (20, 20)), 1)
+        pieces.append(a + a.T)
+    sig = TableSignal([0.0, 0.2505, 0.5005, 1.0], pieces)
+    calls = []
+    monkeypatch.setattr(certificates, "lambda2", lambda lap: calls.append(1) or lambda2(lap))
+    rep = thm3_series_check(sig, 1.0, 1e-3, num_windows=20, alpha_hat=1.0)
+    monkeypatch.undo()
+    assert len(calls) <= 8
+    assert rep.witnesses["repeat"]["from_window"] == 1001
+    oracle = series_oracle.verdicts_of(sig, 1.0, 1e-3, 1.0)
+    assert rep.verdict == oracle["thm3"] == "pass"
+    assert cor2_uniform_check(sig, 1.0, 1e-3, 20, 1.0).verdict == oracle["cor2"]
+    assert rep.witnesses["alpha_series"] == pytest.approx(oracle["alphas"][:20], abs=1e-9)
+
+
+def series_tie_case(rng, kind):
+    """A symmetric nonnegative coupling on 3 to 6 nodes whose pieces are connected, zero,
+    or two blocks with no link between them, and an h of 1 to 40 windows per piece."""
+    m, count = int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    pieces = []
+    for _ in range(count):
+        a = np.triu(rng.uniform(0.05, 1.0, (m, m)), 1)
+        style = rng.integers(3)
+        if style == 1:
+            a[:m // 2, m // 2:] = 0.0
+        pieces.append((a + a.T) * (style != 2))
+    durations = rng.uniform(0.2, 1.0, count)
+    if kind == "switching":
+        sig = SwitchingSignal(durations, pieces)
+    else:
+        times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+        sig = TableSignal(times, pieces, None if kind == "aperiodic-table" else
+                          float(durations.sum()))
+    if sig.period is None:
+        return sig, float(durations.min() / rng.integers(1, 40)), None
+    b = int(rng.integers(1, 40))
+    return sig, sig.period / b, (1, b)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_thm3_and_cor2_match_the_combinatorial_and_series_oracles(kind):
+    # many windows per piece, and windows whose support is disconnected. thm3 fails when
+    # no window of the cycle has a connected support (the combinatorial oracle), and
+    # otherwise gives the series oracle's verdict where its cycle sum is not within 1e-9
+    # per window of 0; cor2 gives its verdict where its least alpha is not within 1e-9
+    # of alpha_hat
+    rng = np.random.default_rng([31, 3, SCHEDULE_KINDS.index(kind)])
+    seen = set()
+    for case in range(30):
+        sig, h, ratio = series_tie_case(rng, kind)
+        r, alpha_hat = float(rng.uniform(0.1, 1.5)), float(rng.choice([1e-6, 0.05]))
+        oracle = series_oracle.verdicts_of(sig, r, h, alpha_hat, ratio)
+        alphas = np.array(oracle["alphas"])
+        integral = series_oracle.table_integral(sig.times.tolist(), sig.values, sig.period)
+        cycle = range(ratio[1]) if ratio else [math.floor(sig.times[-1] / h) + 1]
+        connected = any(spanning_oracle.brute_force_spanning_tree(
+            (z != 0) | (z.T != 0)) for z in (integral(k * h, (k + 1) * h) for k in cycle))
+        thm3 = thm3_series_check(sig, r, h, 3, alpha_hat).verdict
+        if not connected:
+            assert thm3 == "fail", case
+        elif abs(alphas[-series_oracle.TAIL:].sum() if ratio is None else alphas.sum()) \
+                > 1e-9 * alphas.size:
+            assert thm3 == oracle["thm3"], case
+        cor2 = cor2_uniform_check(sig, r, h, 3, alpha_hat).verdict
+        if abs(alphas.min() - alpha_hat) > 1e-9:
+            assert cor2 == oracle["cor2"], case
+        seen |= {("thm3", thm3, connected), ("cor2", cor2)}
+    assert {("thm3", "pass", True), ("thm3", "fail", False), ("cor2", "pass"),
+            ("cor2", "fail")} <= seen
 
 
 # --- cross-criterion consistency ----------------------------------------------

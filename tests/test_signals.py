@@ -845,3 +845,20 @@ def test_the_reader_is_asarray_on_numbers_and_names_its_parameter_at_any_other_e
         row[at[-1]] = bad
     with pytest.raises(ValueError, match="^x must"):
         _numbers("x", broken, len(shape))
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[1.0, 2], (3.0, True, False)], "not bool, got True"),
+    ([[0.5, "1.0"], [True]], "not str, got 1.0"),
+    ([1.0, [2.0, np.True_]], "not bool, got True"),
+])
+def test_the_first_entry_that_is_no_number_is_named_in_a_row_of_numbers(value, message):
+    # a row of JSON numbers passes by its set of types; any other row is read entry by
+    # entry, so the first entry that is no number is the one named
+    with pytest.raises(ValueError, match=f"^x must hold numbers, {message}$"):
+        _numbers("x", value, (1, 2))
+
+
+def test_a_row_of_numpy_numbers_is_read_entry_by_entry():
+    value = [[np.float64(0.5), 2, np.int64(3)], (1.0, 2.0, 3.0)]
+    assert _numbers("x", value, 2).tolist() == [[0.5, 2.0, 3.0], [1.0, 2.0, 3.0]]
